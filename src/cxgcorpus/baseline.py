@@ -16,11 +16,14 @@ import random
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError, ParseError
 from .pair_sampler import PairText
+from .workspace import render_bound
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAGIC = b"CXPM"
 _VERSION = 1
@@ -117,6 +120,8 @@ def _sigmoid(z: float) -> float:
 
 def train(pairs: list[PairText], hyper: Hyperparams | None = None) -> LinearModel:
     """Seeded SGD on the logistic loss with per-epoch reshuffling."""
+    import numpy as np  # imported here so that the other stages do not pay for it
+
     hyper = hyper or Hyperparams()
     if len(pairs) < 2:
         raise InputError("need at least 2 training pairs")
@@ -213,8 +218,10 @@ def write_metrics(result: EvalResult, path: str | Path) -> None:
     """TSV `band_lo band_hi n_pairs accuracy` plus a final ALL row."""
     with open(path, "w", encoding="utf-8") as fh:
         for band in result.per_band:
-            hi = "inf" if band.band_hi is None else str(band.band_hi)
-            fh.write(f"{band.band_lo}\t{hi}\t{band.n_pairs}\t{band.accuracy:.6f}\n")
+            fh.write(
+                f"{band.band_lo}\t{render_bound(band.band_hi)}\t{band.n_pairs}"
+                f"\t{band.accuracy:.6f}\n"
+            )
         fh.write(f"ALL\tALL\t{result.n_pairs}\t{result.accuracy:.6f}\n")
 
 
@@ -230,6 +237,8 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
+    import numpy as np
+
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:

@@ -18,7 +18,7 @@ from . import ingest
 from . import inventory as inv
 from . import matcher
 from . import pair_sampler as ps
-from .errors import CxgError, InputError
+from .errors import CxgError, InputError, ParseError
 from .workspace import (
     ANNOTATE_KEYS,
     BUILD_KEYS,
@@ -28,7 +28,8 @@ from .workspace import (
     TABLE_KEYS,
     EffectiveConfig,
     check_sidecar,
-    parse_band,
+    parse_int_list,
+    render_bound,
     write_sidecar,
 )
 
@@ -41,18 +42,23 @@ EXIT_MULTISET = 4
 
 
 def _effective_config(args) -> EffectiveConfig:
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "band": parse_band(args.band) if getattr(args, "band", None) else None,
-        "max_gap": getattr(args, "max_gap", None),
-        "strictness": getattr(args, "strictness", None),
-        "band_edges": (
-            tuple(int(x) for x in args.band_edges.split(","))
-            if getattr(args, "band_edges", None)
-            else None
-        ),
-    }
+    keys = ("seed", "band", "max_gap", "strictness", "band_edges")
+    overrides = {key: getattr(args, key, None) or None for key in keys}
     return EffectiveConfig.from_sources(getattr(args, "config", None), overrides)
+
+
+def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
+    """The sentence store annotate wrote next to `annotated`, checked to
+    come from the file's current content."""
+    check_sidecar(annotated, config, ANNOTATE_KEYS)
+    store = ingest.store_path(annotated)
+    if not store.is_file():
+        raise InputError(
+            f"{store}: sentence store not found; run `cxgcorpus annotate` to write "
+            f"{annotated} and its store"
+        )
+    check_sidecar(store, config, ANNOTATE_KEYS, source=annotated)
+    return store
 
 
 def _load_resources(args) -> ingest.AnnotationResources:
@@ -75,22 +81,30 @@ def cmd_annotate(args) -> int:
     )
     stream = ingest.iter_raw_lines(args.input)
     sentences = ingest.annotate_corpus(stream, resources, args.mode, abbreviations)
-    count = ingest.write_annotated(sentences, args.out)
+    try:
+        count = ingest.write_annotated(sentences, args.out)
+    except ParseError as exc:
+        if args.mode != "pre-annotated":
+            raise
+        raise ParseError(f"{args.input}: {exc}") from exc
     write_sidecar(args.out, config, "annotate", ANNOTATE_KEYS)
+    write_sidecar(ingest.store_path(args.out), config, "annotate", ANNOTATE_KEYS,
+                  source=args.out)
     print(f"annotated {count} sentences -> {args.out}")
     return EXIT_OK
 
 
 def cmd_match(args) -> int:
     config = _effective_config(args)
-    check_sidecar(args.annotated, config, ANNOTATE_KEYS)
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    store = _sentence_store(args.annotated, config)
     inventory = inv.load_inventory(args.inventory)
     index = matcher.build_index(inventory)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(args.annotated, encoding="utf-8") as fh:
-        corpus = ingest.read_annotated(fh)
-        table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
+    corpus = ingest.scan_annotated(store)
+    table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
     table_path = out / "table.tsv"
     discards_path = out / "discards.txt"
     table.write(table_path, discards_path)
@@ -116,21 +130,20 @@ def cmd_stats(args) -> int:
     matcher.write_stats(stats, args.out)
     write_sidecar(args.out, config, "stats", STATS_KEYS)
     for band in stats.bands:
-        hi = "inf" if band.hi is None else band.hi
-        print(f"band {band.lo}..{hi}: {band.count} constructions")
+        print(f"band {band.lo}..{render_bound(band.hi)}: {band.count} constructions")
     print(f"below {config.band_edges[0]}: {stats.below_min} constructions")
     return EXIT_OK
 
 
 def cmd_build(args) -> int:
     config = _effective_config(args)
-    check_sidecar(args.annotated, config, ANNOTATE_KEYS)
+    store = _sentence_store(args.annotated, config)
     check_sidecar(args.table, config, TABLE_KEYS)
     corpus = []
     texts = {}
-    for ref, text in ingest.scan_annotated(args.annotated):
-        corpus.append(ref)
-        texts[ref.sentence_id] = text
+    for row in ingest.scan_annotated(store):
+        corpus.append(ingest.SentenceRef(*row[:3]))
+        texts[row.sentence_id] = row.text
     table = matcher.OccurrenceTable.read(args.table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,9 +199,9 @@ def _write_variant(out, name, docs, manifest, texts, config) -> None:
 
 def cmd_pairs(args) -> int:
     config = _effective_config(args)
-    check_sidecar(args.annotated, config, ANNOTATE_KEYS)
+    store = _sentence_store(args.annotated, config)
     check_sidecar(args.table, config, TABLE_KEYS)
-    texts = {ref.sentence_id: text for ref, text in ingest.scan_annotated(args.annotated)}
+    texts = {row.sentence_id: row.text for row in ingest.scan_annotated(store)}
     table = matcher.OccurrenceTable.read(args.table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,7 +212,10 @@ def cmd_pairs(args) -> int:
     elif args.inoculation_sizes.strip() == "":
         sizes = ()
     else:
-        sizes = tuple(int(x) for x in args.inoculation_sizes.split(","))
+        try:
+            sizes = parse_int_list(args.inoculation_sizes)
+        except ParseError as exc:
+            raise ParseError(f"--inoculation-sizes: {exc}") from exc
 
     sampler_config = ps.SamplerConfig(
         seed=config.seed, strictness=config.strictness, inoculation_sizes=sizes
@@ -283,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, band=False):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--max-gap", type=int, dest="max_gap")
+        p.add_argument("--seed")
+        p.add_argument("--max-gap", dest="max_gap")
         p.add_argument("--strictness", choices=["anchor", "disjoint"])
         p.add_argument("--band-edges", dest="band_edges",
                        help=f"comma list, default {','.join(map(str, DEFAULT_BAND_EDGES))}")

@@ -23,8 +23,9 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import EmptyBandError, InputError
-from .ingest import AnnotatedSentence
+from .ingest import AnnotatedSentence, SentenceRef
 from .matcher import OccurrenceTable
+from .workspace import render_bound
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,10 @@ class BuildManifest:
     seed: int | None = None
 
     def write(self, path: str | Path) -> None:
-        hi = "inf" if self.band_hi is None else str(self.band_hi)
         lines = [
             f"variant = {self.variant}",
             f"band_lo = {self.band_lo}",
-            f"band_hi = {hi}",
+            f"band_hi = {render_bound(self.band_hi)}",
             f"total_occurrences = {self.total_occurrences}",
             f"n_documents = {self.n_documents}",
         ]
@@ -96,7 +96,7 @@ def build_cxg_corpus(
 
 
 def build_base_clone(
-    corpus: Iterable[AnnotatedSentence],
+    corpus: Iterable[AnnotatedSentence | SentenceRef],
     table: OccurrenceTable,
     band: tuple[int, int | None],
     target_total: int,
@@ -193,10 +193,6 @@ def build_random(
     return docs, manifest
 
 
-def sentence_text_map(corpus: Iterable[AnnotatedSentence]) -> dict[int, str]:
-    return {s.sentence_id: s.text for s in corpus}
-
-
 def write_pretraining_file(
     documents: list[CorpusDocument],
     sentence_texts: Mapping[int, str],
@@ -216,23 +212,6 @@ def write_pretraining_file(
                     fh.write(sentence_texts[sid] + "\n")
                 except KeyError:
                     raise InputError(f"{path}: unknown sentence id {sid} in document {doc.doc_id}")
-
-
-def read_pretraining_file(path: str | Path) -> list[list[str]]:
-    """Documents as lists of sentence lines (round-trip check helper)."""
-    docs: list[list[str]] = []
-    cur: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                cur.append(line)
-            elif cur:
-                docs.append(cur)
-                cur = []
-    if cur:
-        docs.append(cur)
-    return docs
 
 
 @dataclass

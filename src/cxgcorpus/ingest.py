@@ -4,7 +4,17 @@ semantic cluster) that slot constraints match against.
 
 The pipeline is deliberately rule-based and deterministic; anyone with a
 better annotator can bypass it entirely through the pre-annotated TSV
-ingestion path (`mode="pre-annotated"`).
+ingestion path (`mode="pre-annotated"`), which reads an external TSV in
+the format write_annotated writes.
+
+An annotated corpus is written twice in one pass: the token-per-row TSV
+(`annotated.tsv`, the exchange format) and the sentence store
+(`annotated.tsv.sents`), one tab-separated line per sentence that the
+later stages read instead of re-parsing the TSV. The store's `.meta`
+sidecar records the sha256 of the TSV it was written with, and `match`,
+`build` and `pairs` refuse (exit 2) a missing store or one whose TSV has
+changed since; external TSVs get their store by going through
+`annotate --mode pre-annotated`.
 
 Case is never folded anywhere: surface forms pass through annotation
 unchanged.
@@ -60,6 +70,37 @@ class AnnotatedSentence:
     @property
     def text(self) -> str:
         return " ".join(t.form for t in self.tokens)
+
+    @property
+    def forms(self) -> list[str]:
+        return [t.form for t in self.tokens]
+
+    @property
+    def tags(self) -> list[str]:
+        return [t.pos for t in self.tokens]
+
+    @property
+    def sems(self) -> list[int | None]:
+        return [t.sem for t in self.tokens]
+
+
+class SentenceColumns(NamedTuple):
+    """One sentence of the store: its ids and its three facet columns.
+
+    Carries the same fields as AnnotatedSentence without building a
+    Token per token; `sems` holds None where a token has no cluster.
+    """
+
+    sentence_id: int
+    article_id: int
+    position_in_article: int
+    forms: list[str]
+    tags: list[str]
+    sems: list[int | None]
+
+    @property
+    def text(self) -> str:
+        return " ".join(self.forms)
 
 
 class AnnotationResources:
@@ -315,24 +356,36 @@ def annotate_corpus(
             position += 1
 
 
+def store_path(annotated: str | Path) -> Path:
+    """Where the sentence store of an annotated TSV lives."""
+    return Path(str(annotated) + ".sents")
+
+
 def write_annotated(
     sentences: Iterable[AnnotatedSentence], path: str | Path
 ) -> int:
     """Write the pre-annotated TSV: one token per row,
     sentence_id, article_id, position_in_article, form, pos, sem ('-' if absent),
     with a blank line between sentences. Returns the sentence count.
+
+    The same pass writes the sentence store at store_path(path): one
+    line per sentence of n tokens, with the tab-separated fields
+    sentence_id, article_id, position_in_article, the n forms, the n
+    tags and the n sem ids ('-' if absent). A form holds no tab or
+    newline, as the TSV's rows could not carry it either.
     """
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh, open(
+        store_path(path), "w", encoding="utf-8", newline="\n"
+    ) as store:
         for sent in sentences:
             if count:
                 fh.write("\n")
-            for tok in sent.tokens:
-                sem = "-" if tok.sem is None else str(tok.sem)
-                fh.write(
-                    f"{sent.sentence_id}\t{sent.article_id}\t{sent.position_in_article}"
-                    f"\t{tok.form}\t{tok.pos}\t{sem}\n"
-                )
+            ids = f"{sent.sentence_id}\t{sent.article_id}\t{sent.position_in_article}"
+            sems = ["-" if tok.sem is None else str(tok.sem) for tok in sent.tokens]
+            for tok, sem in zip(sent.tokens, sems):
+                fh.write(f"{ids}\t{tok.form}\t{tok.pos}\t{sem}\n")
+            store.write("\t".join([ids, *sent.forms, *sent.tags, *sems]) + "\n")
             count += 1
     return count
 
@@ -358,19 +411,7 @@ def read_annotated(
     last_pos_by_article: dict[int, int] = {}
 
     def finish(key: tuple[int, int, int]) -> AnnotatedSentence:
-        nonlocal last_sid
-        sid, aid, pos = key
-        if sid <= last_sid:
-            raise ParseError(
-                f"sentence ids must be strictly increasing; saw {sid} after {last_sid}"
-            )
-        if pos <= last_pos_by_article.get(aid, -1):
-            raise ParseError(
-                f"position {pos} in article {aid} repeats or goes backwards"
-            )
-        last_pos_by_article[aid] = pos
-        last_sid = sid
-        sent = AnnotatedSentence(sid, aid, pos, tuple(cur_tokens))
+        sent = AnnotatedSentence(*key, tuple(cur_tokens))
         cur_tokens.clear()
         return sent
 
@@ -403,19 +444,24 @@ def read_annotated(
             if sem < 0:
                 raise ParseError(f"line {lineno}: negative cluster id {sem}")
         key = (sid, aid, pos)
-        if cur_key is not None and key != cur_key:
-            yield finish(cur_key)
-        cur_key = key
+        if key != cur_key:
+            if cur_key is not None:
+                yield finish(cur_key)
+            if sid <= last_sid:
+                raise ParseError(
+                    f"line {lineno}: sentence ids must be strictly increasing; "
+                    f"saw {sid} after {last_sid}"
+                )
+            if pos <= last_pos_by_article.get(aid, -1):
+                raise ParseError(
+                    f"line {lineno}: position {pos} in article {aid} repeats or goes backwards"
+                )
+            last_pos_by_article[aid] = pos
+            last_sid = sid
+            cur_key = key
         cur_tokens.append(Token(form, tag, sem))
     if cur_key is not None:
         yield finish(cur_key)
-
-
-def load_annotated_file(
-    path: str | Path, resources: AnnotationResources | None = None
-) -> list[AnnotatedSentence]:
-    with open(path, encoding="utf-8") as fh:
-        return list(read_annotated(fh, resources))
 
 
 class SentenceRef(NamedTuple):
@@ -426,29 +472,41 @@ class SentenceRef(NamedTuple):
     position_in_article: int
 
 
-def scan_annotated(path: str | Path) -> Iterator[tuple[SentenceRef, str]]:
-    """Stream (metadata, detokenized text) from a pre-annotated TSV
-    without materializing Token objects; used where only document
-    structure and sentence texts are needed.
+class _SemValues(dict):
+    """Sem field -> cluster id (None for '-'), parsed once per distinct
+    field; a malformed or negative field raises ValueError."""
+
+    def __init__(self):
+        super().__init__({"-": None})
+
+    def __missing__(self, field: str) -> int:
+        value = int(field)
+        if value < 0:
+            raise ValueError(field)
+        self[field] = value
+        return value
+
+
+def scan_annotated(path: str | Path) -> Iterator[SentenceColumns]:
+    """Stream the sentences of a sentence store (see write_annotated),
+    one line at a time, without building Token objects.
     """
-    with open(path, encoding="utf-8") as fh:
-        cur: tuple[int, int, int] | None = None
-        forms: list[str] = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                if cur is not None:
-                    yield SentenceRef(*cur), " ".join(forms)
-                    cur, forms = None, []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ParseError(f"{path}: expected 6 columns, got {len(parts)}")
-            key = (int(parts[0]), int(parts[1]), int(parts[2]))
-            if cur is not None and key != cur:
-                yield SentenceRef(*cur), " ".join(forms)
-                forms = []
-            cur = key
-            forms.append(parts[3])
-        if cur is not None:
-            yield SentenceRef(*cur), " ".join(forms)
+    sem_value = _SemValues().__getitem__
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh, 1):
+            fields = line.rstrip("\n").split("\t")
+            n, extra = divmod(len(fields) - 3, 3)
+            if n < 1 or extra:
+                raise ParseError(
+                    f"{path}:{lineno}: expected 3 id fields and 3 fields per token, "
+                    f"got {len(fields)} fields"
+                )
+            try:
+                row = SentenceColumns(
+                    int(fields[0]), int(fields[1]), int(fields[2]),
+                    fields[3 : 3 + n], fields[3 + n : 3 + 2 * n],
+                    list(map(sem_value, fields[3 + 2 * n :])),
+                )
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-integer id or bad sem field")
+            yield row

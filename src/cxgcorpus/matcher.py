@@ -7,6 +7,12 @@ independent of inventory size. Candidate constructions are then verified
 with an in-order alignment that allows up to max_gap skipped tokens
 between consecutive slots (never before the first or after the last).
 
+Matching works on a sentence's three facet columns (forms, tags, sem
+ids), so an AnnotatedSentence and a row of the sentence store
+(ingest.SentenceColumns) go through the same code: each column is
+translated to facet ids through the map of its kind, and a slot tests
+one column at a position.
+
 brute_force_match is the deliberately naive reference implementation
 used as the correctness oracle; it shares no matching code with the
 indexed path.
@@ -17,16 +23,20 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FacetMissingError, ParseError
-from .ingest import AnnotatedSentence
+from .ingest import AnnotatedSentence, SentenceColumns
 from .inventory import Inventory
+from .workspace import render_bound
 
 logger = logging.getLogger(__name__)
+
+# The column a slot of each kind tests: forms, tags, sem ids.
+_COLUMN = {"LEX": 0, "POS": 1, "SEM": 2}
 
 
 @dataclass(frozen=True)
@@ -52,18 +62,24 @@ class MatchIndex:
             for slot in con.slots:
                 facet_counts[slot.facet] += 1
 
-        # Dense integer ids for every facet any slot uses; tokens are
-        # translated once per sentence and matching works on ints.
-        self._facet_ids: dict[tuple[str, str], int] = {}
-        for con in inventory:
-            for slot in con.slots:
-                if slot.facet not in self._facet_ids:
-                    self._facet_ids[slot.facet] = len(self._facet_ids)
+        # Dense integer ids for every facet any slot uses, in order of
+        # first use, the column each id tests, and per kind the map from
+        # a token's value to its facet id. A sem id matches a SEM slot
+        # when its decimal form is the slot's value, so a value that is
+        # no int's decimal form gets no key.
+        facet_ids = {facet: i for i, facet in enumerate(facet_counts)}
+        self._column = [_COLUMN[kind] for kind, _ in facet_ids]
+        self._lex = {v: f for (kind, v), f in facet_ids.items() if kind == "LEX"}
+        self._pos = {v: f for (kind, v), f in facet_ids.items() if kind == "POS"}
+        self._sem = {
+            int(v): f for (kind, v), f in facet_ids.items()
+            if kind == "SEM" and v.removeprefix("-").isdecimal() and str(int(v)) == v
+        }
 
         self.entries: dict[tuple[str, str], list[tuple[int, int]]] = {}
         self._anchor: dict[int, list[int]] = {}
-        self._slots: dict[int, tuple[int, ...]] = {}
-        self._slot_sets: dict[int, frozenset[int]] = {}
+        # cxg_id -> (the set of its slots' facet ids, the ids in slot order)
+        self._checks: dict[int, tuple[frozenset[int], tuple[int, ...]]] = {}
         for con in inventory:
             offset = min(
                 range(len(con.slots)),
@@ -71,82 +87,109 @@ class MatchIndex:
             )
             facet = con.slots[offset].facet
             self.entries.setdefault(facet, []).append((con.cxg_id, offset))
-            self._anchor.setdefault(self._facet_ids[facet], []).append(con.cxg_id)
-            fids = tuple(self._facet_ids[s.facet] for s in con.slots)
-            self._slots[con.cxg_id] = fids
-            self._slot_sets[con.cxg_id] = frozenset(fids)
+            self._anchor.setdefault(facet_ids[facet], []).append(con.cxg_id)
+            fids = tuple(facet_ids[s.facet] for s in con.slots)
+            self._checks[con.cxg_id] = (frozenset(fids), fids)
 
-        self.uses_sem = inventory.uses_sem
-        self.cxg_ids = sorted(self._slots)
+        self.uses_sem = any(kind == "SEM" for kind, _ in facet_ids)
+        self.cxg_ids = sorted(self._checks)
         self.size = len(self.cxg_ids)
+
+    def _facet_columns(
+        self, forms: list[str], tags: list[str], sems: list[int | None]
+    ) -> tuple[list, list, list]:
+        """The three columns as facet ids (None where no slot of the
+        inventory tests the value)."""
+        return (
+            list(map(self._lex.get, forms)),
+            list(map(self._pos.get, tags)),
+            list(map(self._sem.get, sems)),
+        )
 
     def token_facet_ids(self, sentence: AnnotatedSentence) -> list[frozenset[int]]:
         """Per-token sets of inventory-relevant facet ids."""
-        get = self._facet_ids.get
-        out = []
-        for tok in sentence.tokens:
-            fids = []
-            f = get(("LEX", tok.form))
-            if f is not None:
-                fids.append(f)
-            f = get(("POS", tok.pos))
-            if f is not None:
-                fids.append(f)
-            if tok.sem is not None:
-                f = get(("SEM", str(tok.sem)))
-                if f is not None:
-                    fids.append(f)
-            out.append(frozenset(fids))
-        return out
+        columns = self._facet_columns(sentence.forms, sentence.tags, sentence.sems)
+        return [frozenset(f for f in fids if f is not None) for fids in zip(*columns)]
 
 
-def _check_facets(uses_sem: bool, sentence: AnnotatedSentence) -> None:
-    if uses_sem and all(t.sem is None for t in sentence.tokens):
+def _check_facets(uses_sem: bool, sentence_id: int, sems: list) -> None:
+    if uses_sem and sems.count(None) == len(sems):
         raise FacetMissingError(
-            f"sentence {sentence.sentence_id} carries no SEM annotations "
+            f"sentence {sentence_id} carries no SEM annotations "
             "but the inventory uses SEM slots"
         )
 
 
 def _find_span(
-    slots: tuple[int, ...], tok_fids: list[frozenset[int]], max_gap: int
+    slots: tuple[int, ...],
+    columns: tuple[list, list, list],
+    column_of: list[int],
+    max_gap: int,
 ) -> tuple[int, int, int] | None:
     """Leftmost-start, then gap-minimal alignment of slots to tokens.
 
-    Scans start positions in order; at each start a frontier of
-    reachable positions is advanced one slot at a time, so the first
-    successful start is leftmost and min(frontier) gives the minimal
-    total gap there.
+    Slot facet id f is tested on column column_of[f]. Scans start
+    positions in order; at each start a frontier of reachable positions
+    is advanced one slot at a time, so the first successful start is
+    leftmost and min(frontier) gives the minimal total gap there.
     """
-    n = len(tok_fids)
+    n = len(columns[0])
     k = len(slots)
-    s0 = slots[0]
-    for start in range(n - k + 1):
-        if s0 not in tok_fids[start]:
-            continue
+    first = slots[0]
+    heads = columns[column_of[first]]
+    start = -1
+    while True:
+        try:
+            start = heads.index(first, start + 1, n - k + 1)
+        except ValueError:
+            return None
         frontier: Sequence[int] = (start,)
-        for si in range(1, k):
-            s = slots[si]
+        for fid in slots[1:]:
+            col = columns[column_of[fid]]
             nxt: list[int] = []
             for p in frontier:
-                hi = p + 2 + max_gap
-                if hi > n:
-                    hi = n
-                for q in range(p + 1, hi):
-                    if s in tok_fids[q] and q not in nxt:
+                for q in range(p + 1, min(p + 2 + max_gap, n)):
+                    if col[q] == fid and q not in nxt:
                         nxt.append(q)
             if not nxt:
-                frontier = ()
                 break
             frontier = nxt
-        if frontier:
+        else:
             last = min(frontier)
             return start, last + 1, last - start - (k - 1)
-    return None
 
 
 def build_index(inventory: Inventory) -> MatchIndex:
     return MatchIndex(inventory)
+
+
+def _match_columns(
+    index: MatchIndex, sentence: AnnotatedSentence | SentenceColumns, max_gap: int
+) -> list[tuple[int, int, int, int]]:
+    """(cxg_id, start, end, gaps_used) of every construction a sentence
+    instantiates, in cxg_id order: the per-sentence core."""
+    sems = sentence.sems
+    _check_facets(index.uses_sem, sentence.sentence_id, sems)
+    columns = index._facet_columns(sentence.forms, sentence.tags, sems)
+    present = set(columns[0])
+    present.update(columns[1])
+    present.update(columns[2])
+    anchor = index._anchor
+    candidates: set[int] = set()
+    for f in present:
+        hits = anchor.get(f)
+        if hits is not None:
+            candidates.update(hits)
+    found = []
+    checks = index._checks
+    column_of = index._column
+    for cid in sorted(candidates):
+        needed, slots = checks[cid]
+        if needed <= present:
+            span = _find_span(slots, columns, column_of, max_gap)
+            if span is not None:
+                found.append((cid, *span))
+    return found
 
 
 def match_sentence(
@@ -157,27 +200,7 @@ def match_sentence(
     The reported span is the leftmost one, with minimal total gaps among
     alignments at that start.
     """
-    _check_facets(index.uses_sem, sentence)
-    tok_fids = index.token_facet_ids(sentence)
-    anchor = index._anchor
-    candidates: set[int] = set()
-    sent_facets: set[int] = set()
-    for fids in tok_fids:
-        for f in fids:
-            sent_facets.add(f)
-            hits = anchor.get(f)
-            if hits is not None:
-                candidates.update(hits)
-    spans = []
-    slot_sets = index._slot_sets
-    slot_seqs = index._slots
-    for cid in sorted(candidates):
-        if not slot_sets[cid] <= sent_facets:
-            continue
-        found = _find_span(slot_seqs[cid], tok_fids, max_gap)
-        if found is not None:
-            spans.append(MatchSpan(cid, *found))
-    return spans
+    return [MatchSpan(*m) for m in _match_columns(index, sentence, max_gap)]
 
 
 def brute_force_match(
@@ -186,7 +209,7 @@ def brute_force_match(
     """Reference matcher: direct recursion over slots and gaps at every
     start position, for every construction. Oracle for match_sentence.
     """
-    _check_facets(inventory.uses_sem, sentence)
+    _check_facets(inventory.uses_sem, sentence.sentence_id, sentence.sems)
     tokens = sentence.tokens
     n = len(tokens)
 
@@ -308,8 +331,19 @@ class OccurrenceTable:
         discarded = []
         if discards_path is not None and Path(discards_path).exists():
             with open(discards_path, encoding="utf-8") as fh:
-                discarded = [int(line) for line in fh if line.strip()]
+                for lineno, line in enumerate(fh, 1):
+                    if line.strip():
+                        try:
+                            discarded.append(int(line))
+                        except ValueError:
+                            raise ParseError(f"{discards_path}:{lineno}: non-integer id")
         return cls(forward, discarded=discarded)
+
+
+def _match_chunk(
+    index: MatchIndex, chunk: list[AnnotatedSentence | SentenceColumns], max_gap: int
+) -> list[tuple[int, list[int]]]:
+    return [(s.sentence_id, [m[0] for m in _match_columns(index, s, max_gap)]) for s in chunk]
 
 
 _POOL_STATE: tuple[MatchIndex, int] | None = None
@@ -320,12 +354,9 @@ def _pool_init(index: MatchIndex, max_gap: int) -> None:
     _POOL_STATE = (index, max_gap)
 
 
-def _pool_match(chunk: list[AnnotatedSentence]) -> list[tuple[int, list[int]]]:
+def _pool_match(chunk: list[SentenceColumns]) -> list[tuple[int, list[int]]]:
     index, max_gap = _POOL_STATE  # type: ignore[misc]
-    return [
-        (s.sentence_id, [m.cxg_id for m in match_sentence(index, s, max_gap)])
-        for s in chunk
-    ]
+    return _match_chunk(index, chunk, max_gap)
 
 
 def _chunks(items: Iterable, size: int) -> Iterator[list]:
@@ -341,43 +372,41 @@ def _chunks(items: Iterable, size: int) -> Iterator[list]:
 
 def match_corpus(
     index: MatchIndex,
-    corpus: Iterable[AnnotatedSentence],
+    corpus: Iterable[AnnotatedSentence | SentenceColumns],
     max_gap: int = 1,
     jobs: int = 1,
     chunk_size: int = 512,
 ) -> OccurrenceTable:
     """Match a whole corpus, producing the occurrence table.
 
-    Sentences are processed independently and merged in corpus order, so
-    the result does not depend on the worker count.
+    The corpus holds AnnotatedSentence objects or rows of the sentence
+    store. Sentences are processed independently, in chunks, and merged
+    in corpus order, so the result does not depend on the worker count.
     """
     forward: dict[int, list[int]] = {cid: [] for cid in index.cxg_ids}
     reverse: dict[int, list[int]] = {}
     discarded: list[int] = []
 
-    if jobs <= 1:
-        results: Iterable[tuple[int, list[int]]] = (
-            (s.sentence_id, [m.cxg_id for m in match_sentence(index, s, max_gap)])
-            for s in corpus
-        )
-        for sid, cids in results:
-            if cids:
-                for cid in cids:
-                    forward[cid].append(sid)
-                reverse[sid] = cids
-            else:
-                discarded.append(sid)
-    else:
-        ctx = get_context()
-        with ctx.Pool(jobs, initializer=_pool_init, initargs=(index, max_gap)) as pool:
-            for chunk_result in pool.imap(_pool_match, _chunks(corpus, chunk_size)):
-                for sid, cids in chunk_result:
-                    if cids:
-                        for cid in cids:
-                            forward[cid].append(sid)
-                        reverse[sid] = cids
-                    else:
-                        discarded.append(sid)
+    chunks = _chunks(corpus, chunk_size)
+    with ExitStack() as stack:
+        if jobs <= 1:
+            results: Iterable[list[tuple[int, list[int]]]] = (
+                _match_chunk(index, chunk, max_gap) for chunk in chunks
+            )
+        else:
+            from multiprocessing import get_context  # only pool runs pay for the import
+
+            pool = stack.enter_context(get_context().Pool(
+                jobs, initializer=_pool_init, initargs=(index, max_gap)))
+            results = pool.imap(_pool_match, chunks)
+        for chunk_result in results:
+            for sid, cids in chunk_result:
+                if cids:
+                    for cid in cids:
+                        forward[cid].append(sid)
+                    reverse[sid] = cids
+                else:
+                    discarded.append(sid)
     matched = len(reverse)
     logger.info(
         "matched corpus: %d sentences instantiate >=1 construction, %d discarded",
@@ -440,5 +469,4 @@ def occurrence_stats(
 def write_stats(stats: OccurrenceStats, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for band in stats.bands:
-            hi = "inf" if band.hi is None else str(band.hi)
-            fh.write(f"{band.lo}\t{hi}\t{band.count}\n")
+            fh.write(f"{band.lo}\t{render_bound(band.hi)}\t{band.count}\n")

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping
 from .errors import EmptyBandError, InputError, ParseError
 from .corpus_builder import select_band
 from .matcher import OccurrenceTable
+from .workspace import parse_bound, render_bound
 
 SPLITS = ("train", "dev", "test")
 
@@ -361,10 +362,9 @@ def write_pairs(
                 text_b = sentence_texts[pair.sent_b]
             except KeyError as exc:
                 raise InputError(f"{path}: unknown sentence id {exc.args[0]}")
-            hi = "inf" if pair.band_hi is None else str(pair.band_hi)
             fh.write(
                 f"{pair.label}\t{text_a}\t{text_b}\t{pair.anchor_cxg}"
-                f"\t{pair.band_lo}\t{hi}\n"
+                f"\t{pair.band_lo}\t{render_bound(pair.band_hi)}\n"
             )
 
 
@@ -381,10 +381,7 @@ def read_pairs(path: str | Path) -> list[PairText]:
             label, text_a, text_b, anchor, lo, hi = parts
             try:
                 out.append(
-                    PairText(
-                        label, text_a, text_b, int(anchor), int(lo),
-                        None if hi == "inf" else int(hi),
-                    )
+                    PairText(label, text_a, text_b, int(anchor), int(lo), parse_bound(hi))
                 )
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad numeric field")

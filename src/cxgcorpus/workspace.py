@@ -1,11 +1,14 @@
 """Workspace configuration: `key = value` config files, the effective
-settings a run uses, and config-hash sidecars for staleness detection.
+settings a run uses, the text form of band bounds, and sidecars for
+staleness detection.
 
 Every derived file gets a `<name>.meta` sidecar recording the hash of
 the effective configuration that produced it. Commands that consume a
 derived file refuse to run when the recorded hash differs from the
 current one, so stale intermediate files are caught without relying on
-timestamps.
+timestamps. A sidecar can also record the sha256 of the file its file
+was derived from (`source_sha256`), so that a consumer can refuse a
+derived file whose source has changed since.
 """
 
 from __future__ import annotations
@@ -13,16 +16,16 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
-from .errors import ParseError, StaleInputError
+from .errors import InputError, ParseError, StaleInputError
 
 DEFAULT_BAND = (2, 10000)
 DEFAULT_BAND_EDGES = (2, 50, 100, 1000, 10000)
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment."""
-    values: dict[str, str] = {}
+def _config_entries(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each `key = value` line; '#' starts a comment."""
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -30,23 +33,63 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ParseError(f"{path}:{lineno}: expected `key = value`")
-        values[key.strip()] = value.strip()
-    return values
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_config_file(path: str | Path) -> dict[str, str]:
+    """Parse `key = value` lines; '#' starts a comment."""
+    return {key: value for _, key, value in _config_entries(path)}
+
+
+def render_bound(hi: int | None) -> str:
+    """Text form of a band's upper bound: `inf` for an unbounded band."""
+    return "inf" if hi is None else str(hi)
+
+
+def parse_bound(text: str) -> int | None:
+    """Inverse of render_bound; raises ValueError on anything else."""
+    return None if text == "inf" else int(text)
 
 
 def parse_band(text: str) -> tuple[int, int | None]:
-    """Parse `LO:HI` where HI may be `inf`."""
+    """Parse `LO:HI` where HI may be `inf` (or empty)."""
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
         raise ParseError(f"band must be LO:HI, got {text!r}")
     try:
         lo = int(lo_text)
-        hi = None if hi_text.strip() in ("inf", "") else int(hi_text)
+        hi = parse_bound(hi_text.strip() or "inf")
     except ValueError:
         raise ParseError(f"bad band {text!r}")
     if hi is not None and hi < lo:
         raise ParseError(f"band upper bound {hi} below lower bound {lo}")
     return lo, hi
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ParseError(f"expected comma-separated integers, got {text!r}")
+
+
+def _max_gap(text: str) -> int:
+    gap = int(text)
+    if gap < 0:
+        raise ParseError(f"max_gap must be >= 0, got {gap}")
+    return gap
+
+
+# How each setting is read from its text form, in a config file or on
+# the command line.
+_SETTINGS = {
+    "seed": int,
+    "band": parse_band,
+    "max_gap": _max_gap,
+    "strictness": str,
+    "band_edges": parse_int_list,
+}
 
 
 @dataclass
@@ -60,30 +103,39 @@ class EffectiveConfig:
     band_edges: tuple[int, ...] = DEFAULT_BAND_EDGES
 
     @classmethod
-    def from_sources(cls, config_path: str | Path | None, overrides: dict) -> "EffectiveConfig":
-        """Config-file values first, command-line overrides on top."""
+    def from_sources(
+        cls, config_path: str | Path | None, overrides: dict[str, str | None]
+    ) -> "EffectiveConfig":
+        """Config-file values first, command-line overrides on top.
+
+        Both are given as text; a malformed value raises ParseError naming
+        its `file:line`, or the `--flag` it came from.
+        """
         cfg = cls()
+        sources: list[tuple[str, str, str]] = []
         if config_path is not None:
-            raw = parse_config_file(config_path)
-            if "seed" in raw:
-                cfg.seed = int(raw["seed"])
-            if "band" in raw:
-                cfg.band = parse_band(raw["band"])
-            if "max_gap" in raw:
-                cfg.max_gap = int(raw["max_gap"])
-            if "strictness" in raw:
-                cfg.strictness = raw["strictness"]
-            if "band_edges" in raw:
-                cfg.band_edges = tuple(int(x) for x in raw["band_edges"].split(","))
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
+            sources += [
+                (f"{config_path}:{lineno}", key, value)
+                for lineno, key, value in _config_entries(config_path)
+                if key in _SETTINGS
+            ]
+        sources += [
+            (f"--{key.replace('_', '-')}", key, value)
+            for key, value in overrides.items()
+            if value is not None
+        ]
+        for where, key, value in sources:
+            try:
+                setattr(cfg, key, _SETTINGS[key](value))
+            except ValueError:
+                raise ParseError(f"{where}: {key} {value!r} is not an integer")
+            except ParseError as exc:
+                raise ParseError(f"{where}: {exc}")
         return cfg
 
     def canonical(self, keys: tuple[str, ...]) -> str:
-        hi = "inf" if self.band[1] is None else str(self.band[1])
         rendered = {
-            "band": f"{self.band[0]}:{hi}",
+            "band": f"{self.band[0]}:{render_bound(self.band[1])}",
             "band_edges": ",".join(str(e) for e in self.band_edges),
             "max_gap": str(self.max_gap),
             "seed": str(self.seed),
@@ -105,33 +157,59 @@ BUILD_KEYS = ("max_gap", "band", "seed")
 PAIRS_KEYS = ("max_gap", "band", "seed", "strictness")
 
 
+def file_sha256(path: str | Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def write_sidecar(
     out_path: str | Path,
     config: EffectiveConfig,
     command: str,
     keys: tuple[str, ...],
+    source: str | Path | None = None,
 ) -> None:
+    """Write `<out_path>.meta`; with `source`, also record the sha256 of
+    the file out_path was derived from."""
     meta = Path(str(out_path) + ".meta")
     body = f"config_hash = {config.subset_hash(keys)}\ncommand = {command}\n"
+    if source is not None:
+        body += f"source_sha256 = {file_sha256(source)}\n"
     for line in config.canonical(keys).splitlines():
         body += f"# {line}\n"
     meta.write_text(body, encoding="utf-8")
 
 
 def check_sidecar(
-    in_path: str | Path, config: EffectiveConfig, keys: tuple[str, ...]
+    in_path: str | Path,
+    config: EffectiveConfig,
+    keys: tuple[str, ...],
+    source: str | Path | None = None,
 ) -> None:
     """Raise when a derived input was built under a different config.
 
-    Files without a sidecar (external inputs) are accepted as-is.
+    Files without a sidecar (external inputs) are accepted as-is, unless
+    `source` is given: then the sidecar must exist and record the sha256
+    of the current content of `source`.
     """
     meta = Path(str(in_path) + ".meta")
     if not meta.exists():
+        if source is not None:
+            raise InputError(f"{meta} not found: cannot tell which {source} {in_path} came from")
         return
-    recorded = parse_config_file(meta).get("config_hash")
+    recorded_meta = parse_config_file(meta)
+    recorded = recorded_meta.get("config_hash")
     current = config.subset_hash(keys)
     if recorded != current:
         raise StaleInputError(
             f"{in_path} was built under config hash {recorded}, "
             f"current is {current}; rebuild it or restore the config"
+        )
+    if source is not None and recorded_meta.get("source_sha256") != file_sha256(source):
+        raise StaleInputError(
+            f"{in_path} was derived from another version of {source} "
+            f"(its sha256 differs from the one {meta} records); rebuild it"
         )

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable
 
-from cxgcorpus.ingest import AnnotatedSentence, AnnotationResources, Token
+from cxgcorpus.ingest import AnnotatedSentence, AnnotationResources, Token, read_annotated
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
 
 
@@ -37,6 +39,34 @@ def sent(sid, toks, aid=0, pos=0) -> AnnotatedSentence:
         Token(t[0], t[1], t[2] if len(t) > 2 else None) for t in toks
     )
     return AnnotatedSentence(sid, aid, pos, tokens)
+
+
+def load_annotated_file(
+    path: str | Path, resources: AnnotationResources | None = None
+) -> list[AnnotatedSentence]:
+    with open(path, encoding="utf-8") as fh:
+        return list(read_annotated(fh, resources))
+
+
+def sentence_text_map(corpus: Iterable[AnnotatedSentence]) -> dict[int, str]:
+    return {s.sentence_id: s.text for s in corpus}
+
+
+def read_pretraining_file(path: str | Path) -> list[list[str]]:
+    """Documents as lists of sentence lines (round-trip check helper)."""
+    docs: list[list[str]] = []
+    cur: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line:
+                cur.append(line)
+            elif cur:
+                docs.append(cur)
+                cur = []
+    if cur:
+        docs.append(cur)
+    return docs
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,13 @@ from cxgcorpus import cli
 from cxgcorpus import corpus_builder as cb
 from cxgcorpus import pair_sampler as ps
 from cxgcorpus.corpus_builder import MultisetReport
-from cxgcorpus.ingest import write_annotated
+from cxgcorpus.errors import FacetMissingError
+from cxgcorpus.ingest import scan_annotated, store_path, write_annotated
+from cxgcorpus.inventory import load_inventory
+from cxgcorpus.matcher import OccurrenceTable, brute_force_match, build_index, match_corpus
 from cxgcorpus.pair_sampler import AuditReport, PairExample
 
-from helpers import make_desk, write_desk_files
+from helpers import load_annotated_file, make_desk, write_desk_files
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +165,170 @@ class TestConfig:
         argv = ["build", work["annotated"], str(work["out"] / "match" / "table.tsv"),
                 str(tmp_path / "x"), "--config", work["paths"]["config"], "--band", "oops"]
         assert cli.main(argv) == cli.EXIT_INPUT
+
+
+def run_cli(argv, capsys) -> tuple[int, str]:
+    """Exit code and stderr of one CLI call."""
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+def copy_annotated(work, root: Path) -> Path:
+    """A private copy of the annotated corpus, its store and their sidecars."""
+    for suffix in ("", ".meta", ".sents", ".sents.meta"):
+        shutil.copy(work["annotated"] + suffix, root / f"annotated.tsv{suffix}")
+    return root / "annotated.tsv"
+
+
+def _config_case(line):
+    def case(work, tmp):
+        cfg = tmp / "bad.cfg"
+        cfg.write_text(f"# a comment\n{line}\n", encoding="utf-8")
+        argv = ["match", work["annotated"], work["paths"]["inventory"], tmp / "m",
+                "--config", cfg]
+        return argv, f"{cfg}:2"
+    return case
+
+
+def _flag_case(stage, flag, value):
+    def case(work, tmp):
+        table = work["out"] / "match" / "table.tsv"
+        argv = {
+            "match": ["match", work["annotated"], work["paths"]["inventory"], tmp / "m"],
+            "pairs": ["pairs", work["annotated"], table, tmp / "p"],
+        }[stage]
+        return argv + ["--config", work["paths"]["config"], flag, value], flag
+    return case
+
+
+def _missing_store(work, tmp):
+    annotated = copy_annotated(work, tmp)
+    store_path(annotated).unlink()
+    argv = ["build", annotated, work["out"] / "match" / "table.tsv", tmp / "b",
+            "--config", work["paths"]["config"]]
+    return argv, str(store_path(annotated))
+
+
+def _edited_annotated(work, tmp):
+    annotated = copy_annotated(work, tmp)
+    with open(annotated, "a", encoding="utf-8") as fh:
+        fh.write("\n99999\t9999\t0\textra\tNOUN\t-\n")
+    argv = ["match", annotated, work["paths"]["inventory"], tmp / "m",
+            "--config", work["paths"]["config"]]
+    return argv, str(annotated)
+
+
+def _bad_store_id(work, tmp):
+    annotated = copy_annotated(work, tmp)
+    store = store_path(annotated)
+    lines = store.read_text("utf-8").splitlines(keepends=True)
+    lines[1] = "x" + lines[1]
+    store.write_text("".join(lines), encoding="utf-8")
+    argv = ["match", annotated, work["paths"]["inventory"], tmp / "m",
+            "--config", work["paths"]["config"]]
+    return argv, f"{store}:2"
+
+
+def _bad_table_id(work, tmp):
+    table = tmp / "table.tsv"
+    shutil.copy(work["out"] / "match" / "table.tsv", table)
+    table.write_text("x\t1 2\n" + table.read_text("utf-8"), encoding="utf-8")
+    argv = ["build", work["annotated"], table, tmp / "b", "--config", work["paths"]["config"]]
+    return argv, f"{table}:1"
+
+
+def _pre_annotated_case(second_row):
+    def case(work, tmp):
+        tsv = tmp / "external.tsv"
+        tsv.write_text(f"3\t0\t0\ta\tNOUN\t-\n\n{second_row}\n", encoding="utf-8")
+        return ["annotate", tsv, tmp / "annotated.tsv", "--mode", "pre-annotated"], f"{tsv}: line 3"
+    return case
+
+
+MALFORMED = {
+    "config-seed": _config_case("seed = x"),
+    "config-max-gap": _config_case("max_gap = x"),
+    "config-negative-max-gap": _config_case("max_gap = -1"),
+    "config-band-edges": _config_case("band_edges = 2,x"),
+    "flag-band-edges": _flag_case("match", "--band-edges", "2,x"),
+    "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
+    "flag-negative-max-gap": _flag_case("match", "--max-gap", "-1"),
+    "flag-zero-jobs": _flag_case("match", "--jobs", "0"),
+    "missing-store": _missing_store,
+    "annotated-edited-after-annotate": _edited_annotated,
+    "store-non-integer-id": _bad_store_id,
+    "table-non-integer-id": _bad_table_id,
+    "pre-annotated-non-integer-id": _pre_annotated_case("x\t0\t1\tb\tNOUN\t-"),
+    "pre-annotated-id-goes-backwards": _pre_annotated_case("2\t0\t1\tb\tNOUN\t-"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_naming_its_source(case, work, tmp_path, capsys):
+    argv, source = MALFORMED[case](work, tmp_path)
+    code, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_INPUT, err
+    assert source in err
+
+
+EXTERNAL_TSV = (
+    # a form with a space, a sem written 07, and no blank line before
+    # the next sentence, which carries no sem at all
+    "0\t0\t0\tNew York\tPROPN\t07\n"
+    "0\t0\t0\tis\tAUX\t-\n"
+    "0\t0\t0\tbig\tADJ\t3\n"
+    "1\t0\t1\tit\tPRON\t-\n"
+    "1\t0\t1\truns\tVERB\t-\n"
+    "\n"
+    "4\t1\t0\tshe\tPRON\t2\n"
+    "4\t1\t0\truns\tVERB\t5\n"
+    "4\t1\t0\tfast\tADV\t-\n"
+)
+
+
+class TestSentenceStore:
+    @pytest.fixture
+    def annotated(self, tmp_path):
+        external = tmp_path / "external.tsv"
+        external.write_text(EXTERNAL_TSV, encoding="utf-8")
+        annotated = tmp_path / "annotated.tsv"
+        assert cli.main(["annotate", str(external), str(annotated), "--mode", "pre-annotated"]) == 0
+        return annotated
+
+    def test_store_reader_matches_tsv_reader(self, annotated):
+        expected = [
+            (s.sentence_id, s.article_id, s.position_in_article, s.forms, s.tags, s.sems)
+            for s in load_annotated_file(annotated)
+        ]
+        rows = [tuple(row) for row in scan_annotated(store_path(annotated))]
+        assert rows == expected
+        assert rows[0][3] == ["New York", "is", "big"] and rows[0][5] == [7, None, 3]
+        assert rows[1][5] == [None, None]
+
+    def test_match_over_store_agrees_with_tsv_and_oracle(self, annotated, tmp_path):
+        inventory = tmp_path / "inventory.tsv"
+        inventory.write_text(
+            "0\tpos:PROPN pos:AUX\n1\tpos:PRON pos:VERB\n2\tlex:is pos:ADJ\n"
+            "3\tlex:runs pos:ADV\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["match", str(annotated), str(inventory), str(tmp_path / "m")]) == 0
+        got = OccurrenceTable.read(tmp_path / "m" / "table.tsv", tmp_path / "m" / "discards.txt")
+        inv = load_inventory(inventory)
+        sentences = load_annotated_file(annotated)
+        expected = match_corpus(build_index(inv), sentences)
+        assert got.forward == expected.forward and got.discarded == expected.discarded
+        for s in sentences:
+            oracle = [m.cxg_id for m in brute_force_match(inv, s)]
+            assert got.constructions_of(s.sentence_id) == oracle
+
+    def test_facet_missing_fires_on_store_path(self, annotated, tmp_path, capsys):
+        inventory = tmp_path / "inventory.tsv"
+        inventory.write_text("0\tsem:7 pos:AUX\n1\tpos:PRON pos:VERB\n", encoding="utf-8")
+        index = build_index(load_inventory(inventory))
+        rows = list(scan_annotated(store_path(annotated)))
+        assert match_corpus(index, rows[:1]).forward == {0: [0], 1: []}
+        with pytest.raises(FacetMissingError, match="sentence 1"):
+            match_corpus(index, rows)
+        code, err = run_cli(["match", annotated, inventory, tmp_path / "m"], capsys)
+        assert code == cli.EXIT_INPUT and "sentence 1" in err

@@ -7,8 +7,6 @@ from cxgcorpus.corpus_builder import (
     build_base_clone,
     build_cxg_corpus,
     build_random,
-    read_pretraining_file,
-    sentence_text_map,
     select_band,
     verify_multiset,
     write_pretraining_file,
@@ -16,7 +14,7 @@ from cxgcorpus.corpus_builder import (
 from cxgcorpus.errors import EmptyBandError
 from cxgcorpus.matcher import OccurrenceTable
 
-from helpers import sent
+from helpers import read_pretraining_file, sent, sentence_text_map
 
 
 def _toy_corpus_and_table():

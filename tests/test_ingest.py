@@ -9,7 +9,6 @@ from cxgcorpus.ingest import (
     AnnotationResources,
     annotate_corpus,
     iter_raw_lines,
-    load_annotated_file,
     parse_wikitext,
     read_annotated,
     split_sentences,
@@ -17,6 +16,8 @@ from cxgcorpus.ingest import (
     tokenize,
     write_annotated,
 )
+
+from helpers import load_annotated_file
 
 DATA = Path(__file__).parent / "data"
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cxgcorpus.errors import FacetMissingError
+from cxgcorpus.errors import FacetMissingError, ParseError
 from cxgcorpus.inventory import Construction, Inventory, parse_construction_spec
 from cxgcorpus.matcher import (
     OccurrenceTable,
@@ -201,6 +201,14 @@ class TestMatchCorpus:
         assert loaded.forward == desk_table.forward
         assert loaded.reverse == desk_table.reverse
         assert loaded.discarded == desk_table.discarded
+
+    def test_discards_reader_names_file_and_line(self, tmp_path):
+        table_path = tmp_path / "table.tsv"
+        discards_path = tmp_path / "discards.txt"
+        table_path.write_text("0\t1 2\n", encoding="utf-8")
+        discards_path.write_text("3\nx\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="discards.txt:2"):
+            OccurrenceTable.read(table_path, discards_path)
 
 
 class TestOccurrenceStats:
