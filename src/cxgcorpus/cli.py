@@ -25,6 +25,7 @@ from .workspace import (
     DEFAULT_BAND_EDGES,
     PAIRS_KEYS,
     STATS_KEYS,
+    STRICTNESS,
     TABLE_KEYS,
     EffectiveConfig,
     check_sidecar,
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed")
         p.add_argument("--max-gap", dest="max_gap")
-        p.add_argument("--strictness", choices=["anchor", "disjoint"])
+        p.add_argument("--strictness", choices=STRICTNESS)
         p.add_argument("--band-edges", dest="band_edges",
                        help=f"comma list, default {','.join(map(str, DEFAULT_BAND_EDGES))}")
         if band:

@@ -14,18 +14,17 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
 from .ingest import UNIVERSAL_TAGS, AnnotatedSentence
 
 logger = logging.getLogger(__name__)
 
-KINDS = ("LEX", "POS", "SEM")
 
+class SlotConstraint(NamedTuple):
+    """A slot: equal to, and hashed like, its `(kind, value)` facet."""
 
-@dataclass(frozen=True)
-class SlotConstraint:
     kind: str  # LEX | POS | SEM
     value: str
 
@@ -34,18 +33,13 @@ class SlotConstraint:
         return (self.kind, self.value)
 
     def render(self) -> str:
-        if self.kind == "LEX":
-            return self.value
-        if self.kind == "POS":
-            return self.value
-        return f"SEM{self.value}"
+        return f"SEM{self.value}" if self.kind == "SEM" else self.value
 
     def spec(self) -> str:
         return f"{self.kind.lower()}:{self.value}"
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     cxg_id: int
     slots: tuple[SlotConstraint, ...]
 
@@ -93,6 +87,48 @@ class Inventory:
         return any(s.kind == "SEM" for c in self.constructions for s in c.slots)
 
 
+def _parse_slot(piece: str, col: int, tags: frozenset[str]) -> SlotConstraint:
+    kind, sep, value = piece.partition(":")
+    if not sep or not value:
+        raise ParseError(f"column {col}: slot {piece!r} is not kind:value")
+    if kind == "lex":
+        return SlotConstraint("LEX", value)
+    if kind == "pos":
+        if value not in tags:
+            raise ParseError(f"column {col}: unknown POS tag {value!r}")
+        return SlotConstraint("POS", value)
+    if kind == "sem":
+        if not value.isdigit():
+            raise ParseError(f"column {col}: sem id {value!r} is not an integer")
+        return SlotConstraint("SEM", str(int(value)))
+    raise ParseError(f"column {col}: unknown slot prefix {kind!r}")
+
+
+def _parse_spec(
+    line: str, tags: frozenset[str], known: dict[str, SlotConstraint]
+) -> Construction:
+    """parse_construction_spec, given the tag set as a frozenset and
+    `known`, the slot of every valid slot text seen so far (added to)."""
+    head, sep, rest = line.rstrip("\n").partition("\t")
+    if not sep:
+        raise ParseError("construction spec needs <id><TAB><slots>")
+    try:
+        cxg_id = int(head)
+    except ValueError:
+        raise ParseError(f"bad construction id {head!r}")
+    slots = []
+    col = len(head) + 2  # 1-based column of the first slot character
+    for piece in rest.split(" "):
+        if piece:
+            if piece not in known:
+                known[piece] = _parse_slot(piece, col, tags)
+            slots.append(known[piece])
+        col += len(piece) + 1
+    if len(slots) < 2:
+        raise ParseError(f"construction {cxg_id} has {len(slots)} slot(s); minimum is 2")
+    return Construction(cxg_id, tuple(slots))
+
+
 def parse_construction_spec(
     line: str, tagset: Sequence[str] = UNIVERSAL_TAGS
 ) -> Construction:
@@ -101,51 +137,26 @@ def parse_construction_spec(
     Slots are `lex:<form>`, `pos:<TAG>` or `sem:<int>`; errors report the
     column (1-based character position) of the offending slot.
     """
-    line = line.rstrip("\n")
-    head, sep, rest = line.partition("\t")
-    if not sep:
-        raise ParseError("construction spec needs <id><TAB><slots>")
-    try:
-        cxg_id = int(head)
-    except ValueError:
-        raise ParseError(f"bad construction id {head!r}")
-    tags = frozenset(tagset)
-    slots = []
-    col = len(head) + 2  # 1-based column of the first slot character
-    for piece in rest.split(" "):
-        if piece:
-            kind, sep2, value = piece.partition(":")
-            if not sep2 or not value:
-                raise ParseError(f"column {col}: slot {piece!r} is not kind:value")
-            if kind == "lex":
-                slots.append(SlotConstraint("LEX", value))
-            elif kind == "pos":
-                if value not in tags:
-                    raise ParseError(f"column {col}: unknown POS tag {value!r}")
-                slots.append(SlotConstraint("POS", value))
-            elif kind == "sem":
-                if not value.isdigit():
-                    raise ParseError(f"column {col}: sem id {value!r} is not an integer")
-                slots.append(SlotConstraint("SEM", str(int(value))))
-            else:
-                raise ParseError(f"column {col}: unknown slot prefix {kind!r}")
-        col += len(piece) + 1
-    if len(slots) < 2:
-        raise ParseError(f"construction {cxg_id} has {len(slots)} slot(s); minimum is 2")
-    return Construction(cxg_id, tuple(slots))
+    return _parse_spec(line, frozenset(tagset), {})
 
 
 def load_inventory(
     path: str | Path, tagset: Sequence[str] = UNIVERSAL_TAGS
 ) -> Inventory:
-    """Load an inventory file, rejecting malformed lines and duplicates."""
+    """Load an inventory file, rejecting malformed lines and duplicates.
+
+    Each distinct slot text is validated and built once, on the line
+    where it first appears, and shared by every later line using it.
+    """
+    tags = frozenset(tagset)
+    known: dict[str, SlotConstraint] = {}
     constructions = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                constructions.append(parse_construction_spec(line, tagset))
+                constructions.append(_parse_spec(line, tags, known))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
     inv = Inventory(constructions, source=str(path))

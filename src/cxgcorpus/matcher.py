@@ -25,6 +25,7 @@ from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -50,25 +51,26 @@ class MatchSpan:
 class MatchIndex:
     """Immutable rarest-slot inverted index over an inventory.
 
-    entries maps a slot facet (kind, value) to the (cxg_id, slot_offset)
-    pairs anchored on it; every construction appears exactly once, under
-    its rarest facet (rarity measured by inventory-wide facet counts,
-    ties broken by the leftmost slot).
+    The inventory is compiled once, when the index is built: every facet
+    (kind, value) any slot uses gets a dense integer id, each
+    construction is filed under the id of its rarest facet (rarity
+    measured by inventory-wide facet counts, ties broken by the leftmost
+    slot), and matching works on ids only. `entries` is a view derived
+    from the compiled index.
     """
 
     def __init__(self, inventory: Inventory):
-        facet_counts: Counter = Counter()
-        for con in inventory:
-            for slot in con.slots:
-                facet_counts[slot.facet] += 1
+        # Facet ids in order of first use; slots are (kind, value)
+        # tuples, so they count as their facets.
+        counts = Counter(chain.from_iterable(con.slots for con in inventory))
+        self._facets = list(counts)
+        facet_ids = {facet: i for i, facet in enumerate(self._facets)}
 
-        # Dense integer ids for every facet any slot uses, in order of
-        # first use, the column each id tests, and per kind the map from
-        # a token's value to its facet id. A sem id matches a SEM slot
-        # when its decimal form is the slot's value, so a value that is
-        # no int's decimal form gets no key.
-        facet_ids = {facet: i for i, facet in enumerate(facet_counts)}
-        self._column = [_COLUMN[kind] for kind, _ in facet_ids]
+        # The column each id tests, and per kind the map from a token's
+        # value to its facet id. A sem id matches a SEM slot when its
+        # decimal form is the slot's value, so a value that is no int's
+        # decimal form gets no key.
+        self._column = [_COLUMN[kind] for kind, _ in self._facets]
         self._lex = {v: f for (kind, v), f in facet_ids.items() if kind == "LEX"}
         self._pos = {v: f for (kind, v), f in facet_ids.items() if kind == "POS"}
         self._sem = {
@@ -76,24 +78,30 @@ class MatchIndex:
             if kind == "SEM" and v.removeprefix("-").isdecimal() and str(int(v)) == v
         }
 
-        self.entries: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        # anchor facet id -> the cxg_ids filed under it, in inventory order
         self._anchor: dict[int, list[int]] = {}
         # cxg_id -> (the set of its slots' facet ids, the ids in slot order)
         self._checks: dict[int, tuple[frozenset[int], tuple[int, ...]]] = {}
         for con in inventory:
-            offset = min(
-                range(len(con.slots)),
-                key=lambda i: (facet_counts[con.slots[i].facet], i),
-            )
-            facet = con.slots[offset].facet
-            self.entries.setdefault(facet, []).append((con.cxg_id, offset))
-            self._anchor.setdefault(facet_ids[facet], []).append(con.cxg_id)
-            fids = tuple(facet_ids[s.facet] for s in con.slots)
+            fids = tuple(map(facet_ids.__getitem__, con.slots))
+            rarity = list(map(counts.__getitem__, con.slots))
+            anchor = fids[rarity.index(min(rarity))]
+            self._anchor.setdefault(anchor, []).append(con.cxg_id)
             self._checks[con.cxg_id] = (frozenset(fids), fids)
 
-        self.uses_sem = any(kind == "SEM" for kind, _ in facet_ids)
+        self.uses_sem = any(kind == "SEM" for kind, _ in self._facets)
         self.cxg_ids = sorted(self._checks)
         self.size = len(self.cxg_ids)
+
+    @property
+    def entries(self) -> dict[tuple[str, str], list[tuple[int, int]]]:
+        """Anchor facet (kind, value) -> the (cxg_id, slot_offset) pairs
+        filed under it, in inventory order; every construction appears
+        exactly once. A view derived from the index, built on each read."""
+        return {
+            self._facets[f]: [(cid, self._checks[cid][1].index(f)) for cid in cids]
+            for f, cids in self._anchor.items()
+        }
 
     def _facet_columns(
         self, forms: list[str], tags: list[str], sems: list[int | None]

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 from .errors import EmptyBandError, InputError, ParseError
 from .corpus_builder import select_band
 from .matcher import OccurrenceTable
-from .workspace import parse_bound, render_bound
+from .workspace import STRICTNESS, parse_bound, render_bound
 
 SPLITS = ("train", "dev", "test")
 
@@ -62,7 +62,7 @@ class SamplerConfig:
                   self.dev_neg, self.test_pos, self.test_neg)
         if any(q < 1 for q in quotas):
             raise ParseError("all pair quotas must be >= 1")
-        if self.strictness not in ("anchor", "disjoint"):
+        if self.strictness not in STRICTNESS:
             raise ParseError(f"unknown strictness {self.strictness!r}")
         if list(self.inoculation_sizes) != sorted(self.inoculation_sizes):
             raise ParseError("inoculation sizes must be ascending")

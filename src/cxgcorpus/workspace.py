@@ -22,6 +22,7 @@ from .errors import InputError, ParseError, StaleInputError
 
 DEFAULT_BAND = (2, 10000)
 DEFAULT_BAND_EDGES = (2, 50, 100, 1000, 10000)
+STRICTNESS = ("anchor", "disjoint")
 
 
 def _config_entries(path: str | Path) -> Iterator[tuple[int, str, str]]:
@@ -74,6 +75,12 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
 
 
+def _strictness(text: str) -> str:
+    if text not in STRICTNESS:
+        raise ParseError(f"strictness must be one of {', '.join(STRICTNESS)}, got {text!r}")
+    return text
+
+
 def _max_gap(text: str) -> int:
     gap = int(text)
     if gap < 0:
@@ -87,7 +94,7 @@ _SETTINGS = {
     "seed": int,
     "band": parse_band,
     "max_gap": _max_gap,
-    "strictness": str,
+    "strictness": _strictness,
     "band_edges": parse_int_list,
 }
 
@@ -108,17 +115,20 @@ class EffectiveConfig:
     ) -> "EffectiveConfig":
         """Config-file values first, command-line overrides on top.
 
-        Both are given as text; a malformed value raises ParseError naming
-        its `file:line`, or the `--flag` it came from.
+        Both are given as text; an unknown config key or a malformed value
+        raises ParseError naming its `file:line`, or the `--flag` it came
+        from.
         """
         cfg = cls()
         sources: list[tuple[str, str, str]] = []
         if config_path is not None:
-            sources += [
-                (f"{config_path}:{lineno}", key, value)
-                for lineno, key, value in _config_entries(config_path)
-                if key in _SETTINGS
-            ]
+            for lineno, key, value in _config_entries(config_path):
+                if key not in _SETTINGS:
+                    raise ParseError(
+                        f"{config_path}:{lineno}: unknown setting {key!r}; "
+                        f"known: {', '.join(sorted(_SETTINGS))}"
+                    )
+                sources.append((f"{config_path}:{lineno}", key, value))
         sources += [
             (f"--{key.replace('_', '-')}", key, value)
             for key, value in overrides.items()

@@ -250,6 +250,8 @@ MALFORMED = {
     "config-max-gap": _config_case("max_gap = x"),
     "config-negative-max-gap": _config_case("max_gap = -1"),
     "config-band-edges": _config_case("band_edges = 2,x"),
+    "config-unknown-key": _config_case("max-gap = 2"),
+    "config-unknown-strictness": _config_case("strictness = disjiont"),
     "flag-band-edges": _flag_case("match", "--band-edges", "2,x"),
     "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
     "flag-negative-max-gap": _flag_case("match", "--max-gap", "-1"),

@@ -7,6 +7,7 @@ from cxgcorpus.inventory import (
     Construction,
     InductionParams,
     Inventory,
+    SlotConstraint,
     induce_inventory,
     load_inventory,
     parse_construction_spec,
@@ -45,6 +46,11 @@ class TestParseSpec:
         with pytest.raises(ParseError, match="not an integer"):
             parse_construction_spec("9\tsem:abc lex:x")
 
+    def test_slot_equals_and_hashes_as_its_facet(self):
+        assert SlotConstraint("LEX", "a") == ("LEX", "a")
+        assert hash(SlotConstraint("LEX", "a")) == hash(("LEX", "a"))
+        assert SlotConstraint("LEX", "a").facet == ("LEX", "a")
+
 
 class TestRenderName:
     def test_table_style(self):
@@ -78,6 +84,33 @@ class TestLoadInventory:
         p = tmp_path / "inv.tsv"
         p.write_text("0\tlex:a pos:NOUN\n1\tlex:only\n")
         with pytest.raises(ParseError, match="2"):
+            load_inventory(p)
+
+    def test_bad_tag_first_seen_late_reports_its_line_and_column(self, tmp_path):
+        # The pieces of lines 1-2 are parsed once and reused on line 3.
+        p = tmp_path / "inv.tsv"
+        p.write_text("0\tlex:a pos:NOUN\n1\tlex:b pos:NOUN\n2\tlex:a pos:BLORP\n")
+        with pytest.raises(ParseError) as exc:
+            load_inventory(p)
+        assert str(exc.value) == f"{p}:3: column 9: unknown POS tag 'BLORP'"
+
+    def test_bad_piece_after_repeated_piece_reports_its_column(self, tmp_path):
+        p = tmp_path / "inv.tsv"
+        p.write_text("0\tlex:a pos:NOUN\n11\tlex:a  lex:a sem:x\n")
+        with pytest.raises(ParseError) as exc:
+            load_inventory(p)
+        assert str(exc.value) == f"{p}:2: column 17: sem id 'x' is not an integer"
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        p = tmp_path / "inv.tsv"
+        p.write_text("0\tlex:a pos:NOUN\n0\tlex:b pos:NOUN\n")
+        with pytest.raises(ParseError, match="duplicate cxg_id 0"):
+            load_inventory(p)
+
+    def test_sem_spellings_give_one_slot_sequence(self, tmp_path):
+        p = tmp_path / "inv.tsv"
+        p.write_text("0\tsem:7 pos:NOUN\n1\tsem:07 pos:NOUN\n")
+        with pytest.raises(ParseError, match="0 and 1 have identical slot sequences"):
             load_inventory(p)
 
     def test_write_load_identity(self, tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -68,6 +69,58 @@ class TestBuildIndex:
                 cons.append(Construction(len(cons), slots))
         index = build_index(Inventory(cons))
         assert sum(len(v) for v in index.entries.values()) == 22000
+
+    def test_entries_equal_rarest_slot_reference(self):
+        # A small facet pool, so that facet counts tie and some
+        # constructions repeat a facet; cxg_ids are shuffled so that
+        # inventory order is not id order.
+        rng = random.Random(31)
+        pool = (
+            [S("LEX", f"w{i}") for i in range(20)]
+            + [S("POS", t) for t in ("NOUN", "VERB", "DET")]
+            + [S("SEM", i) for i in range(5)]
+        )
+        ids = list(range(150))
+        rng.shuffle(ids)
+        cons, seen = [], set()
+        while len(cons) < len(ids):
+            slots = tuple(rng.choice(pool) for _ in range(rng.randrange(2, 5)))
+            if slots not in seen:
+                seen.add(slots)
+                cons.append(Construction(ids[len(cons)], slots))
+        inv = Inventory(cons)
+
+        counts = {}
+        for con in cons:
+            for slot in con.slots:
+                facet = (slot.kind, slot.value)
+                counts[facet] = counts.get(facet, 0) + 1
+        expected = {}
+        ties = repeats = 0
+        for con in cons:
+            facets = [(slot.kind, slot.value) for slot in con.slots]
+            offset = min(range(len(facets)), key=lambda i: (counts[facets[i]], i))
+            expected.setdefault(facets[offset], []).append((con.cxg_id, offset))
+            rarest = {f for f in facets if counts[f] == counts[facets[offset]]}
+            ties += len(rarest) > 1
+            repeats += facets.count(facets[offset]) > 1
+        assert ties and repeats
+
+        index = build_index(inv)
+        assert list(index.entries.items()) == list(expected.items())
+
+        # --jobs ships the index to pool workers by pickle.
+        forms = [slot.value for slot in pool if slot.kind == "LEX"]
+        corpus = [
+            sent(sid, [(rng.choice(forms), rng.choice(("NOUN", "VERB", "DET")), rng.randrange(5))
+                       for _ in range(rng.randrange(4, 12))], pos=sid)
+            for sid in range(200)
+        ]
+        table = match_corpus(index, corpus, 1)
+        copied = match_corpus(pickle.loads(pickle.dumps(index)), corpus, 1)
+        assert table.reverse and table.discarded
+        assert (copied.forward, copied.reverse, copied.discarded) == (
+            table.forward, table.reverse, table.discarded)
 
 
 class TestMatchSentence:
