@@ -16,14 +16,19 @@ sidecar records the sha256 of the TSV it was written with, and `match`,
 changed since; external TSVs get their store by going through
 `annotate --mode pre-annotated`.
 
+A sentence is one AnnotatedSentence from annotation to matching: its
+ids and its three facet columns (forms, tags, sem ids). The annotator,
+both readers and the writer work on the columns; a Token per token is
+built only when a caller reads a sentence's `tokens` view.
+
 Case is never folded anywhere: surface forms pass through annotation
 unchanged.
 """
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -51,8 +56,7 @@ _TOKEN_RE = re.compile(r"\w+(?:['’]\w+)*|[^\w\s]")
 _SENT_PUNCT = ".!?"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token with its three matchable facets."""
 
     form: str
@@ -60,35 +64,12 @@ class Token:
     sem: int | None = None
 
 
-@dataclass(frozen=True)
-class AnnotatedSentence:
-    sentence_id: int
-    article_id: int
-    position_in_article: int
-    tokens: tuple[Token, ...]
+class AnnotatedSentence(NamedTuple):
+    """One sentence: its ids and its three facet columns, one entry per
+    token. `sems` holds None where a token has no cluster.
 
-    @property
-    def text(self) -> str:
-        return " ".join(t.form for t in self.tokens)
-
-    @property
-    def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
-
-    @property
-    def tags(self) -> list[str]:
-        return [t.pos for t in self.tokens]
-
-    @property
-    def sems(self) -> list[int | None]:
-        return [t.sem for t in self.tokens]
-
-
-class SentenceColumns(NamedTuple):
-    """One sentence of the store: its ids and its three facet columns.
-
-    Carries the same fields as AnnotatedSentence without building a
-    Token per token; `sems` holds None where a token has no cluster.
+    Every stage works on the columns; `tokens` is a view built from them
+    on each read.
     """
 
     sentence_id: int
@@ -101,6 +82,10 @@ class SentenceColumns(NamedTuple):
     @property
     def text(self) -> str:
         return " ".join(self.forms)
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(Token, self.forms, self.tags, self.sems))
 
 
 class AnnotationResources:
@@ -140,7 +125,6 @@ class AnnotationResources:
         self.suffix_rules = sorted(suffix_rules, key=lambda r: -len(r[0]))
         self.cluster_map = dict(cluster_map)
         self.default_tag = default_tag
-        self._tags = tags
 
     @classmethod
     def load(
@@ -298,20 +282,16 @@ def tokenize(sentence: str) -> list[str]:
 
 def tag_pos(tokens: list[str], resources: AnnotationResources) -> list[str]:
     """Lexicon lookup, then longest matching suffix rule, then the default tag."""
-    lexicon = resources.pos_lexicon
-    rules = resources.suffix_rules
-    default = resources.default_tag
-    tags = []
-    for tok in tokens:
-        tag = lexicon.get(tok)
-        if tag is None:
-            for suffix, rule_tag in rules:
-                if tok.endswith(suffix) and len(tok) > len(suffix):
-                    tag = rule_tag
-                    break
-            else:
-                tag = default
-        tags.append(tag)
+    tags = list(map(resources.pos_lexicon.get, tokens))
+    if None in tags:
+        rules = resources.suffix_rules
+        for i, tok in enumerate(tokens):
+            if tags[i] is None:
+                tags[i] = next(
+                    (tag for suffix, tag in rules
+                     if tok.endswith(suffix) and len(tok) > len(suffix)),
+                    resources.default_tag,
+                )
     return tags
 
 
@@ -334,7 +314,7 @@ def annotate_corpus(
     if mode not in ("raw", "pre-split"):
         raise ParseError(f"unknown ingestion mode {mode!r}")
 
-    cluster_map = resources.cluster_map
+    cluster_of = resources.cluster_map.get
     sentence_id = 0
     for article_id, text in parse_wikitext(stream):
         if mode == "raw":
@@ -346,12 +326,10 @@ def annotate_corpus(
             forms = tokenize(sent)
             if not forms:
                 continue
-            tags = tag_pos(forms, resources)
-            tokens = tuple(
-                Token(form, tag, cluster_map.get(form))
-                for form, tag in zip(forms, tags)
+            yield AnnotatedSentence(
+                sentence_id, article_id, position,
+                forms, tag_pos(forms, resources), list(map(cluster_of, forms)),
             )
-            yield AnnotatedSentence(sentence_id, article_id, position, tokens)
             sentence_id += 1
             position += 1
 
@@ -359,6 +337,30 @@ def annotate_corpus(
 def store_path(annotated: str | Path) -> Path:
     """Where the sentence store of an annotated TSV lives."""
     return Path(str(annotated) + ".sents")
+
+
+class _Memo(dict):
+    """key -> fn(key), computed once per distinct key."""
+
+    def __init__(self, fn, known: dict):
+        super().__init__(known)
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _sem_value(field: str) -> int:
+    """The cluster id a sem field names; a malformed or negative field
+    raises ValueError naming it."""
+    try:
+        value = int(field)
+    except ValueError:
+        raise ValueError(f"bad sem field {field!r}") from None
+    if value < 0:
+        raise ValueError(f"negative cluster id {value}")
+    return value
 
 
 def write_annotated(
@@ -373,20 +375,33 @@ def write_annotated(
     sentence_id, article_id, position_in_article, the n forms, the n
     tags and the n sem ids ('-' if absent). A form holds no tab or
     newline, as the TSV's rows could not carry it either.
+
+    Both files appear only whole: they are written to temporary files
+    in the same directory and moved over path and store_path(path) after
+    the last sentence. On any error the temporary files are removed and
+    an earlier pair of files at those paths is left as it was.
     """
+    targets = (Path(path), store_path(path))
+    temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
+    sem_text = _Memo(str, {None: "-"}).__getitem__  # '-' for no cluster
     count = 0
-    with open(path, "w", encoding="utf-8") as fh, open(
-        store_path(path), "w", encoding="utf-8", newline="\n"
-    ) as store:
-        for sent in sentences:
-            if count:
-                fh.write("\n")
-            ids = f"{sent.sentence_id}\t{sent.article_id}\t{sent.position_in_article}"
-            sems = ["-" if tok.sem is None else str(tok.sem) for tok in sent.tokens]
-            for tok, sem in zip(sent.tokens, sems):
-                fh.write(f"{ids}\t{tok.form}\t{tok.pos}\t{sem}\n")
-            store.write("\t".join([ids, *sent.forms, *sent.tags, *sems]) + "\n")
-            count += 1
+    try:
+        with open(temps[0], "w", encoding="utf-8") as fh, open(
+            temps[1], "w", encoding="utf-8", newline="\n"
+        ) as store:
+            for sent in sentences:
+                ids = f"{sent.sentence_id}\t{sent.article_id}\t{sent.position_in_article}"
+                sems = list(map(sem_text, sent.sems))
+                rows = f"\n{ids}\t".join(map("\t".join, zip(sent.forms, sent.tags, sems)))
+                fh.write(f"\n{ids}\t{rows}\n" if count else f"{ids}\t{rows}\n")
+                store.write("\t".join([ids, *sent.forms, *sent.tags, *sems]) + "\n")
+                count += 1
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
     return count
 
 
@@ -400,53 +415,52 @@ def read_annotated(
     increasing sentence ids, and strictly increasing position within
     each article (which implies corpus-wide uniqueness of
     (article_id, position) without holding every pair in memory).
+    Rows belong to one sentence while their ids, read as integers, stay
+    the same.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
     tags = frozenset(resources.tagset) if resources is not None else None
+    sem_value = _Memo(_sem_value, {"-": None}).__getitem__
 
     cur_key: tuple[int, int, int] | None = None
-    cur_tokens: list[Token] = []
+    cur_fields: list[str] | None = None  # the id fields of the previous row
+    forms, tag_col, sems = [], [], []  # the columns of the current sentence
     last_sid = -1
     last_pos_by_article: dict[int, int] = {}
-
-    def finish(key: tuple[int, int, int]) -> AnnotatedSentence:
-        sent = AnnotatedSentence(*key, tuple(cur_tokens))
-        cur_tokens.clear()
-        return sent
 
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n")
         if not line.strip():
             if cur_key is not None:
-                yield finish(cur_key)
-                cur_key = None
+                yield AnnotatedSentence(*cur_key, forms, tag_col, sems)
+                forms, tag_col, sems = [], [], []
+                cur_key = cur_fields = None
             continue
         parts = line.split("\t")
         if len(parts) != 6:
             raise ParseError(f"line {lineno}: expected 6 columns, got {len(parts)}")
-        try:
-            sid, aid, pos = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer id field")
-        form, tag, sem_field = parts[3], parts[4], parts[5]
+        key = cur_key
+        if parts[:3] != cur_fields:
+            try:
+                key = (int(parts[0]), int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-integer id field")
+            cur_fields = parts[:3]
+        form, tag = parts[3], parts[4]
         if not form:
             raise ParseError(f"line {lineno}: empty token form")
         if tags is not None and tag not in tags:
             raise ParseError(f"line {lineno}: unknown POS tag {tag!r}")
-        if sem_field == "-":
-            sem = None
-        else:
-            try:
-                sem = int(sem_field)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad sem field {sem_field!r}")
-            if sem < 0:
-                raise ParseError(f"line {lineno}: negative cluster id {sem}")
-        key = (sid, aid, pos)
+        try:
+            sem = sem_value(parts[5])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}")
         if key != cur_key:
             if cur_key is not None:
-                yield finish(cur_key)
+                yield AnnotatedSentence(*cur_key, forms, tag_col, sems)
+                forms, tag_col, sems = [], [], []
+            sid, aid, pos = key
             if sid <= last_sid:
                 raise ParseError(
                     f"line {lineno}: sentence ids must be strictly increasing; "
@@ -459,9 +473,11 @@ def read_annotated(
             last_pos_by_article[aid] = pos
             last_sid = sid
             cur_key = key
-        cur_tokens.append(Token(form, tag, sem))
+        forms.append(form)
+        tag_col.append(tag)
+        sems.append(sem)
     if cur_key is not None:
-        yield finish(cur_key)
+        yield AnnotatedSentence(*cur_key, forms, tag_col, sems)
 
 
 class SentenceRef(NamedTuple):
@@ -472,26 +488,10 @@ class SentenceRef(NamedTuple):
     position_in_article: int
 
 
-class _SemValues(dict):
-    """Sem field -> cluster id (None for '-'), parsed once per distinct
-    field; a malformed or negative field raises ValueError."""
-
-    def __init__(self):
-        super().__init__({"-": None})
-
-    def __missing__(self, field: str) -> int:
-        value = int(field)
-        if value < 0:
-            raise ValueError(field)
-        self[field] = value
-        return value
-
-
-def scan_annotated(path: str | Path) -> Iterator[SentenceColumns]:
+def scan_annotated(path: str | Path) -> Iterator[AnnotatedSentence]:
     """Stream the sentences of a sentence store (see write_annotated),
-    one line at a time, without building Token objects.
-    """
-    sem_value = _SemValues().__getitem__
+    one line at a time."""
+    sem_value = _Memo(_sem_value, {"-": None}).__getitem__
     with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, 1):
             fields = line.rstrip("\n").split("\t")
@@ -502,7 +502,7 @@ def scan_annotated(path: str | Path) -> Iterator[SentenceColumns]:
                     f"got {len(fields)} fields"
                 )
             try:
-                row = SentenceColumns(
+                row = AnnotatedSentence(
                     int(fields[0]), int(fields[1]), int(fields[2]),
                     fields[3 : 3 + n], fields[3 + n : 3 + 2 * n],
                     list(map(sem_value, fields[3 + 2 * n :])),

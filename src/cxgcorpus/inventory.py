@@ -187,10 +187,10 @@ class InductionParams:
             raise ParseError("max_inventory must be positive")
 
 
-def _token_facets(token) -> list[tuple[str, str]]:
-    facets = [("LEX", token.form), ("POS", token.pos)]
-    if token.sem is not None:
-        facets.append(("SEM", str(token.sem)))
+def _token_facets(form: str, pos: str, sem: int | None) -> list[tuple[str, str]]:
+    facets = [("LEX", form), ("POS", pos)]
+    if sem is not None:
+        facets.append(("SEM", str(sem)))
     return facets
 
 
@@ -224,9 +224,8 @@ def induce_inventory(
     total_pairs = 0
 
     for sent in sentences:
-        toks = sent.tokens
-        facets = [_token_facets(t) for t in toks]
-        n = len(toks)
+        facets = list(map(_token_facets, sent.forms, sent.tags, sent.sems))
+        n = len(facets)
         for i in range(n - 1):
             total_pairs += 1
             for fa in facets[i]:

@@ -8,10 +8,10 @@ with an in-order alignment that allows up to max_gap skipped tokens
 between consecutive slots (never before the first or after the last).
 
 Matching works on a sentence's three facet columns (forms, tags, sem
-ids), so an AnnotatedSentence and a row of the sentence store
-(ingest.SentenceColumns) go through the same code: each column is
-translated to facet ids through the map of its kind, and a slot tests
-one column at a position.
+ids), which every ingest.AnnotatedSentence carries, whether it was
+annotated, read from a TSV or read from the sentence store: each column
+is translated to facet ids through the map of its kind, and a slot
+tests one column at a position.
 
 brute_force_match is the deliberately naive reference implementation
 used as the correctness oracle; it shares no matching code with the
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .errors import FacetMissingError, ParseError
-from .ingest import AnnotatedSentence, SentenceColumns
+from .ingest import AnnotatedSentence
 from .inventory import Inventory
 from .workspace import render_bound
 
@@ -172,7 +172,7 @@ def build_index(inventory: Inventory) -> MatchIndex:
 
 
 def _match_columns(
-    index: MatchIndex, sentence: AnnotatedSentence | SentenceColumns, max_gap: int
+    index: MatchIndex, sentence: AnnotatedSentence, max_gap: int
 ) -> list[tuple[int, int, int, int]]:
     """(cxg_id, start, end, gaps_used) of every construction a sentence
     instantiates, in cxg_id order: the per-sentence core."""
@@ -349,7 +349,7 @@ class OccurrenceTable:
 
 
 def _match_chunk(
-    index: MatchIndex, chunk: list[AnnotatedSentence | SentenceColumns], max_gap: int
+    index: MatchIndex, chunk: list[AnnotatedSentence], max_gap: int
 ) -> list[tuple[int, list[int]]]:
     return [(s.sentence_id, [m[0] for m in _match_columns(index, s, max_gap)]) for s in chunk]
 
@@ -362,7 +362,7 @@ def _pool_init(index: MatchIndex, max_gap: int) -> None:
     _POOL_STATE = (index, max_gap)
 
 
-def _pool_match(chunk: list[SentenceColumns]) -> list[tuple[int, list[int]]]:
+def _pool_match(chunk: list[AnnotatedSentence]) -> list[tuple[int, list[int]]]:
     index, max_gap = _POOL_STATE  # type: ignore[misc]
     return _match_chunk(index, chunk, max_gap)
 
@@ -380,15 +380,14 @@ def _chunks(items: Iterable, size: int) -> Iterator[list]:
 
 def match_corpus(
     index: MatchIndex,
-    corpus: Iterable[AnnotatedSentence | SentenceColumns],
+    corpus: Iterable[AnnotatedSentence],
     max_gap: int = 1,
     jobs: int = 1,
     chunk_size: int = 512,
 ) -> OccurrenceTable:
     """Match a whole corpus, producing the occurrence table.
 
-    The corpus holds AnnotatedSentence objects or rows of the sentence
-    store. Sentences are processed independently, in chunks, and merged
+    Sentences are processed independently, in chunks, and merged
     in corpus order, so the result does not depend on the worker count.
     """
     forward: dict[int, list[int]] = {cid: [] for cid in index.cxg_ids}

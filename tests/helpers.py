@@ -33,12 +33,18 @@ def S(kind: str, value) -> SlotConstraint:
     return SlotConstraint(kind, str(value))
 
 
+def from_tokens(sid: int, aid: int, pos: int, tokens: Iterable[Token]) -> AnnotatedSentence:
+    """The sentence whose `tokens` view gives back these tokens."""
+    tokens = list(tokens)
+    return AnnotatedSentence(
+        sid, aid, pos,
+        [t.form for t in tokens], [t.pos for t in tokens], [t.sem for t in tokens],
+    )
+
+
 def sent(sid, toks, aid=0, pos=0) -> AnnotatedSentence:
     """toks: list of (form, pos) or (form, pos, sem) tuples."""
-    tokens = tuple(
-        Token(t[0], t[1], t[2] if len(t) > 2 else None) for t in toks
-    )
-    return AnnotatedSentence(sid, aid, pos, tokens)
+    return from_tokens(sid, aid, pos, (Token(*t) for t in toks))
 
 
 def load_annotated_file(
@@ -118,7 +124,7 @@ def random_matcher_case(rng, max_gap: int) -> tuple[Inventory, AnnotatedSentence
             realization.append(_satisfying_token(slot, rng))
         at = rng.randrange(0, len(toks) + 1)
         toks = toks[:at] + realization + toks[at:]
-    return Inventory(constructions), AnnotatedSentence(0, 0, 0, tuple(toks))
+    return Inventory(constructions), from_tokens(0, 0, 0, toks)
 
 
 # --------------------------------------------------------------------------
@@ -187,8 +193,8 @@ def make_desk(
     for sid, forms in enumerate(raw):
         aid = min(sid // per_article, n_articles - 1)
         pos = sid - aid * per_article
-        tokens = tuple(Token(w, tag_of[w], cluster_map[w]) for w in forms)
-        sentences.append(AnnotatedSentence(sid, aid, pos, tokens))
+        tokens = (Token(w, tag_of[w], cluster_map[w]) for w in forms)
+        sentences.append(from_tokens(sid, aid, pos, tokens))
 
     constructions = []
     cid = 0
@@ -262,8 +268,8 @@ def make_lexical_corpus(
             ]
             at = rng.randrange(0, len(forms) + 1)
             forms[at:at] = [first, second]
-            tokens = tuple(Token(w, tag_of[w], cluster_map[w]) for w in forms)
-            sentences.append(AnnotatedSentence(sid, sid // 50, sid % 50, tokens))
+            tokens = (Token(w, tag_of[w], cluster_map[w]) for w in forms)
+            sentences.append(from_tokens(sid, sid // 50, sid % 50, tokens))
             sid += 1
     constructions = [
         Construction(i, (S("LEX", a), S("LEX", b))) for i, (a, b) in enumerate(anchors)

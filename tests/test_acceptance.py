@@ -20,7 +20,7 @@ from cxgcorpus.corpus_builder import (
     build_random,
     select_band,
 )
-from cxgcorpus.ingest import AnnotatedSentence, AnnotationResources, Token, annotate_corpus
+from cxgcorpus.ingest import AnnotationResources, Token, annotate_corpus
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint, parse_construction_spec
 from cxgcorpus.matcher import (
     OccurrenceTable,
@@ -37,7 +37,13 @@ from cxgcorpus.pair_sampler import (
     sample_pairs,
 )
 
-from helpers import make_desk, make_lexical_corpus, random_matcher_case, write_desk_files
+from helpers import (
+    from_tokens,
+    make_desk,
+    make_lexical_corpus,
+    random_matcher_case,
+    write_desk_files,
+)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -364,11 +370,11 @@ def test_throughput_and_pipeline_runtime(tmp_path):
     index = build_index(inventory)
     sentences = []
     for sid in range(20000):
-        toks = tuple(
+        toks = (
             Token(rng.choice(words), rng.choice(tags), rng.randrange(50))
             for _ in range(20)
         )
-        sentences.append(AnnotatedSentence(sid, 0, sid, toks))
+        sentences.append(from_tokens(sid, 0, sid, toks))
     start = time.perf_counter()
     match_corpus(index, sentences, max_gap=1)
     elapsed = time.perf_counter() - start

@@ -1,9 +1,14 @@
 import filecmp
+import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cxgcorpus
 from cxgcorpus import cli
 from cxgcorpus import corpus_builder as cb
 from cxgcorpus import pair_sampler as ps
@@ -85,6 +90,78 @@ class TestPipeline:
         assert 0.0 <= float(first[3]) <= 1.0
 
 
+# sha256 of every file the fixture's annotate, match, build and pairs
+# stages write (baseline/ is left out: its float sums depend on the
+# numpy/BLAS build). They pin the writers' bytes, not only their
+# agreement with themselves.
+GOLDEN_SHA256 = {
+    "annotated.tsv": "a378b11bb21ba05b38a5cc514877a4f52d6f1d70f8186f831a80fa210eb6bc11",
+    "annotated.tsv.meta": "caaa5684b3fefc48e6336091ad5d45a3a2f74cdd61f6f1afa647bb3a9df49405",
+    "annotated.tsv.sents": "e71a7c044a1ebdefa4e80cb6a8ed94b749f1f0cedb289601055a6cf7a4a04336",
+    "annotated.tsv.sents.meta": "73aa9949db555b1d98cd448b07d3f7da4ca7c81cbe9501ed36cbd8b7b2e9bbc5",
+    "build/base.manifest": "3b2fa9bc9cba5e0360c8d2670bfc0ff34acb681fd53ed73a4f79459696f7ccf8",
+    "build/base.manifest.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "build/base.txt": "a7e46cbe2ab6a09c5363531222bd94e1eee0d21c241fb1008fc469a49da92886",
+    "build/base.txt.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "build/cxg.manifest": "a4a954c65fd4029046997bb3cdb7723260487d5e17889c3e8ee7307747e95e63",
+    "build/cxg.manifest.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "build/cxg.txt": "a80855e6e9735a1bc49891ef009d3a97dfc35e5ebcf395592374d999d5d52a4b",
+    "build/cxg.txt.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "build/random.manifest": "226957584ea4df567b7b2eaab1309b7fcf12632b630205044185abd24c22174c",
+    "build/random.manifest.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "build/random.txt": "315561cf3a52fc7c9ce04eb22aa56335e3f8fd92d799d3ae2c3d9e3c47884584",
+    "build/random.txt.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "build/verify.txt": "ee825ae135864f5870d77702b60007e1338246a8d28850479e196d5214b253bc",
+    "build/verify.txt.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
+    "match/discards.txt": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "match/discards.txt.meta": "84a65436226aef8b71a9e9c9cc6e222a4184b17d1dd5bc8d1a9ca104405d5ab4",
+    "match/stats.tsv": "5f16fcc7a4c4a5d57290d00a140fe7ebc7caef7a0483f5beced37b15b27dfe2c",
+    "match/stats.tsv.meta": "bfb866ac4d495673ca0e6f102cc5a08f85235998457981418947bb5eca2b0388",
+    "match/table.tsv": "449e598c10701500342a39e165f15bb664e0055e5fa5539dcfb71f40cf00f194",
+    "match/table.tsv.meta": "84a65436226aef8b71a9e9c9cc6e222a4184b17d1dd5bc8d1a9ca104405d5ab4",
+    "pairs/audit.txt": "859b4e9acb0e3537bc0ec69f1ff23e007fcabc4888ed6e8799e29b9662587595",
+    "pairs/audit.txt.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+    "pairs/dev.tsv": "28d7ca9c3d3683d604361ed59e73fdf957104dd5ad3a9d0a48df25a953cf1604",
+    "pairs/dev.tsv.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+    "pairs/inoculation_16.tsv": "3e4206d749aaa097168cde4ad420c72384360d72ecb13f048d9286ae6244b56c",
+    "pairs/inoculation_16.tsv.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+    "pairs/inoculation_8.tsv": "2f0fac47abac288b5c805f5849b25b0850c4c758a114e87c0faf701b12bd7b55",
+    "pairs/inoculation_8.tsv.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+    "pairs/shortfall.tsv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "pairs/shortfall.tsv.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+    "pairs/test.tsv": "f831fad33b2e132becf33fa8c10b315bc7cf78209013aa901f1c73cc15a9a0cc",
+    "pairs/test.tsv.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+    "pairs/train.tsv": "d9f5db86a60cacc933e574d8cd0b6c3e2c5c2378df8efc74e7a7a3ef1bf7807b",
+    "pairs/train.tsv.meta": "e9bed7c88fcf0407b6b26cc4bf1224d15dbaafaa54cbef060205bb378180701e",
+}
+
+
+def test_stage_outputs_keep_their_bytes(work):
+    out = work["out"]
+    written = {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for stage in ("match", "build", "pairs") for p in (out / stage).iterdir()
+    }
+    for name in ("annotated.tsv", "annotated.tsv.meta",
+                 "annotated.tsv.sents", "annotated.tsv.sents.meta"):
+        written[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert written == GOLDEN_SHA256
+
+
+def test_import_loads_neither_numpy_nor_multiprocessing():
+    """Every stage pays for what `import cxgcorpus.cli` loads."""
+    code = (
+        "import sys, cxgcorpus.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'multiprocessing'}))"
+    )
+    src = str(Path(cxgcorpus.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 class TestExitCodes:
     def test_missing_input_is_input_error(self, tmp_path):
         assert cli.main(["annotate", str(tmp_path / "nope.txt"), str(tmp_path / "o.tsv")]) == cli.EXIT_INPUT
@@ -149,6 +226,25 @@ class TestDeterminism:
             work["out"] / "match" / "table.tsv", tmp_path / "match8" / "table.tsv",
             shallow=False,
         )
+
+
+def test_failed_annotate_keeps_the_previous_output(work, tmp_path, capsys):
+    """A re-annotate that fails late leaves the earlier annotate's four
+    files as they were, and no file of its own."""
+    out = tmp_path / "out"
+    out.mkdir()
+    annotated = copy_annotated(work, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    rows = Path(work["annotated"]).read_text("utf-8").splitlines(keepends=True)
+    bad = next(i for i in range(3000, len(rows)) if rows[i] != "\n")  # past a buffer flush
+    fields = rows[bad].split("\t")
+    fields[4] = "NOTATAG"
+    rows[bad] = "\t".join(fields)
+    external = tmp_path / "external.tsv"
+    external.write_text("".join(rows), encoding="utf-8")
+    code, err = run_cli(["annotate", external, annotated, "--mode", "pre-annotated"], capsys)
+    assert code == cli.EXIT_INPUT and f"{external}: line {bad + 1}:" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestConfig:
@@ -298,14 +394,10 @@ class TestSentenceStore:
         return annotated
 
     def test_store_reader_matches_tsv_reader(self, annotated):
-        expected = [
-            (s.sentence_id, s.article_id, s.position_in_article, s.forms, s.tags, s.sems)
-            for s in load_annotated_file(annotated)
-        ]
-        rows = [tuple(row) for row in scan_annotated(store_path(annotated))]
-        assert rows == expected
-        assert rows[0][3] == ["New York", "is", "big"] and rows[0][5] == [7, None, 3]
-        assert rows[1][5] == [None, None]
+        rows = list(scan_annotated(store_path(annotated)))
+        assert rows == load_annotated_file(annotated)
+        assert rows[0].forms == ["New York", "is", "big"] and rows[0].sems == [7, None, 3]
+        assert rows[1].sems == [None, None]
 
     def test_match_over_store_agrees_with_tsv_and_oracle(self, annotated, tmp_path):
         inventory = tmp_path / "inventory.tsv"

@@ -6,7 +6,9 @@ import pytest
 
 from cxgcorpus.errors import DecodeError, ParseError
 from cxgcorpus.ingest import (
+    AnnotatedSentence,
     AnnotationResources,
+    Token,
     annotate_corpus,
     iter_raw_lines,
     parse_wikitext,
@@ -17,7 +19,7 @@ from cxgcorpus.ingest import (
     write_annotated,
 )
 
-from helpers import load_annotated_file
+from helpers import from_tokens, load_annotated_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -156,6 +158,19 @@ class TestAnnotateCorpus:
         assert len(sents) == 2
         assert [t.form for t in sents[0].tokens] == ["Hello", "world"]
 
+    def test_pre_annotated_ids_are_read_as_integers(self, resources):
+        # `0` and `00` name one sentence; `07` and `7` one cluster
+        tsv = "0\t0\t0\ta\tNOUN\t7\n00\t0\t0\tb\tVERB\t07\n0\t00\t000\tc\tDET\t-\n"
+        sents = list(read_annotated(tsv, resources))
+        assert sents == [AnnotatedSentence(0, 0, 0, ["a", "b", "c"], ["NOUN", "VERB", "DET"],
+                                           [7, 7, None])]
+
+    def test_pre_annotated_bad_sem_fields(self, resources):
+        with pytest.raises(ParseError, match="line 2: bad sem field 'x'"):
+            list(read_annotated("0\t0\t0\ta\tNOUN\t-\n0\t0\t0\tb\tNOUN\tx\n", resources))
+        with pytest.raises(ParseError, match="line 1: negative cluster id -2"):
+            list(read_annotated("0\t0\t0\ta\tNOUN\t-2\n", resources))
+
     def test_pre_annotated_bad_columns(self, resources):
         with pytest.raises(ParseError, match="line 2"):
             list(read_annotated("0\t0\t0\ta\tNOUN\t-\n0\t0\t0\tb\tNOUN\n", resources))
@@ -172,6 +187,13 @@ class TestAnnotateCorpus:
         write_annotated(original, path)
         reloaded = load_annotated_file(path, resources)
         assert reloaded == original
+
+    def test_tokens_view_gives_back_the_tokens(self):
+        tokens = [Token("New York", "PROPN", 7), Token("is", "AUX"), Token("big", "ADJ", 3)]
+        sentence = from_tokens(4, 1, 2, tokens)
+        assert sentence.tokens == tuple(tokens)
+        assert sentence.sems == [7, None, 3] and sentence.text == "New York is big"
+        assert all(type(t) is Token for t in sentence.tokens)
 
     def test_unknown_mode(self, resources):
         with pytest.raises(ParseError):
