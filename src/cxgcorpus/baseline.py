@@ -4,7 +4,8 @@ This is the desk-scale control classifier: it proves the generated pair
 task is learnable, supports a label-shuffle sanity control, and reports
 accuracy per frequency band. Features are hashed unigrams/bigrams of
 each side (with A:/B: markers) plus cross-features over shared tokens,
-trained with seeded SGD on the logistic loss.
+with the fixed block weights CROSS_WEIGHT and SIDE_WEIGHT, trained with
+seeded SGD on the logistic loss.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ if TYPE_CHECKING:
 _MAGIC = b"CXPM"
 _VERSION = 1
 
+# Block weights: the shared-token block carries the pair-similarity
+# signal, so it outweighs the per-side blocks (namespace weighting).
+CROSS_WEIGHT = 2.0
+SIDE_WEIGHT = 0.5
+
 
 @dataclass
 class Hyperparams:
@@ -36,10 +42,6 @@ class Hyperparams:
     epochs: int = 10
     l2: float = 1e-6
     seed: int = 0
-    # block weights: the shared-token block carries the pair-similarity
-    # signal, so it outweighs the per-side blocks (namespace weighting)
-    cross_weight: float = 2.0
-    side_weight: float = 0.5
 
 
 def pair_features(text_a: str, text_b: str) -> list[str]:
@@ -67,22 +69,16 @@ def hash_feature(feature: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
-def featurize_pair(
-    text_a: str,
-    text_b: str,
-    dim: int = 2 ** 20,
-    cross_weight: float = 2.0,
-    side_weight: float = 0.5,
-) -> dict[int, float]:
+def featurize_pair(text_a: str, text_b: str, dim: int = 2 ** 20) -> dict[int, float]:
     """Sparse hashed feature vector; deterministic for a given pair.
 
-    Cross-features (shared tokens) get cross_weight per occurrence,
-    side-marked features get side_weight.
+    Cross-features (shared tokens) get CROSS_WEIGHT per occurrence,
+    side-marked features get SIDE_WEIGHT.
     """
     vec: dict[int, float] = {}
     for feat in pair_features(text_a, text_b):
         idx = hash_feature(feat, dim)
-        val = cross_weight if feat.startswith("X:") else side_weight
+        val = CROSS_WEIGHT if feat.startswith("X:") else SIDE_WEIGHT
         vec[idx] = vec.get(idx, 0.0) + val
     return vec
 
@@ -103,8 +99,7 @@ class LinearModel:
         return z
 
     def featurize(self, text_a: str, text_b: str) -> dict[int, float]:
-        h = self.hyper
-        return featurize_pair(text_a, text_b, h.dim, h.cross_weight, h.side_weight)
+        return featurize_pair(text_a, text_b, self.hyper.dim)
 
     def predict(self, text_a: str, text_b: str) -> str:
         z = self.decision(self.featurize(text_a, text_b))
@@ -131,9 +126,7 @@ def train(pairs: list[PairText], hyper: Hyperparams | None = None) -> LinearMode
 
     examples = []
     for p in pairs:
-        vec = featurize_pair(
-            p.text_a, p.text_b, hyper.dim, hyper.cross_weight, hyper.side_weight
-        )
+        vec = featurize_pair(p.text_a, p.text_b, hyper.dim)
         idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
         val = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
         examples.append((idx, val, 1.0 if p.label == "same" else 0.0))
@@ -228,11 +221,10 @@ def write_metrics(result: EvalResult, path: str | Path) -> None:
 def save_model(model: LinearModel, path: str | Path) -> None:
     """Flat binary: magic, version, dim, bias and the block weights in a
     fixed-size header, then the weight vector."""
-    h = model.hyper
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IQddd", _VERSION, h.dim, model.bias,
-                             h.cross_weight, h.side_weight))
+        fh.write(struct.pack("<IQddd", _VERSION, model.hyper.dim, model.bias,
+                             CROSS_WEIGHT, SIDE_WEIGHT))
         fh.write(model.weights.astype("<f8").tobytes())
 
 
@@ -247,8 +239,12 @@ def load_model(path: str | Path) -> LinearModel:
         version, dim, bias, cross_w, side_w = struct.unpack("<IQddd", fh.read(header))
         if version != _VERSION:
             raise ParseError(f"{path}: unsupported model version {version}")
+        if (cross_w, side_w) != (CROSS_WEIGHT, SIDE_WEIGHT):
+            raise ParseError(
+                f"{path}: block weights {cross_w}/{side_w} differ from the fixed "
+                f"{CROSS_WEIGHT}/{SIDE_WEIGHT}"
+            )
         weights = np.frombuffer(fh.read(), dtype="<f8").copy()
     if weights.shape[0] != dim:
         raise ParseError(f"{path}: expected {dim} weights, found {weights.shape[0]}")
-    hyper = Hyperparams(dim=dim, cross_weight=cross_w, side_weight=side_w)
-    return LinearModel(weights, bias, hyper)
+    return LinearModel(weights, bias, Hyperparams(dim=dim))

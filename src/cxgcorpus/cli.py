@@ -80,6 +80,7 @@ def cmd_annotate(args) -> int:
         if args.abbreviations
         else ingest.DEFAULT_ABBREVIATIONS
     )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     stream = ingest.iter_raw_lines(args.input)
     sentences = ingest.annotate_corpus(stream, resources, args.mode, abbreviations)
     try:
@@ -200,16 +201,8 @@ def _write_variant(out, name, docs, manifest, texts, config) -> None:
 
 def cmd_pairs(args) -> int:
     config = _effective_config(args)
-    store = _sentence_store(args.annotated, config)
-    check_sidecar(args.table, config, TABLE_KEYS)
-    texts = {row.sentence_id: row.text for row in ingest.scan_annotated(store)}
-    table = matcher.OccurrenceTable.read(args.table)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    sizes: tuple[int, ...]
     if args.inoculation_sizes is None:
-        sizes = ps.SamplerConfig().inoculation_sizes
+        sizes = ps.INOCULATION_SIZES
     elif args.inoculation_sizes.strip() == "":
         sizes = ()
     else:
@@ -217,11 +210,22 @@ def cmd_pairs(args) -> int:
             sizes = parse_int_list(args.inoculation_sizes)
         except ParseError as exc:
             raise ParseError(f"--inoculation-sizes: {exc}") from exc
+        if min(sizes) < 1 or list(sizes) != sorted(sizes):
+            raise ParseError(
+                f"--inoculation-sizes: sizes must be positive and ascending, "
+                f"got {args.inoculation_sizes!r}"
+            )
 
-    sampler_config = ps.SamplerConfig(
-        seed=config.seed, strictness=config.strictness, inoculation_sizes=sizes
-    )
+    store = _sentence_store(args.annotated, config)
+    check_sidecar(args.table, config, TABLE_KEYS)
+    texts = {row.sentence_id: row.text for row in ingest.scan_annotated(store)}
+    table = matcher.OccurrenceTable.read(args.table)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    sampler_config = ps.SamplerConfig(seed=config.seed, strictness=config.strictness)
     sampled = ps.sample_pairs(table, config.band, sampler_config)
+    subsets = ps.make_inoculation_subsets(sampled.train, sizes, config.seed)
 
     report = ps.audit_pairs(
         {"train": sampled.train, "dev": sampled.dev, "test": sampled.test},
@@ -243,7 +247,6 @@ def cmd_pairs(args) -> int:
     ps.write_shortfalls(sampled.shortfalls, shortfall_path)
     write_sidecar(shortfall_path, config, "pairs", PAIRS_KEYS)
 
-    subsets = ps.make_inoculation_subsets(sampled.train, sizes, config.seed)
     for size, subset in subsets.items():
         path = out / f"inoculation_{size}.tsv"
         ps.write_pairs(subset, texts, path)

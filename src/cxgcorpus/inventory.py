@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,10 +27,6 @@ class SlotConstraint(NamedTuple):
 
     kind: str  # LEX | POS | SEM
     value: str
-
-    @property
-    def facet(self) -> tuple[str, str]:
-        return (self.kind, self.value)
 
     def render(self) -> str:
         return f"SEM{self.value}" if self.kind == "SEM" else self.value
@@ -60,13 +56,12 @@ def render_name(construction: Construction) -> str:
 class Inventory:
     constructions: list[Construction]
     source: str = ""
-    by_id: dict[int, Construction] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.by_id = {}
+        seen_ids: set[int] = set()
         seen_slots: dict[tuple, int] = {}
         for con in self.constructions:
-            if con.cxg_id in self.by_id:
+            if con.cxg_id in seen_ids:
                 raise ParseError(f"duplicate cxg_id {con.cxg_id}")
             dup = seen_slots.get(con.slots)
             if dup is not None:
@@ -74,7 +69,7 @@ class Inventory:
                     f"constructions {dup} and {con.cxg_id} have identical slot sequences"
                 )
             seen_slots[con.slots] = con.cxg_id
-            self.by_id[con.cxg_id] = con
+            seen_ids.add(con.cxg_id)
 
     def __len__(self) -> int:
         return len(self.constructions)

@@ -21,7 +21,6 @@ indexed path.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -38,6 +37,8 @@ logger = logging.getLogger(__name__)
 
 # The column a slot of each kind tests: forms, tags, sem ids.
 _COLUMN = {"LEX": 0, "POS": 1, "SEM": 2}
+
+_CHUNK_SIZE = 512  # sentences per unit of work in match_corpus
 
 
 @dataclass(frozen=True)
@@ -279,9 +280,6 @@ class OccurrenceTable:
     def sentence_ids(self) -> list[int]:
         return sorted(self.reverse)
 
-    def freq(self, cxg_id: int) -> int:
-        return len(self.forward[cxg_id])
-
     def frequencies(self) -> dict[int, int]:
         return {cid: len(sids) for cid, sids in self.forward.items()}
 
@@ -290,21 +288,6 @@ class OccurrenceTable:
 
     def constructions_of(self, sentence_id: int) -> list[int]:
         return self.reverse.get(sentence_id, [])
-
-    def is_transpose_consistent(self) -> bool:
-        n_fwd = sum(len(v) for v in self.forward.values())
-        n_rev = sum(len(v) for v in self.reverse.values())
-        if n_fwd != n_rev:
-            return False
-        for sid, cids in self.reverse.items():
-            for cid in cids:
-                fwd = self.forward.get(cid)
-                if fwd is None:
-                    return False
-                i = bisect_left(fwd, sid)
-                if i >= len(fwd) or fwd[i] != sid:
-                    return False
-        return True
 
     def write(self, table_path: str | Path, discards_path: str | Path | None = None) -> None:
         with open(table_path, "w", encoding="utf-8") as fh:
@@ -383,7 +366,6 @@ def match_corpus(
     corpus: Iterable[AnnotatedSentence],
     max_gap: int = 1,
     jobs: int = 1,
-    chunk_size: int = 512,
 ) -> OccurrenceTable:
     """Match a whole corpus, producing the occurrence table.
 
@@ -394,7 +376,7 @@ def match_corpus(
     reverse: dict[int, list[int]] = {}
     discarded: list[int] = []
 
-    chunks = _chunks(corpus, chunk_size)
+    chunks = _chunks(corpus, _CHUNK_SIZE)
     with ExitStack() as stack:
         if jobs <= 1:
             results: Iterable[list[tuple[int, list[int]]]] = (
@@ -433,11 +415,6 @@ class BandCount:
 class OccurrenceStats:
     bands: list[BandCount]
     below_min: int  # constructions with freq below the first edge
-    histogram: dict[int, int]  # frequency -> number of constructions
-
-    @property
-    def total_in_bands(self) -> int:
-        return sum(b.count for b in self.bands)
 
 
 def bands_from_edges(band_edges: Sequence[int]) -> list[tuple[int, int | None]]:
@@ -461,16 +438,15 @@ def bands_from_edges(band_edges: Sequence[int]) -> list[tuple[int, int | None]]:
 def occurrence_stats(
     table: OccurrenceTable, band_edges: Sequence[int] = (2, 10000)
 ) -> OccurrenceStats:
-    """Histogram of construction frequencies plus per-band counts."""
+    """Per-band construction counts, plus the count below the first band."""
     bands = bands_from_edges(band_edges)
     freqs = list(table.frequencies().values())
-    histogram = dict(sorted(Counter(freqs).items()))
     counts = []
     for lo, hi in bands:
         c = sum(1 for f in freqs if f >= lo and (hi is None or f <= hi))
         counts.append(BandCount(lo, hi, c))
     below = sum(1 for f in freqs if f < band_edges[0])
-    return OccurrenceStats(counts, below, histogram)
+    return OccurrenceStats(counts, below)
 
 
 def write_stats(stats: OccurrenceStats, path: str | Path) -> None:

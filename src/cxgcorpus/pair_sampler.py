@@ -1,8 +1,8 @@
 """Sample and audit balanced same-construction sentence-pair datasets.
 
-Every construction in the chosen frequency band contributes fixed
-per-split quotas (by default 2 positive + 2 negative training pairs and
-1 + 1 for dev and test). Pairs are unordered and globally deduplicated,
+Every construction in the chosen frequency band contributes the fixed
+per-split quotas of QUOTAS: 2 positive + 2 negative training pairs and
+1 + 1 for dev and test. Pairs are unordered and globally deduplicated,
 so no pair can leak across splits. Constructions too small to fill
 their quotas contribute what they can and land in the shortfall report.
 
@@ -27,7 +27,15 @@ from .workspace import STRICTNESS, parse_bound, render_bound
 
 SPLITS = ("train", "dev", "test")
 
+# (same, different) pairs each construction contributes to each split
+QUOTAS = {"train": (2, 2), "dev": (1, 1), "test": (1, 1)}
+
+# training-subset sizes `cxgcorpus pairs` writes when none are given
+INOCULATION_SIZES = (100, 500, 1000, 5000)
+
 _MAX_DRAWS = 1000  # rejection-sampling attempts per requested pair
+_POS_NEED = sum(same for same, _ in QUOTAS.values())
+_NEG_NEED = sum(different for _, different in QUOTAS.values())
 
 
 @dataclass(frozen=True)
@@ -38,40 +46,16 @@ class PairExample:
     anchor_cxg: int
     band_lo: int
     band_hi: int | None
-    split: str
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.sent_a, self.sent_b)
 
 
 @dataclass
 class SamplerConfig:
-    train_pos: int = 2
-    train_neg: int = 2
-    dev_pos: int = 1
-    dev_neg: int = 1
-    test_pos: int = 1
-    test_neg: int = 1
     seed: int = 0
     strictness: str = "anchor"
-    inoculation_sizes: tuple[int, ...] = (100, 500, 1000, 5000)
 
     def __post_init__(self):
-        quotas = (self.train_pos, self.train_neg, self.dev_pos,
-                  self.dev_neg, self.test_pos, self.test_neg)
-        if any(q < 1 for q in quotas):
-            raise ParseError("all pair quotas must be >= 1")
         if self.strictness not in STRICTNESS:
             raise ParseError(f"unknown strictness {self.strictness!r}")
-        if list(self.inoculation_sizes) != sorted(self.inoculation_sizes):
-            raise ParseError("inoculation sizes must be ascending")
-
-    def pos_quotas(self) -> list[tuple[str, int]]:
-        return [("train", self.train_pos), ("dev", self.dev_pos), ("test", self.test_pos)]
-
-    def neg_quotas(self) -> list[tuple[str, int]]:
-        return [("train", self.train_neg), ("dev", self.dev_neg), ("test", self.test_neg)]
 
 
 @dataclass(frozen=True)
@@ -91,9 +75,6 @@ class SampledPairs:
 
     def split(self, name: str) -> list[PairExample]:
         return getattr(self, name)
-
-    def all_pairs(self) -> list[PairExample]:
-        return self.train + self.dev + self.test
 
 
 def _construction_rng(seed: int, cxg_id: int) -> random.Random:
@@ -188,48 +169,27 @@ def sample_pairs(
         instances = table.instances(cid)
         instance_set = set(instances)
 
-        pos_need = sum(q for _, q in config.pos_quotas())
-        pos_keys = _draw_positive_keys(instances, pos_need, rng, seen)
-        neg_need = sum(q for _, q in config.neg_quotas())
+        pos_keys = _draw_positive_keys(instances, _POS_NEED, rng, seen)
         neg_keys = _draw_negative_keys(
             instances, instance_set, universe, table,
-            config.strictness, neg_need, rng, seen,
+            config.strictness, _NEG_NEED, rng, seen,
         )
 
-        delivered = {name: 0 for name in SPLITS}
-        cursor = 0
-        for name, quota in config.pos_quotas():
-            for _ in range(quota):
-                if cursor >= len(pos_keys):
-                    break
-                a, b = pos_keys[cursor]
-                cursor += 1
-                result.split(name).append(
-                    PairExample(a, b, "same", cid, band_lo, band_hi, name)
+        delivered = dict.fromkeys(SPLITS, 0)
+        for label, side, keys in (("same", 0, pos_keys), ("different", 1, neg_keys)):
+            cursor = 0
+            for name in SPLITS:
+                take = keys[cursor:cursor + QUOTAS[name][side]]
+                cursor += len(take)
+                result.split(name).extend(
+                    PairExample(a, b, label, cid, band_lo, band_hi) for a, b in take
                 )
-                delivered[name] += 1
-        cursor = 0
-        for name, quota in config.neg_quotas():
-            for _ in range(quota):
-                if cursor >= len(neg_keys):
-                    break
-                a, b = neg_keys[cursor]
-                cursor += 1
-                result.split(name).append(
-                    PairExample(a, b, "different", cid, band_lo, band_hi, name)
-                )
-                delivered[name] += 1
+                delivered[name] += len(take)
 
-        requested = {
-            "train": config.train_pos + config.train_neg,
-            "dev": config.dev_pos + config.dev_neg,
-            "test": config.test_pos + config.test_neg,
-        }
         for name in SPLITS:
-            if delivered[name] < requested[name]:
-                result.shortfalls.append(
-                    Shortfall(cid, name, requested[name], delivered[name])
-                )
+            requested = sum(QUOTAS[name])
+            if delivered[name] < requested:
+                result.shortfalls.append(Shortfall(cid, name, requested, delivered[name]))
     return result
 
 
@@ -340,10 +300,6 @@ class PairText:
     anchor_cxg: int
     band_lo: int
     band_hi: int | None
-
-    @property
-    def band(self) -> tuple[int, int | None]:
-        return (self.band_lo, self.band_hi)
 
 
 def write_pairs(

@@ -21,12 +21,15 @@ to match against.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from cxgcorpus.ingest import AnnotatedSentence, AnnotationResources, Token, read_annotated
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
+from cxgcorpus.matcher import OccurrenceTable
+from cxgcorpus.pair_sampler import PairExample, SampledPairs
 
 
 def S(kind: str, value) -> SlotConstraint:
@@ -73,6 +76,35 @@ def read_pretraining_file(path: str | Path) -> list[list[str]]:
     if cur:
         docs.append(cur)
     return docs
+
+
+def freq(table: OccurrenceTable, cxg_id: int) -> int:
+    return len(table.forward[cxg_id])
+
+
+def is_transpose_consistent(table: OccurrenceTable) -> bool:
+    """Whether `reverse` holds exactly the memberships `forward` holds."""
+    n_fwd = sum(len(v) for v in table.forward.values())
+    n_rev = sum(len(v) for v in table.reverse.values())
+    if n_fwd != n_rev:
+        return False
+    for sid, cids in table.reverse.items():
+        for cid in cids:
+            fwd = table.forward.get(cid)
+            if fwd is None:
+                return False
+            i = bisect_left(fwd, sid)
+            if i >= len(fwd) or fwd[i] != sid:
+                return False
+    return True
+
+
+def all_pairs(sampled: SampledPairs) -> list[PairExample]:
+    return sampled.train + sampled.dev + sampled.test
+
+
+def pair_key(pair: PairExample) -> tuple[int, int]:
+    return (pair.sent_a, pair.sent_b)
 
 
 # --------------------------------------------------------------------------

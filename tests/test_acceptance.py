@@ -31,6 +31,7 @@ from cxgcorpus.matcher import (
     occurrence_stats,
 )
 from cxgcorpus.pair_sampler import (
+    QUOTAS,
     SamplerConfig,
     audit_pairs,
     make_inoculation_subsets,
@@ -38,6 +39,7 @@ from cxgcorpus.pair_sampler import (
 )
 
 from helpers import (
+    freq,
     from_tokens,
     make_desk,
     make_lexical_corpus,
@@ -117,7 +119,7 @@ def test_corpus_build_invariants(desk):
     band = (2, 10000)
 
     cxg_docs, cxg_manifest = build_cxg_corpus(table, band)
-    recount = sum(table.freq(c) for c in select_band(table, band))
+    recount = sum(freq(table, c) for c in select_band(table, band))
     ok_a = cxg_manifest.total_occurrences == recount == sum(
         len(d.sentence_ids) for d in cxg_docs
     )
@@ -172,8 +174,7 @@ def test_band_arithmetic(desk_table):
     )
     # quota arithmetic: 21,216 constructions at 2 positive + 2 negative
     # training pairs each allow up to 84,864 training pairs
-    config = SamplerConfig()
-    per_cxg = config.train_pos + config.train_neg
+    per_cxg = sum(QUOTAS["train"])
     ok_quota = len(select_band(table, (2, 10000))) * per_cxg == 84864
     report(
         "band-arithmetic",
@@ -197,7 +198,7 @@ def test_pair_audit(desk_table):
     shortfall_ids = {s.cxg_id for s in sampled.shortfalls}
     ok_quotas = True
     for cid in select_band(desk_table, band):
-        if desk_table.freq(cid) < 5 or cid in shortfall_ids:
+        if freq(desk_table, cid) < 5 or cid in shortfall_ids:
             continue
         got = [
             sum(1 for p in sampled.train if p.anchor_cxg == cid and p.label == "same"),
@@ -207,7 +208,7 @@ def test_pair_audit(desk_table):
         ]
         ok_quotas = ok_quotas and got == [2, 2, 2, 2]
     ok_quotas = ok_quotas and not any(
-        desk_table.freq(s.cxg_id) >= 5 for s in sampled.shortfalls
+        freq(desk_table, s.cxg_id) >= 5 for s in sampled.shortfalls
     )
 
     sizes = (16, 40, 100)

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import pytest
 
 from cxgcorpus.baseline import (
@@ -11,7 +14,7 @@ from cxgcorpus.baseline import (
     shuffle_control,
     train,
 )
-from cxgcorpus.errors import InputError
+from cxgcorpus.errors import InputError, ParseError
 from cxgcorpus.pair_sampler import PairText
 
 
@@ -165,3 +168,14 @@ class TestModelFile:
             assert loaded.predict(pair.text_a, pair.text_b) == model.predict(
                 pair.text_a, pair.text_b
             )
+
+    def test_other_block_weights_rejected(self, tmp_path):
+        model = train(SEPARABLE, Hyperparams(dim=2 ** 12, epochs=1, seed=2))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = bytearray(path.read_bytes())
+        weights = struct.calcsize("<4sIQd")  # magic, version, dim, bias
+        data[weights:weights + 8] = struct.pack("<d", 3.0)  # the cross weight
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: block weights 3.0/0.5")):
+            load_model(path)

@@ -162,6 +162,21 @@ def test_import_loads_neither_numpy_nor_multiprocessing():
     assert result.stdout.strip() == "[]"
 
 
+def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
+    """perfbench/trace.py wraps named functions and methods of the
+    program; one that is renamed or gone stops the traced stage."""
+    src = Path(cxgcorpus.__file__).parents[1]
+    out = work["out"]
+    result = subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / "trace.py"), str(tmp_path / "trace.json"),
+         "stats", str(out / "match" / "table.tsv"), str(tmp_path / "stats.tsv"),
+         "--config", work["paths"]["config"]],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "stats.tsv").read_bytes() == (out / "match" / "stats.tsv").read_bytes()
+
+
 class TestExitCodes:
     def test_missing_input_is_input_error(self, tmp_path):
         assert cli.main(["annotate", str(tmp_path / "nope.txt"), str(tmp_path / "o.tsv")]) == cli.EXIT_INPUT
@@ -178,7 +193,7 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_INPUT
 
     def test_audit_failure_exit_code(self, work, tmp_path, monkeypatch):
-        bad = AuditReport(violations=[("train", PairExample(0, 1, "same", 0, 2, 50, "train"), "boom")])
+        bad = AuditReport(violations=[("train", PairExample(0, 1, "same", 0, 2, 50), "boom")])
         monkeypatch.setattr(ps, "audit_pairs", lambda *a, **k: bad)
         argv = ["pairs", work["annotated"], str(work["out"] / "match" / "table.tsv"),
                 str(tmp_path / "p2"), "--config", work["paths"]["config"],
@@ -198,6 +213,16 @@ class TestExitCodes:
                 "--inoculation-sizes", "100000"]
         assert cli.main(argv) == cli.EXIT_INPUT
         assert "100000" in capsys.readouterr().err
+        assert list((tmp_path / "p3").iterdir()) == []
+
+    def test_annotate_creates_the_output_directory(self, work, tmp_path):
+        paths = work["paths"]
+        out = tmp_path / "new" / "dir" / "annotated.tsv"
+        argv = ["annotate", paths["corpus"], str(out), "--mode", "pre-split",
+                "--lexicon", paths["lexicon"], "--suffixes", paths["suffixes"],
+                "--clusters", paths["clusters"], "--config", paths["config"]]
+        assert cli.main(argv) == 0
+        assert filecmp.cmp(work["annotated"], out, shallow=False)
 
 
 class TestDeterminism:
@@ -293,7 +318,8 @@ def _flag_case(stage, flag, value):
             "match": ["match", work["annotated"], work["paths"]["inventory"], tmp / "m"],
             "pairs": ["pairs", work["annotated"], table, tmp / "p"],
         }[stage]
-        return argv + ["--config", work["paths"]["config"], flag, value], flag
+        # `--flag=value`, so that a value starting with "-" reaches the check
+        return argv + ["--config", work["paths"]["config"], f"{flag}={value}"], flag
     return case
 
 
@@ -350,6 +376,8 @@ MALFORMED = {
     "config-unknown-strictness": _config_case("strictness = disjiont"),
     "flag-band-edges": _flag_case("match", "--band-edges", "2,x"),
     "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
+    "flag-negative-inoculation-size": _flag_case("pairs", "--inoculation-sizes", "-5,8"),
+    "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
     "flag-negative-max-gap": _flag_case("match", "--max-gap", "-1"),
     "flag-zero-jobs": _flag_case("match", "--jobs", "0"),
     "missing-store": _missing_store,

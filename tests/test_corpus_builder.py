@@ -14,7 +14,7 @@ from cxgcorpus.corpus_builder import (
 from cxgcorpus.errors import EmptyBandError
 from cxgcorpus.matcher import OccurrenceTable
 
-from helpers import read_pretraining_file, sent, sentence_text_map
+from helpers import freq, read_pretraining_file, sent, sentence_text_map
 
 
 def _toy_corpus_and_table():
@@ -53,7 +53,7 @@ class TestCxgBuild:
     def test_total_matches_recount(self, desk_table):
         band = (2, 10000)
         docs, manifest = build_cxg_corpus(desk_table, band)
-        recount = sum(desk_table.freq(c) for c in select_band(desk_table, band))
+        recount = sum(freq(desk_table, c) for c in select_band(desk_table, band))
         assert manifest.total_occurrences == recount
         assert sum(len(d.sentence_ids) for d in docs) == recount
 

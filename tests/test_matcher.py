@@ -15,7 +15,7 @@ from cxgcorpus.matcher import (
     occurrence_stats,
 )
 
-from helpers import S, random_matcher_case, sent
+from helpers import S, is_transpose_consistent, random_matcher_case, sent
 
 
 def spans(matches):
@@ -231,7 +231,7 @@ class TestMatchCorpus:
         assert all(len(v) == 1 for v in table.reverse.values())
 
     def test_transpose_and_discards(self, desk, desk_table):
-        assert desk_table.is_transpose_consistent()
+        assert is_transpose_consistent(desk_table)
         matched = set(desk_table.sentence_ids)
         discarded = set(desk_table.discarded)
         assert matched.isdisjoint(discarded)

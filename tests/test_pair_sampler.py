@@ -14,6 +14,8 @@ from cxgcorpus.pair_sampler import (
     write_pairs,
 )
 
+from helpers import all_pairs, freq, pair_key
+
 
 def _splits(sampled):
     return {"train": sampled.train, "dev": sampled.dev, "test": sampled.test}
@@ -32,7 +34,7 @@ class TestQuotas:
         forward.update({i: list(range(10, 20)) for i in range(1, 4)})
         table = OccurrenceTable(forward)
         sampled = sample_pairs(table, (2, 2), SamplerConfig(seed=0))
-        positives = [p for p in sampled.all_pairs() if p.label == "same"]
+        positives = [p for p in all_pairs(sampled) if p.label == "same"]
         assert len(positives) == 1  # C(2,2) = 1
         assert any(s.cxg_id == 0 for s in sampled.shortfalls)
 
@@ -40,9 +42,9 @@ class TestQuotas:
         sampled = sample_pairs(desk_table, (2, 10000), SamplerConfig(seed=3))
         shortfall_ids = {s.cxg_id for s in sampled.shortfalls}
         for cid in desk_table.forward:
-            if not (2 <= desk_table.freq(cid) <= 10000):
+            if not (2 <= freq(desk_table, cid) <= 10000):
                 continue
-            if desk_table.freq(cid) >= 5:
+            if freq(desk_table, cid) >= 5:
                 assert cid not in shortfall_ids
                 train = [p for p in sampled.train if p.anchor_cxg == cid]
                 assert sum(p.label == "same" for p in train) == 2
@@ -58,7 +60,7 @@ class TestQuotas:
 
     def test_canonical_ordering_and_labels(self, desk_pairs, desk_table):
         sampled, _ = desk_pairs
-        for pair in sampled.all_pairs():
+        for pair in all_pairs(sampled):
             assert pair.sent_a < pair.sent_b
             members = [
                 pair.anchor_cxg in desk_table.constructions_of(pair.sent_a),
@@ -72,16 +74,16 @@ class TestQuotas:
     def test_deterministic(self, desk_table):
         a = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=5))
         b = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=5))
-        assert a.all_pairs() == b.all_pairs()
+        assert all_pairs(a) == all_pairs(b)
         c = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=6))
-        assert a.all_pairs() != c.all_pairs()
+        assert all_pairs(a) != all_pairs(c)
 
     def test_disjoint_strictness_sound_or_shortfall(self, desk_table):
         # on the desk corpus generic patterns cover nearly every
         # sentence, so disjoint negatives are mostly infeasible: that
         # must surface as shortfall entries, never as an error
         sampled = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=1, strictness="disjoint"))
-        for pair in sampled.all_pairs():
+        for pair in all_pairs(sampled):
             if pair.label == "different":
                 shared = set(desk_table.constructions_of(pair.sent_a)) & set(
                     desk_table.constructions_of(pair.sent_b)
@@ -111,15 +113,14 @@ class TestAudit:
     def test_cross_split_leak_reported(self, desk_pairs, desk_table):
         sampled, config = desk_pairs
         splits = _splits(sampled)
-        leaked = dataclasses.replace(splits["train"][0], split="test")
         tampered = dict(splits)
-        tampered["test"] = splits["test"] + [leaked]
+        tampered["test"] = splits["test"] + [splits["train"][0]]
         report = audit_pairs(tampered, desk_table, config.strictness)
         assert report.leaks and report.duplicates
 
     def test_no_duplicates_across_splits(self, desk_pairs):
         sampled, _ = desk_pairs
-        keys = [p.key for p in sampled.all_pairs()]
+        keys = [pair_key(p) for p in all_pairs(sampled)]
         assert len(keys) == len(set(keys))
 
 
@@ -127,9 +128,9 @@ class TestInoculation:
     def _pairs(self, n_pos, n_neg):
         out = []
         for i in range(n_pos):
-            out.append(PairExample(2 * i, 2 * i + 1, "same", 0, 2, 50, "train"))
+            out.append(PairExample(2 * i, 2 * i + 1, "same", 0, 2, 50))
         for i in range(n_neg):
-            out.append(PairExample(1000 + 2 * i, 1001 + 2 * i, "different", 0, 2, 50, "train"))
+            out.append(PairExample(1000 + 2 * i, 1001 + 2 * i, "different", 0, 2, 50))
         return out
 
     def test_balanced_two_from_four(self):
@@ -173,7 +174,7 @@ class TestPairFiles:
 
     def test_single_positive_line(self, tmp_path):
         texts = {0: "a b", 1: "a c"}
-        pair = PairExample(0, 1, "same", 9, 2, None, "train")
+        pair = PairExample(0, 1, "same", 9, 2, None)
         path = tmp_path / "one.tsv"
         write_pairs([pair], texts, path)
         line = path.read_text("utf-8").rstrip("\n")
