@@ -5,7 +5,9 @@ task is learnable, supports a label-shuffle sanity control, and reports
 accuracy per frequency band. Features are hashed unigrams/bigrams of
 each side (with A:/B: markers) plus cross-features over shared tokens,
 with the fixed block weights CROSS_WEIGHT and SIDE_WEIGHT, trained with
-seeded SGD on the logistic loss.
+seeded SGD on the logistic loss in plain Python: the weights are an
+`array('d')` and every dot product is an exactly rounded `math.fsum`,
+so a model's bytes do not depend on the CPU.
 """
 
 from __future__ import annotations
@@ -15,19 +17,20 @@ import hashlib
 import math
 import random
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import InputError, ParseError
 from .pair_sampler import PairText
 from .workspace import render_bound
 
-if TYPE_CHECKING:
-    import numpy as np
-
 _MAGIC = b"CXPM"
 _VERSION = 1
+# magic, version, dim, bias and the block weights; then dim little-endian doubles
+_HEADER = struct.Struct("<4sIQddd")
 
 # Block weights: the shared-token block carries the pair-similarity
 # signal, so it outweighs the per-side blocks (namespace weighting).
@@ -69,40 +72,45 @@ def hash_feature(feature: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
-def featurize_pair(text_a: str, text_b: str, dim: int = 2 ** 20) -> dict[int, float]:
+def featurize_pair(
+    text_a: str, text_b: str, dim: int = 2 ** 20, hashes: dict[str, int] | None = None
+) -> dict[int, float]:
     """Sparse hashed feature vector; deterministic for a given pair.
 
     Cross-features (shared tokens) get CROSS_WEIGHT per occurrence,
-    side-marked features get SIDE_WEIGHT.
+    side-marked features get SIDE_WEIGHT. `hashes` memoizes each
+    feature's bucket across the calls that share it (same `dim`).
     """
+    if hashes is None:
+        hashes = {}
     vec: dict[int, float] = {}
     for feat in pair_features(text_a, text_b):
-        idx = hash_feature(feat, dim)
+        idx = hashes.get(feat)
+        if idx is None:
+            idx = hashes[feat] = hash_feature(feat, dim)
         val = CROSS_WEIGHT if feat.startswith("X:") else SIDE_WEIGHT
         vec[idx] = vec.get(idx, 0.0) + val
     return vec
 
 
+def _dot(w: array, vec: dict[int, float]) -> float:
+    """Exactly rounded sum of w[j] * v, so independent of summation order."""
+    return math.fsum(map(mul, map(w.__getitem__, vec), vec.values()))
+
+
 @dataclass
 class LinearModel:
-    weights: np.ndarray
+    weights: array  # array('d') of length hyper.dim
     bias: float
     hyper: Hyperparams
     epoch_losses: list[float] = field(default_factory=list)
     train_accuracy: float = 0.0
 
     def decision(self, vec: dict[int, float]) -> float:
-        z = self.bias
-        w = self.weights
-        for idx, val in vec.items():
-            z += w[idx] * val
-        return z
+        return self.bias + _dot(self.weights, vec)
 
-    def featurize(self, text_a: str, text_b: str) -> dict[int, float]:
-        return featurize_pair(text_a, text_b, self.hyper.dim)
-
-    def predict(self, text_a: str, text_b: str) -> str:
-        z = self.decision(self.featurize(text_a, text_b))
+    def predict(self, text_a: str, text_b: str, hashes: dict[str, int] | None = None) -> str:
+        z = self.decision(featurize_pair(text_a, text_b, self.hyper.dim, hashes))
         return "same" if z >= 0.0 else "different"
 
 
@@ -114,9 +122,8 @@ def _sigmoid(z: float) -> float:
 
 
 def train(pairs: list[PairText], hyper: Hyperparams | None = None) -> LinearModel:
-    """Seeded SGD on the logistic loss with per-epoch reshuffling."""
-    import numpy as np  # imported here so that the other stages do not pay for it
-
+    """Seeded SGD on the logistic loss with per-epoch reshuffling. Each
+    step touches only the pair's own buckets, L2 included."""
     hyper = hyper or Hyperparams()
     if len(pairs) < 2:
         raise InputError("need at least 2 training pairs")
@@ -124,17 +131,13 @@ def train(pairs: list[PairText], hyper: Hyperparams | None = None) -> LinearMode
     if labels != {"same", "different"}:
         raise InputError(f"training set must contain both labels, got {sorted(labels)}")
 
-    examples = []
-    for p in pairs:
-        vec = featurize_pair(p.text_a, p.text_b, hyper.dim)
-        idx = np.fromiter(vec.keys(), dtype=np.int64, count=len(vec))
-        val = np.fromiter(vec.values(), dtype=np.float64, count=len(vec))
-        examples.append((idx, val, 1.0 if p.label == "same" else 0.0))
+    hashes: dict[str, int] = {}
+    examples = [(featurize_pair(p.text_a, p.text_b, hyper.dim, hashes),
+                 1.0 if p.label == "same" else 0.0) for p in pairs]
 
-    w = np.zeros(hyper.dim, dtype=np.float64)
+    w = array("d", [0.0]) * hyper.dim
     bias = 0.0
-    lr = hyper.learning_rate
-    l2 = hyper.l2
+    lr, l2 = hyper.learning_rate, hyper.l2
     rng = random.Random(hyper.seed)
     order = list(range(len(examples)))
     losses = []
@@ -142,22 +145,22 @@ def train(pairs: list[PairText], hyper: Hyperparams | None = None) -> LinearMode
         rng.shuffle(order)
         total = 0.0
         for i in order:
-            idx, val, y = examples[i]
-            z = bias + float(w[idx] @ val)
+            vec, y = examples[i]
+            z = bias + _dot(w, vec)
             p = _sigmoid(z)
             p_clip = min(max(p, 1e-12), 1.0 - 1e-12)
             total += -(y * math.log(p_clip) + (1.0 - y) * math.log(1.0 - p_clip))
             g = p - y
-            w[idx] -= lr * (g * val + l2 * w[idx])
+            for j, v in vec.items():
+                w[j] -= lr * (g * v + l2 * w[j])
             bias -= lr * g
         losses.append(total / len(examples))
 
     correct = 0
-    for idx, val, y in examples:
-        z = bias + float(w[idx] @ val)
+    for vec, y in examples:
+        z = bias + _dot(w, vec)
         correct += int((z >= 0.0) == (y == 1.0))
-    model = LinearModel(w, bias, hyper, losses, correct / len(examples))
-    return model
+    return LinearModel(w, bias, hyper, losses, correct / len(examples))
 
 
 @dataclass
@@ -181,21 +184,16 @@ def evaluate(model: LinearModel, pairs: list[PairText]) -> EvalResult:
         raise InputError("cannot evaluate on an empty pair list")
     correct_total = 0
     results: dict[tuple, tuple[int, int]] = {}
+    hashes: dict[str, int] = {}
     for p in pairs:
-        pred = model.predict(p.text_a, p.text_b)
-        good = int(pred == p.label)
+        good = int(model.predict(p.text_a, p.text_b, hashes) == p.label)
         correct_total += good
-        band = (p.band_lo, p.band_hi)
-        n, c = results.get(band, (0, 0))
-        results[band] = (n + 1, c + good)
-
-    def band_key(band):
-        lo, hi = band
-        return (lo, math.inf if hi is None else hi)
-
+        n, c = results.get((p.band_lo, p.band_hi), (0, 0))
+        results[(p.band_lo, p.band_hi)] = (n + 1, c + good)
     per_band = [
-        BandAccuracy(lo, hi, n, c / n)
-        for (lo, hi), (n, c) in sorted(results.items(), key=lambda kv: band_key(kv[0]))
+        BandAccuracy(lo, hi, n, c / n) for (lo, hi), (n, c) in sorted(
+            results.items(), key=lambda kv: (kv[0][0], math.inf if kv[0][1] is None else kv[0][1])
+        )
     ]
     return EvalResult(correct_total / len(pairs), len(pairs), per_band)
 
@@ -211,40 +209,40 @@ def write_metrics(result: EvalResult, path: str | Path) -> None:
     """TSV `band_lo band_hi n_pairs accuracy` plus a final ALL row."""
     with open(path, "w", encoding="utf-8") as fh:
         for band in result.per_band:
-            fh.write(
-                f"{band.band_lo}\t{render_bound(band.band_hi)}\t{band.n_pairs}"
-                f"\t{band.accuracy:.6f}\n"
-            )
+            fh.write(f"{band.band_lo}\t{render_bound(band.band_hi)}\t{band.n_pairs}"
+                     f"\t{band.accuracy:.6f}\n")
         fh.write(f"ALL\tALL\t{result.n_pairs}\t{result.accuracy:.6f}\n")
+
+
+def _little_endian(weights: array) -> array:
+    if sys.byteorder == "big":
+        weights = array("d", weights)
+        weights.byteswap()
+    return weights
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
     """Flat binary: magic, version, dim, bias and the block weights in a
     fixed-size header, then the weight vector."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQddd", _VERSION, model.hyper.dim, model.bias,
-                             CROSS_WEIGHT, SIDE_WEIGHT))
-        fh.write(model.weights.astype("<f8").tobytes())
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, model.hyper.dim, model.bias,
+                              CROSS_WEIGHT, SIDE_WEIGHT))
+        _little_endian(model.weights).tofile(fh)
 
 
 def load_model(path: str | Path) -> LinearModel:
-    import numpy as np
-
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParseError(f"{path}: not a model file (bad magic {magic!r})")
-        header = struct.calcsize("<IQddd")
-        version, dim, bias, cross_w, side_w = struct.unpack("<IQddd", fh.read(header))
-        if version != _VERSION:
-            raise ParseError(f"{path}: unsupported model version {version}")
-        if (cross_w, side_w) != (CROSS_WEIGHT, SIDE_WEIGHT):
-            raise ParseError(
-                f"{path}: block weights {cross_w}/{side_w} differ from the fixed "
-                f"{CROSS_WEIGHT}/{SIDE_WEIGHT}"
-            )
-        weights = np.frombuffer(fh.read(), dtype="<f8").copy()
-    if weights.shape[0] != dim:
-        raise ParseError(f"{path}: expected {dim} weights, found {weights.shape[0]}")
-    return LinearModel(weights, bias, Hyperparams(dim=dim))
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC or len(data) < _HEADER.size:
+        raise ParseError(f"{path}: not a model file (magic {data[:4]!r}, {len(data)} bytes)")
+    _, version, dim, bias, cross_w, side_w = _HEADER.unpack_from(data)
+    if version != _VERSION:
+        raise ParseError(f"{path}: unsupported model version {version}")
+    if (cross_w, side_w) != (CROSS_WEIGHT, SIDE_WEIGHT):
+        raise ParseError(f"{path}: block weights {cross_w}/{side_w} differ from the fixed "
+                         f"{CROSS_WEIGHT}/{SIDE_WEIGHT}")
+    if len(data) != _HEADER.size + 8 * dim:
+        raise ParseError(f"{path}: expected {_HEADER.size + 8 * dim} bytes for {dim} weights, "
+                         f"found {len(data)}")
+    weights = array("d")
+    weights.frombytes(memoryview(data)[_HEADER.size:])
+    return LinearModel(_little_endian(weights), bias, Hyperparams(dim=dim))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -260,28 +261,32 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    for flag, value, ok, need in (
+        ("--dim", args.dim, args.dim >= 1, "at least 1"),
+        ("--epochs", args.epochs, args.epochs >= 1, "at least 1"),
+        ("--learning-rate", args.learning_rate, 0 < args.learning_rate < math.inf, "finite, > 0"),
+        ("--l2", args.l2, 0 <= args.l2 < math.inf, "finite, >= 0"),
+    ):
+        if not ok:
+            raise InputError(f"{flag} must be {need}, got {value}")
     config = _effective_config(args)
     for path in (args.train, args.dev, args.test):
         if path:
             check_sidecar(path, config, PAIRS_KEYS)
     train_pairs = ps.read_pairs(args.train)
-    test_pairs = ps.read_pairs(args.test)
-    hyper = bl.Hyperparams(
-        dim=args.dim, learning_rate=args.learning_rate,
-        epochs=args.epochs, l2=args.l2, seed=config.seed,
-    )
+    # all pair files are read first, so that a malformed one stops the stage before any write
+    scored = {name: ps.read_pairs(path) for name, path in
+              (("metrics_dev.tsv", args.dev), ("metrics.tsv", args.test)) if path}
+    hyper = bl.Hyperparams(dim=args.dim, learning_rate=args.learning_rate,
+                           epochs=args.epochs, l2=args.l2, seed=config.seed)
     model = bl.train(train_pairs, hyper)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.dev:
-        dev_result = bl.evaluate(model, ps.read_pairs(args.dev))
-        dev_path = out / "metrics_dev.tsv"
-        bl.write_metrics(dev_result, dev_path)
-        write_sidecar(dev_path, config, "baseline", PAIRS_KEYS)
-    result = bl.evaluate(model, test_pairs)
-    metrics_path = out / "metrics.tsv"
-    bl.write_metrics(result, metrics_path)
-    write_sidecar(metrics_path, config, "baseline", PAIRS_KEYS)
+    for name, pairs in scored.items():
+        result = bl.evaluate(model, pairs)
+        metrics_path = out / name
+        bl.write_metrics(result, metrics_path)
+        write_sidecar(metrics_path, config, "baseline", PAIRS_KEYS)
     model_path = out / "model.bin"
     bl.save_model(model, model_path)
     write_sidecar(model_path, config, "baseline", PAIRS_KEYS)

@@ -203,21 +203,17 @@ def make_inoculation_subsets(
     """
     sizes = list(sizes)
     for size in sizes:
-        if size > len(train_pairs):
+        if not 1 <= size <= len(train_pairs):
             raise InputError(
-                f"inoculation size {size} exceeds available training pairs ({len(train_pairs)})"
+                f"inoculation size {size} is not between 1 and the number of training pairs "
+                f"({len(train_pairs)})"
             )
     rng = random.Random(seed)
     pos = [p for p in train_pairs if p.label == "same"]
     neg = [p for p in train_pairs if p.label != "same"]
     rng.shuffle(pos)
     rng.shuffle(neg)
-    order = []
-    for a, b in itertools.zip_longest(pos, neg):
-        if a is not None:
-            order.append(a)
-        if b is not None:
-            order.append(b)
+    order = [p for two in itertools.zip_longest(pos, neg) for p in two if p is not None]
     return {size: order[:size] for size in sizes}
 
 
@@ -335,10 +331,10 @@ def read_pairs(path: str | Path) -> list[PairText]:
             if len(parts) != 6:
                 raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
             label, text_a, text_b, anchor, lo, hi = parts
+            if label not in ("same", "different"):
+                raise ParseError(f"{path}:{lineno}: label must be same or different, got {label!r}")
             try:
-                out.append(
-                    PairText(label, text_a, text_b, int(anchor), int(lo), parse_bound(hi))
-                )
+                out.append(PairText(label, text_a, text_b, int(anchor), int(lo), parse_bound(hi)))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad numeric field")
     return out

@@ -1,10 +1,14 @@
+import math
+import random
 import re
 import struct
+from array import array
 
 import pytest
 
 from cxgcorpus.baseline import (
     Hyperparams,
+    LinearModel,
     evaluate,
     featurize_pair,
     hash_feature,
@@ -74,7 +78,9 @@ class TestTrain:
         a = train(SEPARABLE, Hyperparams(epochs=3, seed=9))
         b = train(SEPARABLE, Hyperparams(epochs=3, seed=9))
         assert a.bias == b.bias
-        assert (a.weights == b.weights).all()
+        assert a.weights.typecode == b.weights.typecode == "d"
+        assert len(a.weights) == len(b.weights) == a.hyper.dim
+        assert a.weights == b.weights  # every element equal
 
     def test_single_label_rejected(self):
         with pytest.raises(InputError, match="both labels"):
@@ -83,6 +89,40 @@ class TestTrain:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(InputError):
             train([_pair("same", "a", "b")])
+
+    def test_matches_a_plain_reference_trainer(self, desk, desk_table):
+        # the same SGD over dense lists with left-to-right sums: equal up
+        # to float64 rounding, set beforehand at 1e-9, and equal predictions
+        from cxgcorpus.pair_sampler import SamplerConfig, sample_pairs
+
+        sampled = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=11))
+        texts = desk.texts
+        pairs = [
+            PairText(p.label, texts[p.sent_a], texts[p.sent_b], p.anchor_cxg, p.band_lo, p.band_hi)
+            for p in sampled.train + sampled.test
+        ]
+        hyper = Hyperparams(dim=2 ** 16, epochs=3, seed=4)
+        model = train(pairs[:len(sampled.train)], hyper)
+
+        vecs = [featurize_pair(p.text_a, p.text_b, hyper.dim) for p in pairs]
+        w, bias = [0.0] * hyper.dim, 0.0
+        order = list(range(len(sampled.train)))
+        rng = random.Random(hyper.seed)
+        for _ in range(hyper.epochs):
+            rng.shuffle(order)
+            for i in order:
+                z = bias
+                for j, v in vecs[i].items():
+                    z += w[j] * v
+                g = 1.0 / (1.0 + math.exp(-z)) - (pairs[i].label == "same")
+                for j, v in vecs[i].items():
+                    w[j] -= hyper.learning_rate * (g * v + hyper.l2 * w[j])
+                bias -= hyper.learning_rate * g
+        assert abs(model.bias - bias) <= 1e-9
+        assert max(abs(a - b) for a, b in zip(model.weights, w)) <= 1e-9
+        for pair, vec in zip(pairs, vecs):
+            z = bias + sum(w[j] * v for j, v in vec.items())
+            assert model.predict(pair.text_a, pair.text_b) == ("same" if z >= 0.0 else "different")
 
     def test_loss_decreases_on_desk_data(self, desk, desk_table):
         from cxgcorpus.pair_sampler import SamplerConfig, sample_pairs
@@ -100,7 +140,8 @@ class TestTrain:
 class TestEvaluate:
     def test_constant_predictor_scores_half_on_balanced(self):
         model = train(SEPARABLE, Hyperparams(epochs=1, seed=0))
-        model.weights[:] = 0.0
+        model.weights[:] = array("d", [0.0]) * len(model.weights)
+        assert not any(model.weights)
         model.bias = 5.0  # always predicts "same"
         result = evaluate(model, SEPARABLE)
         assert result.accuracy == 0.5
@@ -108,10 +149,6 @@ class TestEvaluate:
     def test_perfect_knowledge_model_scores_one(self):
         # harness-only: the label is leaked into both texts as a token,
         # so a hand-built model keyed on the leak must score 1.0
-        import numpy as np
-
-        from cxgcorpus.baseline import LinearModel, hash_feature
-
         pairs = [
             _pair("same", "LBLsame aa bb", "LBLsame cc dd"),
             _pair("same", "LBLsame ee", "LBLsame ff"),
@@ -119,7 +156,7 @@ class TestEvaluate:
             _pair("different", "LBLdiff hh", "LBLdiff ii"),
         ]
         hyper = Hyperparams(dim=2 ** 16)
-        w = np.zeros(hyper.dim)
+        w = array("d", [0.0]) * hyper.dim
         w[hash_feature("X:LBLsame", hyper.dim)] = 10.0
         w[hash_feature("X:LBLdiff", hyper.dim)] = -10.0
         model = LinearModel(w, 0.0, hyper)
@@ -162,7 +199,7 @@ class TestModelFile:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.bias == model.bias
-        assert (loaded.weights == model.weights).all()
+        assert loaded.weights == model.weights  # every element equal
         assert loaded.hyper.dim == 2 ** 12
         for pair in SEPARABLE:
             assert loaded.predict(pair.text_a, pair.text_b) == model.predict(
@@ -179,3 +216,33 @@ class TestModelFile:
         path.write_bytes(bytes(data))
         with pytest.raises(ParseError, match=re.escape(f"{path}: block weights 3.0/0.5")):
             load_model(path)
+
+    @pytest.mark.parametrize("delta", [-8, 8, -3, 5])
+    def test_weight_count_not_matching_dim_rejected(self, tmp_path, delta):
+        # delta a multiple of 8: one weight too few or too many;
+        # otherwise a partial weight
+        model = train(SEPARABLE, Hyperparams(dim=2 ** 12, epochs=1, seed=2))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:delta] if delta < 0 else data + bytes(delta))
+        assert len(data) == 40 + 8 * 2 ** 12
+        with pytest.raises(ParseError, match=re.escape(f"{path}: expected {len(data)} bytes")):
+            load_model(path)
+
+    def test_short_file_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"CXPM\x01")
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_model(path)
+
+
+class TestExactSums:
+    def test_decision_independent_of_feature_order(self):
+        # terms whose left-to-right float sum depends on their order
+        vec = {0: 1.0, 1: 1.0, 2: 1.0}
+        weights = array("d", [1e16, 1.0, -1e16])
+        model = LinearModel(weights, 0.0, Hyperparams(dim=3))
+        reordered = {2: 1.0, 1: 1.0, 0: 1.0}
+        assert (1e16 + 1.0) - 1e16 != 1.0  # the naive sum loses the 1.0
+        assert model.decision(vec) == model.decision(reordered) == 1.0

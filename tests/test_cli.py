@@ -90,15 +90,22 @@ class TestPipeline:
         assert 0.0 <= float(first[3]) <= 1.0
 
 
-# sha256 of every file the fixture's annotate, match, build and pairs
-# stages write (baseline/ is left out: its float sums depend on the
-# numpy/BLAS build). They pin the writers' bytes, not only their
-# agreement with themselves.
+# sha256 of every file the fixture's five stages write. They pin the
+# writers' bytes, not only their agreement with themselves. baseline/ is
+# pinned too: its dot products are exactly rounded sums, so model.bin
+# does not depend on summation order; exp and log still come from the
+# platform's C math library.
 GOLDEN_SHA256 = {
     "annotated.tsv": "a378b11bb21ba05b38a5cc514877a4f52d6f1d70f8186f831a80fa210eb6bc11",
     "annotated.tsv.meta": "caaa5684b3fefc48e6336091ad5d45a3a2f74cdd61f6f1afa647bb3a9df49405",
     "annotated.tsv.sents": "e71a7c044a1ebdefa4e80cb6a8ed94b749f1f0cedb289601055a6cf7a4a04336",
     "annotated.tsv.sents.meta": "73aa9949db555b1d98cd448b07d3f7da4ca7c81cbe9501ed36cbd8b7b2e9bbc5",
+    "baseline/metrics.tsv": "6568aef21f550e59d74792454fa05fca2a6ff9e148c3cdc03f078f55573afccb",
+    "baseline/metrics.tsv.meta": "be150967b45d3c97c8a62c116f695439eaa48a56d350317f052ac97454e1dbf2",
+    "baseline/metrics_dev.tsv": "4b1deaca809f5ca1f1b6738e09750c12f07b78ceb7f9fd9450d9c2e394e1315a",
+    "baseline/metrics_dev.tsv.meta": "be150967b45d3c97c8a62c116f695439eaa48a56d350317f052ac97454e1dbf2",
+    "baseline/model.bin": "b547d1ccf9725d3d9328eafa4a5c543ca8a7b08bd9b9cbd704b655ff5277cec9",
+    "baseline/model.bin.meta": "be150967b45d3c97c8a62c116f695439eaa48a56d350317f052ac97454e1dbf2",
     "build/base.manifest": "3b2fa9bc9cba5e0360c8d2670bfc0ff34acb681fd53ed73a4f79459696f7ccf8",
     "build/base.manifest.meta": "91d91271aba8358482cc045e807473b08549f8cba4b30a2b8878b6a670795508",
     "build/base.txt": "a7e46cbe2ab6a09c5363531222bd94e1eee0d21c241fb1008fc469a49da92886",
@@ -140,7 +147,7 @@ def test_stage_outputs_keep_their_bytes(work):
     out = work["out"]
     written = {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for stage in ("match", "build", "pairs") for p in (out / stage).iterdir()
+        for stage in ("match", "build", "pairs", "baseline") for p in (out / stage).iterdir()
     }
     for name in ("annotated.tsv", "annotated.tsv.meta",
                  "annotated.tsv.sents", "annotated.tsv.sents.meta"):
@@ -160,6 +167,27 @@ def test_import_loads_neither_numpy_nor_multiprocessing():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_baseline_runs_where_numpy_cannot_be_imported(work, tmp_path):
+    """The baseline stage needs nothing outside the standard library,
+    and writes the same bytes without it."""
+    argv = work["steps"][-1][:3] + [str(tmp_path / "baseline")] + work["steps"][-1][4:]
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from cxgcorpus import cli; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    src = str(Path(cxgcorpus.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code] + argv, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    written = {
+        f"baseline/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in (tmp_path / "baseline").iterdir()
+    }
+    assert written == {k: v for k, v in GOLDEN_SHA256.items() if k.startswith("baseline/")}
 
 
 def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
@@ -314,9 +342,11 @@ def _config_case(line):
 def _flag_case(stage, flag, value):
     def case(work, tmp):
         table = work["out"] / "match" / "table.tsv"
+        pairs = work["out"] / "pairs"
         argv = {
             "match": ["match", work["annotated"], work["paths"]["inventory"], tmp / "m"],
             "pairs": ["pairs", work["annotated"], table, tmp / "p"],
+            "baseline": ["baseline", pairs / "train.tsv", pairs / "test.tsv", tmp / "b"],
         }[stage]
         # `--flag=value`, so that a value starting with "-" reaches the check
         return argv + ["--config", work["paths"]["config"], f"{flag}={value}"], flag
@@ -359,6 +389,17 @@ def _bad_table_id(work, tmp):
     return argv, f"{table}:1"
 
 
+def _bad_pair_label(work, tmp):
+    test = tmp / "test.tsv"
+    lines = (work["out"] / "pairs" / "test.tsv").read_text("utf-8").splitlines(keepends=True)
+    label, rest = lines[2].split("\t", 1)
+    lines[2] = f"{label.capitalize()}\t{rest}"
+    test.write_text("".join(lines), encoding="utf-8")
+    argv = ["baseline", work["out"] / "pairs" / "train.tsv", test, tmp / "b",
+            "--config", work["paths"]["config"]]
+    return argv, f"{test}:3"
+
+
 def _pre_annotated_case(second_row):
     def case(work, tmp):
         tsv = tmp / "external.tsv"
@@ -380,6 +421,15 @@ MALFORMED = {
     "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
     "flag-negative-max-gap": _flag_case("match", "--max-gap", "-1"),
     "flag-zero-jobs": _flag_case("match", "--jobs", "0"),
+    "flag-zero-dim": _flag_case("baseline", "--dim", "0"),
+    "flag-negative-dim": _flag_case("baseline", "--dim", "-4"),
+    "flag-zero-epochs": _flag_case("baseline", "--epochs", "0"),
+    "flag-negative-epochs": _flag_case("baseline", "--epochs", "-2"),
+    "flag-nan-learning-rate": _flag_case("baseline", "--learning-rate", "nan"),
+    "flag-zero-learning-rate": _flag_case("baseline", "--learning-rate", "0"),
+    "flag-infinite-l2": _flag_case("baseline", "--l2", "inf"),
+    "flag-negative-l2": _flag_case("baseline", "--l2", "-1"),
+    "pair-label-not-same-or-different": _bad_pair_label,
     "missing-store": _missing_store,
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,

@@ -1,8 +1,9 @@
 import dataclasses
+import re
 
 import pytest
 
-from cxgcorpus.errors import EmptyBandError, InputError
+from cxgcorpus.errors import EmptyBandError, InputError, ParseError
 from cxgcorpus.matcher import OccurrenceTable
 from cxgcorpus.pair_sampler import (
     PairExample,
@@ -155,6 +156,11 @@ class TestInoculation:
         with pytest.raises(InputError, match="77"):
             make_inoculation_subsets(self._pairs(2, 2), [77], seed=0)
 
+    @pytest.mark.parametrize("sizes", [[-5, 0], [0], [-1, 4]])
+    def test_size_below_one_rejected(self, sizes):
+        with pytest.raises(InputError, match=f"inoculation size {min(sizes)} is not between 1 and"):
+            make_inoculation_subsets(self._pairs(5, 5), sizes, seed=0)
+
 
 class TestPairFiles:
     def test_write_read_round_trip(self, desk_pairs, desk, tmp_path):
@@ -179,6 +185,13 @@ class TestPairFiles:
         write_pairs([pair], texts, path)
         line = path.read_text("utf-8").rstrip("\n")
         assert line == "same\ta b\ta c\t9\t2\tinf"
+
+    @pytest.mark.parametrize("label", ["Same", "DIFFERENT", "", "same "])
+    def test_unknown_label_rejected_with_location(self, label, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"same\ta\tb\t0\t2\t50\n{label}\ta\tc\t0\t2\t50\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{re.escape(str(path))}:2: label must be same or different"):
+            read_pairs(path)
 
     def test_empty_list_empty_file(self, tmp_path):
         path = tmp_path / "empty.tsv"
