@@ -22,10 +22,13 @@ from array import array
 from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import InputError, ParseError
-from .pair_sampler import PairText
 from .workspace import render_bound
+
+if TYPE_CHECKING:
+    from .pair_sampler import PairText
 
 _MAGIC = b"CXPM"
 _VERSION = 1
@@ -45,6 +48,24 @@ class Hyperparams:
     epochs: int = 10
     l2: float = 1e-6
     seed: int = 0
+
+
+# The range of each bounded hyperparameter: a test, and its wording.
+_RANGES = {
+    "dim": (lambda v: v >= 1, "at least 1"),
+    "epochs": (lambda v: v >= 1, "at least 1"),
+    "learning_rate": (lambda v: 0 < v < math.inf, "finite, > 0"),
+    "l2": (lambda v: 0 <= v < math.inf, "finite, >= 0"),
+}
+
+
+def check_hyperparams(hyper: Hyperparams, label=lambda name: f"Hyperparams.{name}") -> None:
+    """Raise InputError for the first hyperparameter out of its range,
+    naming it as `label(field name)`."""
+    for name, (ok, need) in _RANGES.items():
+        value = getattr(hyper, name)
+        if not ok(value):
+            raise InputError(f"{label(name)} must be {need}, got {value}")
 
 
 def pair_features(text_a: str, text_b: str) -> list[str]:
@@ -121,17 +142,25 @@ def _sigmoid(z: float) -> float:
     return e / (1.0 + e)
 
 
-def train(pairs: list[PairText], hyper: Hyperparams | None = None) -> LinearModel:
+def train(
+    pairs: list[PairText],
+    hyper: Hyperparams | None = None,
+    hashes: dict[str, int] | None = None,
+) -> LinearModel:
     """Seeded SGD on the logistic loss with per-epoch reshuffling. Each
-    step touches only the pair's own buckets, L2 included."""
+    step touches only the pair's own buckets, L2 included. `hashes` is
+    featurize_pair's feature -> bucket memo, which a later `evaluate`
+    of the model may share."""
     hyper = hyper or Hyperparams()
+    check_hyperparams(hyper)
+    if hashes is None:
+        hashes = {}
     if len(pairs) < 2:
         raise InputError("need at least 2 training pairs")
     labels = {p.label for p in pairs}
     if labels != {"same", "different"}:
         raise InputError(f"training set must contain both labels, got {sorted(labels)}")
 
-    hashes: dict[str, int] = {}
     examples = [(featurize_pair(p.text_a, p.text_b, hyper.dim, hashes),
                  1.0 if p.label == "same" else 0.0) for p in pairs]
 
@@ -178,13 +207,17 @@ class EvalResult:
     per_band: list[BandAccuracy]
 
 
-def evaluate(model: LinearModel, pairs: list[PairText]) -> EvalResult:
-    """Overall and per-band accuracy; pairs carry their band tags."""
+def evaluate(
+    model: LinearModel, pairs: list[PairText], hashes: dict[str, int] | None = None
+) -> EvalResult:
+    """Overall and per-band accuracy; pairs carry their band tags.
+    `hashes` is featurize_pair's memo, as in `train`."""
     if not pairs:
         raise InputError("cannot evaluate on an empty pair list")
+    if hashes is None:
+        hashes = {}
     correct_total = 0
     results: dict[tuple, tuple[int, int]] = {}
-    hashes: dict[str, int] = {}
     for p in pairs:
         good = int(model.predict(p.text_a, p.text_b, hashes) == p.label)
         correct_total += good

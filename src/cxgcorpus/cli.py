@@ -3,22 +3,20 @@
 Subcommands: annotate | match | build | pairs | baseline | stats.
 Exit codes: 0 success, 2 input/config errors, 3 pair-audit failures,
 4 corpus multiset-verification failures.
+
+Each command imports the modules it runs when it starts, so that a
+stage loads only its own code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
-import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from . import baseline as bl
-from . import corpus_builder as cb
-from . import ingest
-from . import inventory as inv
-from . import matcher
-from . import pair_sampler as ps
 from .errors import CxgError, InputError, ParseError
 from .workspace import (
     ANNOTATE_KEYS,
@@ -52,6 +50,8 @@ def _effective_config(args) -> EffectiveConfig:
 def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
     """The sentence store annotate wrote next to `annotated`, checked to
     come from the file's current content."""
+    from . import ingest
+
     check_sidecar(annotated, config, ANNOTATE_KEYS)
     store = ingest.store_path(annotated)
     if not store.is_file():
@@ -63,7 +63,9 @@ def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
     return store
 
 
-def _load_resources(args) -> ingest.AnnotationResources:
+def _load_resources(args):
+    from . import ingest
+
     if args.lexicon or args.suffixes or args.clusters:
         if not (args.lexicon and args.suffixes):
             raise InputError("--lexicon and --suffixes must be given together")
@@ -74,6 +76,8 @@ def _load_resources(args) -> ingest.AnnotationResources:
 
 
 def cmd_annotate(args) -> int:
+    from . import ingest
+
     config = _effective_config(args)
     resources = _load_resources(args)
     abbreviations = (
@@ -97,35 +101,62 @@ def cmd_annotate(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _frozen_index(inventory_path):
+    """The match index of an inventory, built with the cyclic garbage
+    collector paused and then frozen, so that no collection during
+    set-up or matching traverses its many containers. On exit, also on
+    an error, the collector is enabled if the caller had it enabled, and
+    nothing is left frozen."""
+    from . import inventory as inv
+    from . import matcher
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        index = matcher.build_index(inv.load_inventory(inventory_path))
+        gc.freeze()
+        if enabled:
+            gc.enable()
+        yield index
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 def cmd_match(args) -> int:
+    from . import ingest, matcher
+
     config = _effective_config(args)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     store = _sentence_store(args.annotated, config)
-    inventory = inv.load_inventory(args.inventory)
-    index = matcher.build_index(inventory)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus = ingest.scan_annotated(store)
-    table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
-    table_path = out / "table.tsv"
-    discards_path = out / "discards.txt"
-    table.write(table_path, discards_path)
-    stats = matcher.occurrence_stats(table, config.band_edges)
-    stats_path = out / "stats.tsv"
-    matcher.write_stats(stats, stats_path)
-    write_sidecar(table_path, config, "match", TABLE_KEYS)
-    write_sidecar(discards_path, config, "match", TABLE_KEYS)
-    write_sidecar(stats_path, config, "match", STATS_KEYS)
-    matched = len(table.sentence_ids)
-    print(
-        f"matched {matched} sentences against {index.size} constructions "
-        f"({len(table.discarded)} discarded) -> {table_path}"
-    )
-    return EXIT_OK
+    with _frozen_index(args.inventory) as index:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        corpus = ingest.scan_annotated(store)
+        table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
+        table_path = out / "table.tsv"
+        discards_path = out / "discards.txt"
+        table.write(table_path, discards_path)
+        stats = matcher.occurrence_stats(table, config.band_edges)
+        stats_path = out / "stats.tsv"
+        matcher.write_stats(stats, stats_path)
+        write_sidecar(table_path, config, "match", TABLE_KEYS)
+        write_sidecar(discards_path, config, "match", TABLE_KEYS)
+        write_sidecar(stats_path, config, "match", STATS_KEYS)
+        matched = len(table.sentence_ids)
+        print(
+            f"matched {matched} sentences against {index.size} constructions "
+            f"({len(table.discarded)} discarded) -> {table_path}"
+        )
+        return EXIT_OK
 
 
 def cmd_stats(args) -> int:
+    from . import matcher
+
     config = _effective_config(args)
     check_sidecar(args.table, config, TABLE_KEYS)
     table = matcher.OccurrenceTable.read(args.table)
@@ -138,7 +169,20 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _check_table_ids(table, texts, table_path, annotated) -> None:
+    """Refuse, before any write, a table naming a sentence the store lacks."""
+    missing = set(table.reverse).difference(texts)
+    if missing:
+        raise InputError(
+            f"{table_path} names {len(missing)} sentence id(s) that {annotated} "
+            f"does not hold (the lowest is {min(missing)}); match the table from that corpus"
+        )
+
+
 def cmd_build(args) -> int:
+    from . import corpus_builder as cb
+    from . import ingest, matcher
+
     config = _effective_config(args)
     store = _sentence_store(args.annotated, config)
     check_sidecar(args.table, config, TABLE_KEYS)
@@ -148,12 +192,13 @@ def cmd_build(args) -> int:
         corpus.append(ingest.SentenceRef(*row[:3]))
         texts[row.sentence_id] = row.text
     table = matcher.OccurrenceTable.read(args.table)
+    _check_table_ids(table, texts, args.table, args.annotated)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     band = config.band
 
     want = ("cxg", "base", "random") if args.variant == "all" else (args.variant,)
-    built: dict[str, list[cb.CorpusDocument]] = {}
+    built = {}
 
     cxg_docs, cxg_manifest = cb.build_cxg_corpus(table, band)
     target = cxg_manifest.total_occurrences
@@ -188,6 +233,8 @@ def cmd_build(args) -> int:
 
 
 def _write_variant(out, name, docs, manifest, texts, config) -> None:
+    from . import corpus_builder as cb
+
     corpus_path = out / f"{name}.txt"
     manifest_path = out / f"{name}.manifest"
     cb.write_pretraining_file(docs, texts, corpus_path)
@@ -201,6 +248,9 @@ def _write_variant(out, name, docs, manifest, texts, config) -> None:
 
 
 def cmd_pairs(args) -> int:
+    from . import ingest, matcher
+    from . import pair_sampler as ps
+
     config = _effective_config(args)
     if args.inoculation_sizes is None:
         sizes = ps.INOCULATION_SIZES
@@ -221,6 +271,7 @@ def cmd_pairs(args) -> int:
     check_sidecar(args.table, config, TABLE_KEYS)
     texts = {row.sentence_id: row.text for row in ingest.scan_annotated(store)}
     table = matcher.OccurrenceTable.read(args.table)
+    _check_table_ids(table, texts, args.table, args.annotated)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -261,15 +312,14 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    for flag, value, ok, need in (
-        ("--dim", args.dim, args.dim >= 1, "at least 1"),
-        ("--epochs", args.epochs, args.epochs >= 1, "at least 1"),
-        ("--learning-rate", args.learning_rate, 0 < args.learning_rate < math.inf, "finite, > 0"),
-        ("--l2", args.l2, 0 <= args.l2 < math.inf, "finite, >= 0"),
-    ):
-        if not ok:
-            raise InputError(f"{flag} must be {need}, got {value}")
+    from . import baseline as bl
+    from . import pair_sampler as ps
+
+    hyper = bl.Hyperparams(dim=args.dim, learning_rate=args.learning_rate,
+                           epochs=args.epochs, l2=args.l2)
+    bl.check_hyperparams(hyper, label=lambda name: "--" + name.replace("_", "-"))
     config = _effective_config(args)
+    hyper.seed = config.seed
     for path in (args.train, args.dev, args.test):
         if path:
             check_sidecar(path, config, PAIRS_KEYS)
@@ -277,13 +327,12 @@ def cmd_baseline(args) -> int:
     # all pair files are read first, so that a malformed one stops the stage before any write
     scored = {name: ps.read_pairs(path) for name, path in
               (("metrics_dev.tsv", args.dev), ("metrics.tsv", args.test)) if path}
-    hyper = bl.Hyperparams(dim=args.dim, learning_rate=args.learning_rate,
-                           epochs=args.epochs, l2=args.l2, seed=config.seed)
-    model = bl.train(train_pairs, hyper)
+    hashes: dict[str, int] = {}  # one feature -> bucket memo for the whole run
+    model = bl.train(train_pairs, hyper, hashes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, pairs in scored.items():
-        result = bl.evaluate(model, pairs)
+        result = bl.evaluate(model, pairs, hashes)
         metrics_path = out / name
         bl.write_metrics(result, metrics_path)
         write_sidecar(metrics_path, config, "baseline", PAIRS_KEYS)

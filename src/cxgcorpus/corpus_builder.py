@@ -20,12 +20,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyBandError, InputError
-from .ingest import AnnotatedSentence, SentenceRef
-from .matcher import OccurrenceTable
 from .workspace import render_bound
+
+if TYPE_CHECKING:
+    from .ingest import AnnotatedSentence, SentenceRef
+    from .matcher import OccurrenceTable
 
 
 @dataclass(frozen=True)

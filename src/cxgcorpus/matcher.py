@@ -24,14 +24,16 @@ import logging
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import FacetMissingError, ParseError
-from .ingest import AnnotatedSentence
-from .inventory import Inventory
 from .workspace import render_bound
+
+if TYPE_CHECKING:
+    from .ingest import AnnotatedSentence
+    from .inventory import Inventory
 
 logger = logging.getLogger(__name__)
 
@@ -56,8 +58,11 @@ class MatchIndex:
     (kind, value) any slot uses gets a dense integer id, each
     construction is filed under the id of its rarest facet (rarity
     measured by inventory-wide facet counts, ties broken by the leftmost
-    slot), and matching works on ids only. `entries` is a view derived
-    from the compiled index.
+    slot), and matching works on ids only. `_checks` holds one tuple per
+    construction, its slots' facet ids in slot order: a sentence is a
+    candidate for verification only when its set of facet ids is a
+    superset of that tuple. `entries` is a view derived from the
+    compiled index.
     """
 
     def __init__(self, inventory: Inventory):
@@ -81,14 +86,14 @@ class MatchIndex:
 
         # anchor facet id -> the cxg_ids filed under it, in inventory order
         self._anchor: dict[int, list[int]] = {}
-        # cxg_id -> (the set of its slots' facet ids, the ids in slot order)
-        self._checks: dict[int, tuple[frozenset[int], tuple[int, ...]]] = {}
+        # cxg_id -> its slots' facet ids, in slot order
+        self._checks: dict[int, tuple[int, ...]] = {}
         for con in inventory:
             fids = tuple(map(facet_ids.__getitem__, con.slots))
             rarity = list(map(counts.__getitem__, con.slots))
             anchor = fids[rarity.index(min(rarity))]
             self._anchor.setdefault(anchor, []).append(con.cxg_id)
-            self._checks[con.cxg_id] = (frozenset(fids), fids)
+            self._checks[con.cxg_id] = fids
 
         self.uses_sem = any(kind == "SEM" for kind, _ in self._facets)
         self.cxg_ids = sorted(self._checks)
@@ -100,7 +105,7 @@ class MatchIndex:
         filed under it, in inventory order; every construction appears
         exactly once. A view derived from the index, built on each read."""
         return {
-            self._facets[f]: [(cid, self._checks[cid][1].index(f)) for cid in cids]
+            self._facets[f]: [(cid, self._checks[cid].index(f)) for cid in cids]
             for f, cids in self._anchor.items()
         }
 
@@ -183,18 +188,13 @@ def _match_columns(
     present = set(columns[0])
     present.update(columns[1])
     present.update(columns[2])
-    anchor = index._anchor
-    candidates: set[int] = set()
-    for f in present:
-        hits = anchor.get(f)
-        if hits is not None:
-            candidates.update(hits)
+    candidates = set(chain.from_iterable(map(index._anchor.get, present, repeat(()))))
     found = []
     checks = index._checks
     column_of = index._column
     for cid in sorted(candidates):
-        needed, slots = checks[cid]
-        if needed <= present:
+        slots = checks[cid]
+        if present.issuperset(slots):
             span = _find_span(slots, columns, column_of, max_gap)
             if span is not None:
                 found.append((cid, *span))

@@ -18,12 +18,14 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyBandError, InputError, ParseError
 from .corpus_builder import select_band
-from .matcher import OccurrenceTable
 from .workspace import STRICTNESS, parse_bound, render_bound
+
+if TYPE_CHECKING:
+    from .matcher import OccurrenceTable
 
 SPLITS = ("train", "dev", "test")
 

@@ -6,6 +6,7 @@ from array import array
 
 import pytest
 
+from cxgcorpus import baseline
 from cxgcorpus.baseline import (
     Hyperparams,
     LinearModel,
@@ -89,6 +90,32 @@ class TestTrain:
     def test_too_few_pairs_rejected(self):
         with pytest.raises(InputError):
             train([_pair("same", "a", "b")])
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 0), ("dim", -4), ("epochs", 0), ("learning_rate", float("nan")),
+        ("learning_rate", 0.0), ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.inf),
+    ])
+    def test_out_of_range_hyperparams_rejected(self, field, value):
+        hyper = Hyperparams(seed=1)
+        setattr(hyper, field, value)
+        with pytest.raises(InputError, match=rf"^Hyperparams\.{field} must be"):
+            train(SEPARABLE, hyper)
+
+    def test_hash_memo_shared_with_evaluate(self, monkeypatch):
+        # one memo for train and evaluate: each distinct feature is hashed
+        # once, and the model and the scores are the same as without it
+        hyper = Hyperparams(dim=2 ** 12, epochs=3, seed=2)
+        unshared = train(SEPARABLE, hyper)
+        expected = evaluate(unshared, SEPARABLE[:3])
+        calls = []
+        monkeypatch.setattr(baseline, "hash_feature",
+                            lambda feature, dim: calls.append(feature) or hash_feature(feature, dim))
+        hashes = {}
+        model = train(SEPARABLE, hyper, hashes)
+        assert evaluate(model, SEPARABLE[:3], hashes) == expected
+        assert model.weights == unshared.weights and model.bias == unshared.bias
+        features = {f for p in SEPARABLE for f in pair_features(p.text_a, p.text_b)}
+        assert sorted(calls) == sorted(features) == sorted(hashes)
 
     def test_matches_a_plain_reference_trainer(self, desk, desk_table):
         # the same SGD over dense lists with left-to-right sums: equal up

@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import hashlib
 import os
 import shutil
@@ -11,6 +12,7 @@ import pytest
 import cxgcorpus
 from cxgcorpus import cli
 from cxgcorpus import corpus_builder as cb
+from cxgcorpus import matcher
 from cxgcorpus import pair_sampler as ps
 from cxgcorpus.corpus_builder import MultisetReport
 from cxgcorpus.errors import FacetMissingError
@@ -155,18 +157,83 @@ def test_stage_outputs_keep_their_bytes(work):
     assert written == GOLDEN_SHA256
 
 
-def test_import_loads_neither_numpy_nor_multiprocessing():
-    """Every stage pays for what `import cxgcorpus.cli` loads."""
-    code = (
-        "import sys, cxgcorpus.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'multiprocessing'}))"
-    )
+# The package modules each stage loads, besides the package itself and
+# the cli, errors and workspace modules that `import cxgcorpus.cli` loads.
+STAGE_MODULES = {
+    "annotate": {"ingest"},
+    "match": {"ingest", "inventory", "matcher"},
+    "build": {"ingest", "matcher", "corpus_builder"},
+    "pairs": {"ingest", "matcher", "corpus_builder", "pair_sampler"},
+    "baseline": {"pair_sampler", "corpus_builder", "baseline"},
+}
+
+
+def _loaded_modules(code, argv=()):
+    """The `cxgcorpus` modules and the numpy and multiprocessing packages
+    a fresh interpreter has loaded after running `code`."""
     src = str(Path(cxgcorpus.__file__).parents[1])
+    code += (
+        "; print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & "
+        "{'numpy', 'multiprocessing'} | {m.split('.')[1] for m in sys.modules "
+        "if m.startswith('cxgcorpus.')})))"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-c", code, *map(str, argv)], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_neither_numpy_nor_multiprocessing(work, tmp_path):
+    """Every stage pays for what `import cxgcorpus.cli` loads, which is no
+    stage module; each stage then loads only the modules it runs."""
+    assert _loaded_modules("import sys, cxgcorpus.cli") == {"cli", "errors", "workspace"}
+    code = "import sys; from cxgcorpus import cli; assert cli.main(sys.argv[1:]) == 0"
+    for step in work["steps"]:
+        stage = step[0]
+        argv = list(step)
+        if stage == "annotate":
+            argv[2] = tmp_path / stage / "annotated.tsv"
+        else:
+            argv[3] = tmp_path / stage
+        loaded = _loaded_modules(code, argv)
+        assert loaded == {"cli", "errors", "workspace"} | STAGE_MODULES[stage], stage
+
+
+# The names `cxgcorpus` exported when its __init__ imported every module.
+PACKAGE_EXPORTS = {
+    "ingest": ("AnnotatedSentence", "AnnotationResources", "Token", "annotate_corpus",
+               "parse_wikitext", "split_sentences", "tag_pos", "tokenize"),
+    "inventory": ("Construction", "InductionParams", "Inventory", "SlotConstraint",
+                  "induce_inventory", "load_inventory", "parse_construction_spec",
+                  "render_name", "write_inventory"),
+    "matcher": ("MatchIndex", "MatchSpan", "OccurrenceTable", "brute_force_match",
+                "build_index", "match_corpus", "match_sentence", "occurrence_stats"),
+    "corpus_builder": ("BuildManifest", "CorpusDocument", "build_base_clone",
+                       "build_cxg_corpus", "build_random", "verify_multiset",
+                       "write_pretraining_file"),
+    "pair_sampler": ("PairExample", "PairText", "SamplerConfig", "audit_pairs",
+                     "make_inoculation_subsets", "read_pairs", "sample_pairs", "write_pairs"),
+    "baseline": ("Hyperparams", "LinearModel", "evaluate", "featurize_pair",
+                 "shuffle_control", "train"),
+}
+
+
+def test_package_names_load_on_first_access():
+    code = (
+        "import importlib, sys, cxgcorpus as cx; "
+        f"exports = {PACKAGE_EXPORTS!r}; "
+        "assert [m for m in sys.modules if m.startswith('cxgcorpus.')] == []; "
+        "assert cx.pair_sampler.QUOTAS['train'] == (2, 2); "
+        "assert {'errors', 'workspace', *exports, '__version__'} <= set(dir(cx)); "
+        "assert all(getattr(cx, n) is getattr(importlib.import_module('cxgcorpus.' + m), n) "
+        "and n in dir(cx) for m, names in exports.items() for n in names); "
+        "ns = {}; exec('from cxgcorpus import *', ns); "
+        "assert all(n in ns for names in exports.values() for n in names)"
+    )
+    assert _loaded_modules(code) == {"errors", "workspace", *PACKAGE_EXPORTS}
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        cxgcorpus.nope
 
 
 def test_baseline_runs_where_numpy_cannot_be_imported(work, tmp_path):
@@ -243,6 +310,28 @@ class TestExitCodes:
         assert "100000" in capsys.readouterr().err
         assert list((tmp_path / "p3").iterdir()) == []
 
+    @pytest.mark.parametrize("stage", ["build", "pairs"])
+    def test_table_from_another_corpus_refused_before_any_write(
+        self, stage, work, tmp_path, capsys
+    ):
+        """A table naming sentences the store lacks stops the stage, naming
+        both files, and leaves the output directory as it was."""
+        external = tmp_path / "external.tsv"
+        external.write_text(EXTERNAL_TSV, encoding="utf-8")  # sentence ids 0, 1 and 4
+        annotated = tmp_path / "annotated.tsv"
+        assert cli.main(["annotate", str(external), str(annotated), "--mode", "pre-annotated"]) == 0
+        table = work["out"] / "match" / "table.tsv"  # sentence ids 0..899
+        out = tmp_path / stage
+        out.mkdir()
+        (out / "kept.txt").write_text("earlier output\n", encoding="utf-8")
+        sizes = ["--inoculation-sizes", "8"] if stage == "pairs" else []
+        code, err = run_cli([stage, annotated, table, out,
+                             "--config", work["paths"]["config"], *sizes], capsys)
+        assert code == cli.EXIT_INPUT
+        assert str(table) in err and str(annotated) in err and "sentence id" in err
+        assert {p.name: p.read_text("utf-8") for p in out.iterdir()} == {
+            "kept.txt": "earlier output\n"}
+
     def test_annotate_creates_the_output_directory(self, work, tmp_path):
         paths = work["paths"]
         out = tmp_path / "new" / "dir" / "annotated.tsv"
@@ -251,6 +340,45 @@ class TestExitCodes:
                 "--clusters", paths["clusters"], "--config", paths["config"]]
         assert cli.main(argv) == 0
         assert filecmp.cmp(work["annotated"], out, shallow=False)
+
+
+class TestCollector:
+    """`match` builds its index with the cyclic collector paused and
+    freezes it; the stage leaves the collector as the caller had it."""
+
+    def _match(self, work, tmp_path, monkeypatch, inventory):
+        seen = []
+        match_corpus = matcher.match_corpus
+
+        def recording(*args, **kwargs):
+            seen.append((gc.isenabled(), gc.get_freeze_count() > 0))
+            return match_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(matcher, "match_corpus", recording)
+        argv = ["match", work["annotated"], str(inventory), str(tmp_path / "m"),
+                "--config", work["paths"]["config"]]
+        return cli.main(argv), seen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_restored_after_match(self, enabled, work, tmp_path, monkeypatch):
+        if not enabled:
+            gc.disable()
+        try:
+            code, seen = self._match(work, tmp_path, monkeypatch, work["paths"]["inventory"])
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+        finally:
+            gc.enable()
+        assert code == 0
+        assert seen == [(enabled, True)]  # the index was frozen while matching
+        assert filecmp.cmp(work["out"] / "match" / "table.tsv", tmp_path / "m" / "table.tsv",
+                           shallow=False)
+
+    def test_collector_restored_after_a_failed_match(self, work, tmp_path, monkeypatch):
+        inventory = tmp_path / "bad_inventory.tsv"
+        inventory.write_text("0\tpos:NOUN\n1\tnope:x\n", encoding="utf-8")
+        code, seen = self._match(work, tmp_path, monkeypatch, inventory)
+        assert code == cli.EXIT_INPUT and seen == []
+        assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 class TestDeterminism:
