@@ -5,7 +5,10 @@ Exit codes: 0 success, 2 input/config errors, 3 pair-audit failures,
 4 corpus multiset-verification failures.
 
 Each command imports the modules it runs when it starts, so that a
-stage loads only its own code.
+stage loads only its own code, and writes every output file through
+`_outputs`, which stages the files and their sidecars in a hidden
+directory and moves them into place only when the command has not
+raised: a failed run leaves its output directory as it was.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 import argparse
 import gc
 import logging
+import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -66,9 +72,10 @@ def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
 def _load_resources(args):
     from . import ingest
 
-    if args.lexicon or args.suffixes or args.clusters:
+    if args.lexicon or args.suffixes or args.clusters or args.tagset:
         if not (args.lexicon and args.suffixes):
-            raise InputError("--lexicon and --suffixes must be given together")
+            raise InputError("--lexicon and --suffixes must be given together, "
+                             "and --clusters and --tagset need both")
         return ingest.AnnotationResources.load(
             args.lexicon, args.suffixes, args.clusters, args.tagset
         )
@@ -85,20 +92,54 @@ def cmd_annotate(args) -> int:
         if args.abbreviations
         else ingest.DEFAULT_ABBREVIATIONS
     )
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    stream = ingest.iter_raw_lines(args.input)
-    sentences = ingest.annotate_corpus(stream, resources, args.mode, abbreviations)
-    try:
-        count = ingest.write_annotated(sentences, args.out)
-    except ParseError as exc:
-        if args.mode != "pre-annotated":
-            raise
-        raise ParseError(f"{args.input}: {exc}") from exc
-    write_sidecar(args.out, config, "annotate", ANNOTATE_KEYS)
-    write_sidecar(ingest.store_path(args.out), config, "annotate", ANNOTATE_KEYS,
-                  source=args.out)
+    out = Path(args.out)
+    with _outputs(out.parent, config, "annotate") as stage:
+        stream = ingest.iter_raw_lines(args.input)
+        sentences = ingest.annotate_corpus(stream, resources, args.mode, abbreviations)
+        path = stage(out.name, ANNOTATE_KEYS)
+        stage(ingest.store_path(out).name, ANNOTATE_KEYS, source=out.name)
+        try:
+            count = ingest.write_annotated(sentences, path)
+        except ParseError as exc:
+            if args.mode != "pre-annotated":
+                raise
+            raise ParseError(f"{args.input}: {exc}") from exc
     print(f"annotated {count} sentences -> {args.out}")
     return EXIT_OK
+
+
+@contextmanager
+def _outputs(directory, config, command):
+    """Stage a command's output files in a hidden directory inside
+    `directory`, which is created, and commit them together.
+
+    Yields `path(name, keys, source=None)`: it records the sidecar keys
+    of the output file `name` (and, with `source`, the name of the
+    output it was derived from) and returns the staged path to write it
+    at. When the block ends without an exception, also on a verdict
+    exit, each staged file gets its sidecar and both are moved into
+    `directory`. On an exception nothing is moved, and the staging
+    directory is removed in either case.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{command}.{os.getpid()}.", dir=directory))
+    staged = {}
+
+    def path(name, keys, source=None):
+        staged[name] = (keys, source)
+        return stage / name
+
+    try:
+        yield path
+        for name, (keys, source) in staged.items():
+            write_sidecar(stage / name, config, command, keys,
+                          source=None if source is None else stage / source)
+        for name in staged:
+            os.replace(stage / name, directory / name)
+            os.replace(stage / f"{name}.meta", directory / f"{name}.meta")
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 @contextmanager
@@ -132,26 +173,17 @@ def cmd_match(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     store = _sentence_store(args.annotated, config)
-    with _frozen_index(args.inventory) as index:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    with _frozen_index(args.inventory) as index, _outputs(args.out, config, "match") as stage:
         corpus = ingest.scan_annotated(store)
         table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
-        table_path = out / "table.tsv"
-        discards_path = out / "discards.txt"
-        table.write(table_path, discards_path)
+        table.write(stage("table.tsv", TABLE_KEYS), stage("discards.txt", TABLE_KEYS))
         stats = matcher.occurrence_stats(table, config.band_edges)
-        stats_path = out / "stats.tsv"
-        matcher.write_stats(stats, stats_path)
-        write_sidecar(table_path, config, "match", TABLE_KEYS)
-        write_sidecar(discards_path, config, "match", TABLE_KEYS)
-        write_sidecar(stats_path, config, "match", STATS_KEYS)
-        matched = len(table.sentence_ids)
-        print(
-            f"matched {matched} sentences against {index.size} constructions "
-            f"({len(table.discarded)} discarded) -> {table_path}"
-        )
-        return EXIT_OK
+        matcher.write_stats(stats, stage("stats.tsv", STATS_KEYS))
+    print(
+        f"matched {len(table.sentence_ids)} sentences against {index.size} constructions "
+        f"({len(table.discarded)} discarded) -> {Path(args.out) / 'table.tsv'}"
+    )
+    return EXIT_OK
 
 
 def cmd_stats(args) -> int:
@@ -161,8 +193,9 @@ def cmd_stats(args) -> int:
     check_sidecar(args.table, config, TABLE_KEYS)
     table = matcher.OccurrenceTable.read(args.table)
     stats = matcher.occurrence_stats(table, config.band_edges)
-    matcher.write_stats(stats, args.out)
-    write_sidecar(args.out, config, "stats", STATS_KEYS)
+    out = Path(args.out)
+    with _outputs(out.parent, config, "stats") as stage:
+        matcher.write_stats(stats, stage(out.name, STATS_KEYS))
     for band in stats.bands:
         print(f"band {band.lo}..{render_bound(band.hi)}: {band.count} constructions")
     print(f"below {config.band_edges[0]}: {stats.below_min} constructions")
@@ -193,58 +226,38 @@ def cmd_build(args) -> int:
         texts[row.sentence_id] = row.text
     table = matcher.OccurrenceTable.read(args.table)
     _check_table_ids(table, texts, args.table, args.annotated)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     band = config.band
-
     want = ("cxg", "base", "random") if args.variant == "all" else (args.variant,)
-    built = {}
-
-    cxg_docs, cxg_manifest = cb.build_cxg_corpus(table, band)
-    target = cxg_manifest.total_occurrences
-    if "cxg" in want:
-        built["cxg"] = cxg_docs
-        _write_variant(out, "cxg", cxg_docs, cxg_manifest, texts, config)
-    if "base" in want or "random" in want:
-        base_docs, base_manifest = cb.build_base_clone(corpus, table, band, target)
-        if "base" in want:
-            built["base"] = base_docs
-            _write_variant(out, "base", base_docs, base_manifest, texts, config)
-        if "random" in want:
-            random_docs, random_manifest = cb.build_random(base_docs, config.seed, band)
-            built["random"] = random_docs
-            _write_variant(out, "random", random_docs, random_manifest, texts, config)
-
-    if args.variant == "all":
-        report_cxg = cb.verify_multiset(built["cxg"], built["base"])
-        report_rand = cb.verify_multiset(built["base"], built["random"])
-        verify_path = out / "verify.txt"
-        verify_path.write_text(
+    with _outputs(args.out, config, "build") as stage:
+        built = {"cxg": cb.build_cxg_corpus(table, band)}
+        target = built["cxg"][1].total_occurrences
+        if "base" in want or "random" in want:
+            built["base"] = cb.build_base_clone(corpus, table, band, target)
+            if "random" in want:
+                built["random"] = cb.build_random(built["base"][0], config.seed, band)
+        for name in want:
+            docs, manifest = built[name]
+            cb.write_pretraining_file(docs, texts, stage(f"{name}.txt", BUILD_KEYS))
+            manifest.write(stage(f"{name}.manifest", BUILD_KEYS))
+            print(
+                f"built {name}: {manifest.n_documents} documents, "
+                f"{manifest.total_occurrences} sentence occurrences -> "
+                f"{Path(args.out) / f'{name}.txt'}"
+            )
+        if args.variant != "all":
+            return EXIT_OK
+        report_cxg = cb.verify_multiset(built["cxg"][0], built["base"][0])
+        report_rand = cb.verify_multiset(built["base"][0], built["random"][0])
+        stage("verify.txt", BUILD_KEYS).write_text(
             f"cxg vs base: {report_cxg.summary()}\n"
             f"base vs random: {report_rand.summary()}\n",
             encoding="utf-8",
         )
-        write_sidecar(verify_path, config, "build", BUILD_KEYS)
-        if not report_cxg.equal_totals or not report_rand.equal_multisets:
-            print("multiset verification FAILED", file=sys.stderr)
-            return EXIT_MULTISET
-        print(f"multiset verification ok (T={target})")
+    if not report_cxg.equal_totals or not report_rand.equal_multisets:
+        print("multiset verification FAILED", file=sys.stderr)
+        return EXIT_MULTISET
+    print(f"multiset verification ok (T={target})")
     return EXIT_OK
-
-
-def _write_variant(out, name, docs, manifest, texts, config) -> None:
-    from . import corpus_builder as cb
-
-    corpus_path = out / f"{name}.txt"
-    manifest_path = out / f"{name}.manifest"
-    cb.write_pretraining_file(docs, texts, corpus_path)
-    manifest.write(manifest_path)
-    write_sidecar(corpus_path, config, "build", BUILD_KEYS)
-    write_sidecar(manifest_path, config, "build", BUILD_KEYS)
-    print(
-        f"built {name}: {manifest.n_documents} documents, "
-        f"{manifest.total_occurrences} sentence occurrences -> {corpus_path}"
-    )
 
 
 def cmd_pairs(args) -> int:
@@ -272,38 +285,24 @@ def cmd_pairs(args) -> int:
     texts = {row.sentence_id: row.text for row in ingest.scan_annotated(store)}
     table = matcher.OccurrenceTable.read(args.table)
     _check_table_ids(table, texts, args.table, args.annotated)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    sampler_config = ps.SamplerConfig(seed=config.seed, strictness=config.strictness)
-    sampled = ps.sample_pairs(table, config.band, sampler_config)
-    subsets = ps.make_inoculation_subsets(sampled.train, sizes, config.seed)
-
-    report = ps.audit_pairs(
-        {"train": sampled.train, "dev": sampled.dev, "test": sampled.test},
-        table,
-        config.strictness,
-    )
-    audit_path = out / "audit.txt"
-    audit_path.write_text(report.summary() + "\n", encoding="utf-8")
-    write_sidecar(audit_path, config, "pairs", PAIRS_KEYS)
-    if not report.ok:
-        print(f"pair audit FAILED: {report.summary()}", file=sys.stderr)
-        return EXIT_AUDIT
-
-    for name in ps.SPLITS:
-        path = out / f"{name}.tsv"
-        ps.write_pairs(sampled.split(name), texts, path)
-        write_sidecar(path, config, "pairs", PAIRS_KEYS)
-    shortfall_path = out / "shortfall.tsv"
-    ps.write_shortfalls(sampled.shortfalls, shortfall_path)
-    write_sidecar(shortfall_path, config, "pairs", PAIRS_KEYS)
-
-    for size, subset in subsets.items():
-        path = out / f"inoculation_{size}.tsv"
-        ps.write_pairs(subset, texts, path)
-        write_sidecar(path, config, "pairs", PAIRS_KEYS)
-
+    with _outputs(args.out, config, "pairs") as stage:
+        sampler_config = ps.SamplerConfig(seed=config.seed, strictness=config.strictness)
+        sampled = ps.sample_pairs(table, config.band, sampler_config)
+        subsets = ps.make_inoculation_subsets(sampled.train, sizes, config.seed)
+        report = ps.audit_pairs(
+            {"train": sampled.train, "dev": sampled.dev, "test": sampled.test},
+            table,
+            config.strictness,
+        )
+        stage("audit.txt", PAIRS_KEYS).write_text(report.summary() + "\n", encoding="utf-8")
+        if not report.ok:
+            print(f"pair audit FAILED: {report.summary()}", file=sys.stderr)
+            return EXIT_AUDIT
+        for name in ps.SPLITS:
+            ps.write_pairs(sampled.split(name), texts, stage(f"{name}.tsv", PAIRS_KEYS))
+        ps.write_shortfalls(sampled.shortfalls, stage("shortfall.tsv", PAIRS_KEYS))
+        for size, subset in subsets.items():
+            ps.write_pairs(subset, texts, stage(f"inoculation_{size}.tsv", PAIRS_KEYS))
     print(
         f"sampled pairs: train={len(sampled.train)} dev={len(sampled.dev)} "
         f"test={len(sampled.test)}, {len(sampled.shortfalls)} shortfall entries, audit ok"
@@ -320,28 +319,22 @@ def cmd_baseline(args) -> int:
     bl.check_hyperparams(hyper, label=lambda name: "--" + name.replace("_", "-"))
     config = _effective_config(args)
     hyper.seed = config.seed
-    for path in (args.train, args.dev, args.test):
-        if path:
-            check_sidecar(path, config, PAIRS_KEYS)
+    scoring = ([("metrics_dev.tsv", args.dev)] if args.dev else []) + [("metrics.tsv", args.test)]
+    for path in (args.train, *(path for _, path in scoring)):
+        check_sidecar(path, config, PAIRS_KEYS)
     train_pairs = ps.read_pairs(args.train)
     # all pair files are read first, so that a malformed one stops the stage before any write
-    scored = {name: ps.read_pairs(path) for name, path in
-              (("metrics_dev.tsv", args.dev), ("metrics.tsv", args.test)) if path}
+    scored = {name: ps.read_pairs(path) for name, path in scoring}
     hashes: dict[str, int] = {}  # one feature -> bucket memo for the whole run
     model = bl.train(train_pairs, hyper, hashes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, pairs in scored.items():
-        result = bl.evaluate(model, pairs, hashes)
-        metrics_path = out / name
-        bl.write_metrics(result, metrics_path)
-        write_sidecar(metrics_path, config, "baseline", PAIRS_KEYS)
-    model_path = out / "model.bin"
-    bl.save_model(model, model_path)
-    write_sidecar(model_path, config, "baseline", PAIRS_KEYS)
+    with _outputs(args.out, config, "baseline") as stage:
+        for name, pairs in scored.items():
+            result = bl.evaluate(model, pairs, hashes)
+            bl.write_metrics(result, stage(name, PAIRS_KEYS))
+        bl.save_model(model, stage("model.bin", PAIRS_KEYS))
     print(
-        f"baseline: train_acc={model.train_accuracy:.4f} "
-        f"test_acc={result.accuracy:.4f} ({result.n_pairs} pairs) -> {metrics_path}"
+        f"baseline: train_acc={model.train_accuracy:.4f} test_acc={result.accuracy:.4f} "
+        f"({result.n_pairs} pairs) -> {Path(args.out) / 'metrics.tsv'}"
     )
     return EXIT_OK
 

@@ -66,25 +66,11 @@ class BuildManifest:
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def select_band(
-    table: OccurrenceTable, band: tuple[int, int | None]
-) -> list[int]:
-    """cxg_ids with lo <= freq <= hi; frequency below 2 never qualifies."""
-    lo, hi = band
-    lo = max(lo, 2)
-    out = []
-    for cid in sorted(table.forward):
-        f = len(table.forward[cid])
-        if f >= lo and (hi is None or f <= hi):
-            out.append(cid)
-    return out
-
-
 def build_cxg_corpus(
     table: OccurrenceTable, band: tuple[int, int | None]
 ) -> tuple[list[CorpusDocument], BuildManifest]:
     """One document per selected construction, sentences in id order."""
-    selected = select_band(table, band)
+    selected = table.select_band(band)
     if not selected:
         raise EmptyBandError(f"band {band} selects no constructions")
     docs = []
@@ -111,7 +97,7 @@ def build_base_clone(
     resulting document list are emitted, then a prefix (splitting at
     most one document) to land exactly on target_total occurrences.
     """
-    selected = set(select_band(table, band))
+    selected = set(table.select_band(band))
     if not selected:
         raise EmptyBandError(f"band {band} selects no constructions")
 

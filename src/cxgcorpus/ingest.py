@@ -27,7 +27,6 @@ unchanged.
 
 from __future__ import annotations
 
-import os
 import re
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -376,32 +375,22 @@ def write_annotated(
     tags and the n sem ids ('-' if absent). A form holds no tab or
     newline, as the TSV's rows could not carry it either.
 
-    Both files appear only whole: they are written to temporary files
-    in the same directory and moved over path and store_path(path) after
-    the last sentence. On any error the temporary files are removed and
-    an earlier pair of files at those paths is left as it was.
+    An error leaves both files partly written; the `annotate` command
+    writes them in its staging directory and moves them into place only
+    when the whole stage has succeeded.
     """
-    targets = (Path(path), store_path(path))
-    temps = [t.with_name(f".{t.name}.{os.getpid()}.tmp") for t in targets]
     sem_text = _Memo(str, {None: "-"}).__getitem__  # '-' for no cluster
     count = 0
-    try:
-        with open(temps[0], "w", encoding="utf-8") as fh, open(
-            temps[1], "w", encoding="utf-8", newline="\n"
-        ) as store:
-            for sent in sentences:
-                ids = f"{sent.sentence_id}\t{sent.article_id}\t{sent.position_in_article}"
-                sems = list(map(sem_text, sent.sems))
-                rows = f"\n{ids}\t".join(map("\t".join, zip(sent.forms, sent.tags, sems)))
-                fh.write(f"\n{ids}\t{rows}\n" if count else f"{ids}\t{rows}\n")
-                store.write("\t".join([ids, *sent.forms, *sent.tags, *sems]) + "\n")
-                count += 1
-        for temp, target in zip(temps, targets):
-            os.replace(temp, target)
-    except BaseException:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
-        raise
+    with open(path, "w", encoding="utf-8") as fh, open(
+        store_path(path), "w", encoding="utf-8", newline="\n"
+    ) as store:
+        for sent in sentences:
+            ids = f"{sent.sentence_id}\t{sent.article_id}\t{sent.position_in_article}"
+            sems = list(map(sem_text, sent.sems))
+            rows = f"\n{ids}\t".join(map("\t".join, zip(sent.forms, sent.tags, sems)))
+            fh.write(f"\n{ids}\t{rows}\n" if count else f"{ids}\t{rows}\n")
+            store.write("\t".join([ids, *sent.forms, *sent.tags, *sems]) + "\n")
+            count += 1
     return count
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import FacetMissingError, ParseError
-from .workspace import render_bound
+from .workspace import bands_from_edges, render_bound
 
 if TYPE_CHECKING:
     from .ingest import AnnotatedSentence
@@ -289,6 +289,17 @@ class OccurrenceTable:
     def constructions_of(self, sentence_id: int) -> list[int]:
         return self.reverse.get(sentence_id, [])
 
+    def select_band(self, band: tuple[int, int | None]) -> list[int]:
+        """cxg_ids with lo <= freq <= hi; frequency below 2 never qualifies."""
+        lo, hi = band
+        lo = max(lo, 2)
+        out = []
+        for cid in sorted(self.forward):
+            f = len(self.forward[cid])
+            if f >= lo and (hi is None or f <= hi):
+                out.append(cid)
+        return out
+
     def write(self, table_path: str | Path, discards_path: str | Path | None = None) -> None:
         with open(table_path, "w", encoding="utf-8") as fh:
             for cid in sorted(self.forward):
@@ -415,24 +426,6 @@ class BandCount:
 class OccurrenceStats:
     bands: list[BandCount]
     below_min: int  # constructions with freq below the first edge
-
-
-def bands_from_edges(band_edges: Sequence[int]) -> list[tuple[int, int | None]]:
-    """Non-overlapping inclusive bands from increasing edges.
-
-    Edges [2, 50, 100] give [2, 50], [51, 100], [101, None]: the first
-    band is closed at both edges, later bands start one past the
-    previous edge, and a final unbounded band is always appended.
-    """
-    edges = list(band_edges)
-    if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ParseError(f"band edges must be strictly increasing, got {edges}")
-    bands: list[tuple[int, int | None]] = []
-    for i in range(len(edges) - 1):
-        lo = edges[i] if i == 0 else edges[i] + 1
-        bands.append((lo, edges[i + 1]))
-    bands.append((edges[-1] + 1 if len(edges) > 1 else edges[-1], None))
-    return bands
 
 
 def occurrence_stats(

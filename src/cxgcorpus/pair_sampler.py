@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyBandError, InputError, ParseError
-from .corpus_builder import select_band
 from .workspace import STRICTNESS, parse_bound, render_bound
 
 if TYPE_CHECKING:
@@ -157,7 +156,7 @@ def sample_pairs(
     (seed, cxg_id); constructions are processed in cxg_id order for the
     global duplicate check.
     """
-    selected = select_band(table, band)
+    selected = table.select_band(band)
     if not selected:
         raise EmptyBandError(f"band {band} selects no constructions")
     universe = table.sentence_ids

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InputError, ParseError, StaleInputError
 
@@ -75,6 +75,30 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         raise ParseError(f"expected comma-separated integers, got {text!r}")
 
 
+def bands_from_edges(band_edges: Sequence[int]) -> list[tuple[int, int | None]]:
+    """Non-overlapping inclusive bands from increasing edges.
+
+    Edges [2, 50, 100] give [2, 50], [51, 100], [101, None]: the first
+    band is closed at both edges, later bands start one past the
+    previous edge, and a final unbounded band is always appended.
+    """
+    edges = list(band_edges)
+    if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ParseError(f"band edges must be strictly increasing, got {edges}")
+    bands: list[tuple[int, int | None]] = []
+    for i in range(len(edges) - 1):
+        lo = edges[i] if i == 0 else edges[i] + 1
+        bands.append((lo, edges[i + 1]))
+    bands.append((edges[-1] + 1 if len(edges) > 1 else edges[-1], None))
+    return bands
+
+
+def _band_edges(text: str) -> tuple[int, ...]:
+    edges = parse_int_list(text)
+    bands_from_edges(edges)
+    return edges
+
+
 def _strictness(text: str) -> str:
     if text not in STRICTNESS:
         raise ParseError(f"strictness must be one of {', '.join(STRICTNESS)}, got {text!r}")
@@ -95,7 +119,7 @@ _SETTINGS = {
     "band": parse_band,
     "max_gap": _max_gap,
     "strictness": _strictness,
-    "band_edges": parse_int_list,
+    "band_edges": _band_edges,
 }
 
 

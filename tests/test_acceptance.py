@@ -18,7 +18,6 @@ from cxgcorpus.corpus_builder import (
     build_base_clone,
     build_cxg_corpus,
     build_random,
-    select_band,
 )
 from cxgcorpus.ingest import AnnotationResources, Token, annotate_corpus
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint, parse_construction_spec
@@ -119,7 +118,7 @@ def test_corpus_build_invariants(desk):
     band = (2, 10000)
 
     cxg_docs, cxg_manifest = build_cxg_corpus(table, band)
-    recount = sum(freq(table, c) for c in select_band(table, band))
+    recount = sum(freq(table, c) for c in table.select_band(band))
     ok_a = cxg_manifest.total_occurrences == recount == sum(
         len(d.sentence_ids) for d in cxg_docs
     )
@@ -175,7 +174,7 @@ def test_band_arithmetic(desk_table):
     # quota arithmetic: 21,216 constructions at 2 positive + 2 negative
     # training pairs each allow up to 84,864 training pairs
     per_cxg = sum(QUOTAS["train"])
-    ok_quota = len(select_band(table, (2, 10000))) * per_cxg == 84864
+    ok_quota = len(table.select_band((2, 10000))) * per_cxg == 84864
     report(
         "band-arithmetic",
         ok_desk and ok_shape and ok_quota,
@@ -197,7 +196,7 @@ def test_pair_audit(desk_table):
 
     shortfall_ids = {s.cxg_id for s in sampled.shortfalls}
     ok_quotas = True
-    for cid in select_band(desk_table, band):
+    for cid in desk_table.select_band(band):
         if freq(desk_table, cid) < 5 or cid in shortfall_ids:
             continue
         got = [

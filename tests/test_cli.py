@@ -1,6 +1,8 @@
+import errno
 import filecmp
 import gc
 import hashlib
+import itertools
 import os
 import shutil
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cxgcorpus
+from cxgcorpus import baseline as bl
 from cxgcorpus import cli
 from cxgcorpus import corpus_builder as cb
 from cxgcorpus import matcher
@@ -163,8 +166,8 @@ STAGE_MODULES = {
     "annotate": {"ingest"},
     "match": {"ingest", "inventory", "matcher"},
     "build": {"ingest", "matcher", "corpus_builder"},
-    "pairs": {"ingest", "matcher", "corpus_builder", "pair_sampler"},
-    "baseline": {"pair_sampler", "corpus_builder", "baseline"},
+    "pairs": {"ingest", "matcher", "pair_sampler"},
+    "baseline": {"pair_sampler", "baseline"},
 }
 
 
@@ -294,6 +297,8 @@ class TestExitCodes:
                 str(tmp_path / "p2"), "--config", work["paths"]["config"],
                 "--inoculation-sizes", "8"]
         assert cli.main(argv) == cli.EXIT_AUDIT
+        kept = sorted(p.name for p in (tmp_path / "p2").iterdir())
+        assert kept == ["audit.txt", "audit.txt.meta"]
 
     def test_multiset_failure_exit_code(self, work, tmp_path, monkeypatch):
         bad = MultisetReport(total_a=1, total_b=2, mismatched=[(0, 1, 2)])
@@ -301,6 +306,9 @@ class TestExitCodes:
         argv = ["build", work["annotated"], str(work["out"] / "match" / "table.tsv"),
                 str(tmp_path / "b3"), "--variant", "all", "--config", work["paths"]["config"]]
         assert cli.main(argv) == cli.EXIT_MULTISET
+        # the variants and the report stay, for inspection
+        assert sorted(p.name for p in (tmp_path / "b3").iterdir()) == sorted(
+            p.name for p in (work["out"] / "build").iterdir())
 
     def test_oversized_inoculation_names_size(self, work, tmp_path, capsys):
         argv = ["pairs", work["annotated"], str(work["out"] / "match" / "table.tsv"),
@@ -409,23 +417,105 @@ class TestDeterminism:
         )
 
 
-def test_failed_annotate_keeps_the_previous_output(work, tmp_path, capsys):
-    """A re-annotate that fails late leaves the earlier annotate's four
-    files as they were, and no file of its own."""
-    out = tmp_path / "out"
+def _fail_after_writing(monkeypatch, owner, name, path_arg, call=1):
+    """Make the writer `owner.name` raise on its `call`-th call, after
+    leaving half of the file at its positional argument `path_arg`."""
+    writer = getattr(owner, name)
+    calls = itertools.count(1)
+
+    def failing(*args):
+        writer(*args)
+        if next(calls) == call:
+            path = Path(args[path_arg])
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(owner, name, failing)
+
+
+def _rerun_annotate(work, tmp, out, monkeypatch):
     out.mkdir()
     annotated = copy_annotated(work, out)
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
     rows = Path(work["annotated"]).read_text("utf-8").splitlines(keepends=True)
     bad = next(i for i in range(3000, len(rows)) if rows[i] != "\n")  # past a buffer flush
     fields = rows[bad].split("\t")
     fields[4] = "NOTATAG"
     rows[bad] = "\t".join(fields)
-    external = tmp_path / "external.tsv"
+    external = tmp / "external.tsv"
     external.write_text("".join(rows), encoding="utf-8")
-    code, err = run_cli(["annotate", external, annotated, "--mode", "pre-annotated"], capsys)
-    assert code == cli.EXIT_INPUT and f"{external}: line {bad + 1}:" in err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    return ["annotate", external, annotated, "--mode", "pre-annotated"], f"{external}: line {bad + 1}:"
+
+
+def _rerun_match(work, tmp, out, monkeypatch):
+    shutil.copytree(work["out"] / "match", out)
+    _fail_after_writing(monkeypatch, matcher, "write_stats", 1)  # after table.tsv, discards.txt
+    return ["match", work["annotated"], work["paths"]["inventory"], out,
+            "--config", work["paths"]["config"], "--max-gap", "2"], "No space left"
+
+
+def _rerun_stats(work, tmp, out, monkeypatch):
+    out.mkdir()
+    for name in ("stats.tsv", "stats.tsv.meta"):
+        shutil.copy(work["out"] / "match" / name, out / name)
+    _fail_after_writing(monkeypatch, matcher, "write_stats", 1)
+    return ["stats", work["out"] / "match" / "table.tsv", out / "stats.tsv",
+            "--config", work["paths"]["config"], "--band-edges", "2,100"], "No space left"
+
+
+def _rerun_build(work, tmp, out, monkeypatch):
+    shutil.copytree(work["out"] / "build", out)
+    _fail_after_writing(monkeypatch, cb, "write_pretraining_file", 2, call=2)  # base.txt
+    return ["build", work["annotated"], work["out"] / "match" / "table.tsv", out,
+            "--config", work["paths"]["config"], "--seed", "9"], "No space left"
+
+
+def _rerun_pairs(work, tmp, out, monkeypatch):
+    shutil.copytree(work["out"] / "pairs", out)
+    _fail_after_writing(monkeypatch, ps, "write_pairs", 2, call=2)  # dev.tsv
+    return ["pairs", work["annotated"], work["out"] / "match" / "table.tsv", out,
+            "--config", work["paths"]["config"], "--inoculation-sizes", "8,16",
+            "--seed", "9"], "No space left"
+
+
+def _rerun_baseline(work, tmp, out, monkeypatch):
+    shutil.copytree(work["out"] / "baseline", out)
+    _fail_after_writing(monkeypatch, bl, "save_model", 1)  # after both metrics files
+    pairs = work["out"] / "pairs"
+    return ["baseline", pairs / "train.tsv", pairs / "test.tsv", out, "--dev", pairs / "dev.tsv",
+            "--epochs", "2", "--config", work["paths"]["config"]], "No space left"
+
+
+FAILING_RERUNS = {
+    "annotate": _rerun_annotate,
+    "match": _rerun_match,
+    "stats": _rerun_stats,
+    "build": _rerun_build,
+    "pairs": _rerun_pairs,
+    "baseline": _rerun_baseline,
+}
+
+
+def _entries(root: Path) -> dict[str, bytes | None]:
+    """Every entry of a directory: a file's bytes, None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in root.iterdir()}
+
+
+@pytest.mark.parametrize("stage", list(FAILING_RERUNS))
+def test_failed_stage_keeps_the_previous_outputs(stage, work, tmp_path, monkeypatch, capsys):
+    """A stage rerun under another setting into the directory of an
+    earlier run, failing partway through one of its files, exits 2 and
+    leaves that directory as it was: no file of its own, no sidecar and
+    no staging entry."""
+    out = tmp_path / "out"
+    argv, message = FAILING_RERUNS[stage](work, tmp_path, out, monkeypatch)
+    before = _entries(out)
+    code, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_INPUT and message in err, err
+    assert _entries(out) == before
+
+
+def test_successful_stages_leave_no_staging_entry(work):
+    assert list(work["root"].rglob(".*")) == []
 
 
 class TestConfig:
@@ -472,6 +562,7 @@ def _flag_case(stage, flag, value):
         table = work["out"] / "match" / "table.tsv"
         pairs = work["out"] / "pairs"
         argv = {
+            "annotate": ["annotate", work["paths"]["corpus"], tmp / "a.tsv", "--mode", "pre-split"],
             "match": ["match", work["annotated"], work["paths"]["inventory"], tmp / "m"],
             "pairs": ["pairs", work["annotated"], table, tmp / "p"],
             "baseline": ["baseline", pairs / "train.tsv", pairs / "test.tsv", tmp / "b"],
@@ -528,6 +619,12 @@ def _bad_pair_label(work, tmp):
     return argv, f"{test}:3"
 
 
+def _empty_test_path(work, tmp):
+    pairs = work["out"] / "pairs"
+    argv = ["baseline", pairs / "train.tsv", "", tmp / "b", "--config", work["paths"]["config"]]
+    return argv, "No such file or directory: ''"
+
+
 def _pre_annotated_case(second_row):
     def case(work, tmp):
         tsv = tmp / "external.tsv"
@@ -541,9 +638,13 @@ MALFORMED = {
     "config-max-gap": _config_case("max_gap = x"),
     "config-negative-max-gap": _config_case("max_gap = -1"),
     "config-band-edges": _config_case("band_edges = 2,x"),
+    "config-descending-band-edges": _config_case("band_edges = 50,2"),
     "config-unknown-key": _config_case("max-gap = 2"),
     "config-unknown-strictness": _config_case("strictness = disjiont"),
     "flag-band-edges": _flag_case("match", "--band-edges", "2,x"),
+    "flag-descending-band-edges": _flag_case("match", "--band-edges", "50,2"),
+    "flag-tagset-without-lexicon": _flag_case(
+        "annotate", "--tagset", Path(cxgcorpus.__file__).parent / "resources" / "tagset.txt"),
     "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
     "flag-negative-inoculation-size": _flag_case("pairs", "--inoculation-sizes", "-5,8"),
     "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
@@ -558,6 +659,7 @@ MALFORMED = {
     "flag-infinite-l2": _flag_case("baseline", "--l2", "inf"),
     "flag-negative-l2": _flag_case("baseline", "--l2", "-1"),
     "pair-label-not-same-or-different": _bad_pair_label,
+    "empty-test-path": _empty_test_path,
     "missing-store": _missing_store,
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,

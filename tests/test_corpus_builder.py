@@ -7,7 +7,6 @@ from cxgcorpus.corpus_builder import (
     build_base_clone,
     build_cxg_corpus,
     build_random,
-    select_band,
     verify_multiset,
     write_pretraining_file,
 )
@@ -53,7 +52,7 @@ class TestCxgBuild:
     def test_total_matches_recount(self, desk_table):
         band = (2, 10000)
         docs, manifest = build_cxg_corpus(desk_table, band)
-        recount = sum(freq(desk_table, c) for c in select_band(desk_table, band))
+        recount = sum(freq(desk_table, c) for c in desk_table.select_band(band))
         assert manifest.total_occurrences == recount
         assert sum(len(d.sentence_ids) for d in docs) == recount
 
