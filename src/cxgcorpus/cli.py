@@ -119,10 +119,12 @@ def _outputs(directory, config, command):
     at. When the block ends without an exception, also on a verdict
     exit, each staged file gets its sidecar and both are moved into
     `directory`. On an exception nothing is moved, and the staging
-    directory is removed in either case.
+    directory is removed in either case. The staging directories that
+    runs of `command` killed by a signal left behind are removed first.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    _remove_stale_stages(directory, command)
     stage = Path(tempfile.mkdtemp(prefix=f".{command}.{os.getpid()}.", dir=directory))
     staged = {}
 
@@ -140,6 +142,22 @@ def _outputs(directory, config, command):
             os.replace(stage / f"{name}.meta", directory / f"{name}.meta")
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+
+
+def _remove_stale_stages(directory: Path, command: str) -> None:
+    """Remove each `.<command>.<pid>.*` directory whose process no
+    longer runs; one of a live process, or of a pid this process may not
+    signal, is kept."""
+    for stale in directory.glob(f".{command}.*.*"):
+        pid = stale.name[len(command) + 2:].partition(".")[0]
+        if not (pid.isdecimal() and stale.is_dir()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            shutil.rmtree(stale, ignore_errors=True)
+        except (OSError, OverflowError):
+            pass
 
 
 @contextmanager
@@ -314,6 +332,9 @@ def cmd_baseline(args) -> int:
     from . import baseline as bl
     from . import pair_sampler as ps
 
+    for name, path in (("train", args.train), ("test", args.test), ("--dev", args.dev)):
+        if path == "":
+            raise InputError(f"{name}: the path is empty")
     hyper = bl.Hyperparams(dim=args.dim, learning_rate=args.learning_rate,
                            epochs=args.epochs, l2=args.l2)
     bl.check_hyperparams(hyper, label=lambda name: "--" + name.replace("_", "-"))

@@ -183,22 +183,33 @@ def load_abbreviations(path: str | Path) -> frozenset[str]:
 
 
 def iter_raw_lines(path: str | Path) -> Iterator[str]:
-    """Yield decoded lines from a raw UTF-8 corpus file.
+    """Yield decoded lines from a raw UTF-8 corpus file, split on '\\n'
+    only (a '\\r' stays in its line).
 
-    Decoding is done per line so an invalid byte can be reported with
-    its absolute offset in the file ('\\n' never occurs inside a
-    multi-byte UTF-8 sequence, so line splitting is byte-safe).
+    On invalid UTF-8 the file is read again in binary, line by line, to
+    report the absolute byte offset of the first bad byte ('\\n' never
+    occurs inside a multi-byte UTF-8 sequence, so splitting the bytes on
+    it is safe).
     """
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DecodeError(
+                f"{path}: invalid UTF-8 at byte offset {_first_bad_byte(path)}"
+            ) from exc
+
+
+def _first_bad_byte(path: str | Path) -> int | None:
     offset = 0
     with open(path, "rb") as fh:
         for raw in fh:
             try:
-                yield raw.decode("utf-8")
+                raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise DecodeError(
-                    f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
-                ) from exc
+                return offset + exc.start
             offset += len(raw)
+    return None
 
 
 def parse_wikitext(stream: str | Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -3,9 +3,13 @@
 The engine is an inverted index keyed by each construction's globally
 rarest slot facet: a sentence only pays for the constructions whose
 rarest facet it actually contains, so lookup cost for absent facets is
-independent of inventory size. Candidate constructions are then verified
-with an in-order alignment that allows up to max_gap skipped tokens
-between consecutive slots (never before the first or after the last).
+independent of inventory size. Candidates are verified on per-facet
+position bitmasks (bit i set when token i carries the facet): one
+backward pass over the slots, shifting across up to max_gap skipped
+tokens between consecutive slots (never before the first or after the
+last), gives every start of an alignment. The occurrence table needs
+only that existence test; match_sentence adds a forward pass from the
+leftmost start for the span with minimal total gap.
 
 Matching works on a sentence's three facet columns (forms, tags, sem
 ids), which every ingest.AnnotatedSentence carries, whether it was
@@ -24,9 +28,9 @@ import logging
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FacetMissingError, ParseError
 from .workspace import bands_from_edges, render_bound
@@ -36,9 +40,6 @@ if TYPE_CHECKING:
     from .inventory import Inventory
 
 logger = logging.getLogger(__name__)
-
-# The column a slot of each kind tests: forms, tags, sem ids.
-_COLUMN = {"LEX": 0, "POS": 1, "SEM": 2}
 
 _CHUNK_SIZE = 512  # sentences per unit of work in match_corpus
 
@@ -72,11 +73,9 @@ class MatchIndex:
         self._facets = list(counts)
         facet_ids = {facet: i for i, facet in enumerate(self._facets)}
 
-        # The column each id tests, and per kind the map from a token's
-        # value to its facet id. A sem id matches a SEM slot when its
-        # decimal form is the slot's value, so a value that is no int's
-        # decimal form gets no key.
-        self._column = [_COLUMN[kind] for kind, _ in self._facets]
+        # Per kind, the map from a token's value to its facet id. A sem
+        # id matches a SEM slot when its decimal form is the slot's
+        # value, so a value that is no int's decimal form gets no key.
         self._lex = {v: f for (kind, v), f in facet_ids.items() if kind == "LEX"}
         self._pos = {v: f for (kind, v), f in facet_ids.items() if kind == "POS"}
         self._sem = {
@@ -134,71 +133,65 @@ def _check_facets(uses_sem: bool, sentence_id: int, sems: list) -> None:
         )
 
 
-def _find_span(
-    slots: tuple[int, ...],
-    columns: tuple[list, list, list],
-    column_of: list[int],
-    max_gap: int,
-) -> tuple[int, int, int] | None:
-    """Leftmost-start, then gap-minimal alignment of slots to tokens.
-
-    Slot facet id f is tested on column column_of[f]. Scans start
-    positions in order; at each start a frontier of reachable positions
-    is advanced one slot at a time, so the first successful start is
-    leftmost and min(frontier) gives the minimal total gap there.
-    """
-    n = len(columns[0])
-    k = len(slots)
-    first = slots[0]
-    heads = columns[column_of[first]]
-    start = -1
-    while True:
-        try:
-            start = heads.index(first, start + 1, n - k + 1)
-        except ValueError:
-            return None
-        frontier: Sequence[int] = (start,)
-        for fid in slots[1:]:
-            col = columns[column_of[fid]]
-            nxt: list[int] = []
-            for p in frontier:
-                for q in range(p + 1, min(p + 2 + max_gap, n)):
-                    if col[q] == fid and q not in nxt:
-                        nxt.append(q)
-            if not nxt:
-                break
-            frontier = nxt
-        else:
-            last = min(frontier)
-            return start, last + 1, last - start - (k - 1)
+def _smear_steps(max_gap: int, n: int) -> tuple[int, ...]:
+    """Shifts that spread a position bitmask over a gap of up to max_gap
+    tokens: after a shift by 1, OR-ing in the mask shifted by each step
+    covers shifts 1 .. max_gap + 1. The steps double and stop at n, the
+    sentence length, so there are at most log2(n) + 1 of them."""
+    if max_gap < 0:
+        raise ValueError(f"max_gap must be >= 0, got {max_gap}")
+    width = min(max_gap + 1, n)
+    steps = []
+    covered = 1
+    while covered < width:
+        step = min(covered, width - covered)
+        steps.append(step)
+        covered += step
+    return tuple(steps)
 
 
 def build_index(inventory: Inventory) -> MatchIndex:
     return MatchIndex(inventory)
 
 
-def _match_columns(
+def _verify(
     index: MatchIndex, sentence: AnnotatedSentence, max_gap: int
-) -> list[tuple[int, int, int, int]]:
-    """(cxg_id, start, end, gaps_used) of every construction a sentence
-    instantiates, in cxg_id order: the per-sentence core."""
+) -> tuple[dict[int, int], tuple[int, ...], dict[int, int]]:
+    """The sentence's facet masks, its smear steps, and cxg_id -> starts
+    for every construction it instantiates, in cxg_id order: the
+    per-sentence core. Bit i of a mask is set when token i carries the
+    facet; bit i of starts, when an alignment of all slots begins at i."""
     sems = sentence.sems
     _check_facets(index.uses_sem, sentence.sentence_id, sems)
-    columns = index._facet_columns(sentence.forms, sentence.tags, sems)
-    present = set(columns[0])
-    present.update(columns[1])
-    present.update(columns[2])
+    masks: dict[int, int] = {}
+    get = masks.get
+    bit = 1
+    for lex, pos, sem in zip(*index._facet_columns(sentence.forms, sentence.tags, sems)):
+        if lex is not None:
+            masks[lex] = get(lex, 0) | bit
+        if pos is not None:
+            masks[pos] = get(pos, 0) | bit
+        if sem is not None:
+            masks[sem] = get(sem, 0) | bit
+        bit <<= 1
+    steps = _smear_steps(max_gap, len(sems))
+    present = set(masks)
     candidates = set(chain.from_iterable(map(index._anchor.get, present, repeat(()))))
-    found = []
+    found = {}
     checks = index._checks
-    column_of = index._column
     for cid in sorted(candidates):
         slots = checks[cid]
         if present.issuperset(slots):
-            span = _find_span(slots, columns, column_of, max_gap)
-            if span is not None:
-                found.append((cid, *span))
-    return found
+            # positions from which slots[j:] align, for j from the last down
+            reach = masks[slots[-1]]
+            for fid in slots[-2::-1]:
+                reach >>= 1
+                for step in steps:
+                    reach |= reach >> step
+                reach &= masks[fid]
+            if reach:
+                found[cid] = reach
+    return masks, steps, found
 
 
 def match_sentence(
@@ -209,7 +202,22 @@ def match_sentence(
     The reported span is the leftmost one, with minimal total gaps among
     alignments at that start.
     """
-    return [MatchSpan(*m) for m in _match_columns(index, sentence, max_gap)]
+    masks, steps, found = _verify(index, sentence, max_gap)
+    spans = []
+    for cid, starts in found.items():
+        slots = index._checks[cid]
+        start = (starts & -starts).bit_length() - 1
+        # positions slots[:j + 1] can end at from start; the lowest at
+        # the last slot gives the minimal total gap
+        ends = 1 << start
+        for fid in slots[1:]:
+            ends <<= 1
+            for step in steps:
+                ends |= ends << step
+            ends &= masks[fid]
+        last = (ends & -ends).bit_length() - 1
+        spans.append(MatchSpan(cid, start, last + 1, last - start - (len(slots) - 1)))
+    return spans
 
 
 def brute_force_match(
@@ -345,7 +353,7 @@ class OccurrenceTable:
 def _match_chunk(
     index: MatchIndex, chunk: list[AnnotatedSentence], max_gap: int
 ) -> list[tuple[int, list[int]]]:
-    return [(s.sentence_id, [m[0] for m in _match_columns(index, s, max_gap)]) for s in chunk]
+    return [(s.sentence_id, list(_verify(index, s, max_gap)[2])) for s in chunk]
 
 
 _POOL_STATE: tuple[MatchIndex, int] | None = None
@@ -359,17 +367,6 @@ def _pool_init(index: MatchIndex, max_gap: int) -> None:
 def _pool_match(chunk: list[AnnotatedSentence]) -> list[tuple[int, list[int]]]:
     index, max_gap = _POOL_STATE  # type: ignore[misc]
     return _match_chunk(index, chunk, max_gap)
-
-
-def _chunks(items: Iterable, size: int) -> Iterator[list]:
-    chunk: list = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 
 def match_corpus(
@@ -387,7 +384,8 @@ def match_corpus(
     reverse: dict[int, list[int]] = {}
     discarded: list[int] = []
 
-    chunks = _chunks(corpus, _CHUNK_SIZE)
+    sentences = iter(corpus)
+    chunks = iter(lambda: list(islice(sentences, _CHUNK_SIZE)), [])
     with ExitStack() as stack:
         if jobs <= 1:
             results: Iterable[list[tuple[int, list[int]]]] = (

@@ -518,6 +518,27 @@ def test_successful_stages_leave_no_staging_entry(work):
     assert list(work["root"].rglob(".*")) == []
 
 
+def test_stage_removes_staging_directories_of_dead_runs(work, tmp_path):
+    """A stage killed by a signal leaves its staging directory behind;
+    the next run of that stage there removes it, but never one of a
+    live process, of another stage, or of another name."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no process has its pid now
+    out = tmp_path / "out"
+    out.mkdir()
+    dead, alive = f".stats.{child.pid}.k1ll3d_x", f".stats.{os.getppid()}.al1ve_xy"
+    kept = [alive, f".build.{child.pid}.k1ll3d_x", f".stats.{child.pid}", f".stats.x{child.pid}.y",
+            f".stats.{2**80}.no_pid_x"]
+    for name in [dead, *kept]:
+        (out / name).mkdir()
+        (out / name / "stats.tsv").write_text("partial\n", encoding="utf-8")
+    argv = ["stats", str(work["out"] / "match" / "table.tsv"), str(out / "stats.tsv"),
+            "--config", str(work["paths"]["config"])]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.glob(".*")) == sorted(kept)
+    assert (out / alive / "stats.tsv").read_text("utf-8") == "partial\n"
+
+
 class TestConfig:
     def test_flag_overrides_config_file(self, work, tmp_path):
         # the config band is 2:10000; narrow it on the command line
@@ -619,10 +640,15 @@ def _bad_pair_label(work, tmp):
     return argv, f"{test}:3"
 
 
-def _empty_test_path(work, tmp):
-    pairs = work["out"] / "pairs"
-    argv = ["baseline", pairs / "train.tsv", "", tmp / "b", "--config", work["paths"]["config"]]
-    return argv, "No such file or directory: ''"
+def _empty_path(argument):
+    def case(work, tmp):
+        pairs = work["out"] / "pairs"
+        paths = {"train": pairs / "train.tsv", "test": pairs / "test.tsv", "--dev": pairs / "dev.tsv"}
+        paths[argument] = ""
+        argv = ["baseline", paths["train"], paths["test"], tmp / "b", "--dev", paths["--dev"],
+                "--config", work["paths"]["config"]]
+        return argv, f"error: {argument}: the path is empty"
+    return case
 
 
 def _pre_annotated_case(second_row):
@@ -659,7 +685,8 @@ MALFORMED = {
     "flag-infinite-l2": _flag_case("baseline", "--l2", "inf"),
     "flag-negative-l2": _flag_case("baseline", "--l2", "-1"),
     "pair-label-not-same-or-different": _bad_pair_label,
-    "empty-test-path": _empty_test_path,
+    "empty-test-path": _empty_path("test"),
+    "empty-dev-path": _empty_path("--dev"),
     "missing-store": _missing_store,
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,

@@ -62,6 +62,19 @@ class TestParseWikitext:
         with pytest.raises(DecodeError, match="byte offset 10"):
             list(iter_raw_lines(p))
 
+    def test_decode_error_past_the_first_64_kib(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        good = "naïve café\n".encode("utf-8") * 8000  # 104,000 bytes
+        p.write_bytes(good + b"tail \xc3(\n")
+        with pytest.raises(DecodeError, match=f"byte offset {len(good) + 5}$"):
+            list(iter_raw_lines(p))
+
+    def test_lines_split_on_newline_only(self, tmp_path):
+        p = tmp_path / "raw.txt"
+        data = "a\rb\r\nc\u2028d\x0be\nlast".encode("utf-8")
+        p.write_bytes(data)
+        assert list(iter_raw_lines(p)) == ["a\rb\r\n", "c\u2028d\x0be\n", "last"]
+
 
 class TestSplitSentences:
     def test_simple_split(self):

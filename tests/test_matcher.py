@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cxgcorpus import matcher
 from cxgcorpus.errors import FacetMissingError, ParseError
 from cxgcorpus.inventory import Construction, Inventory, parse_construction_spec
 from cxgcorpus.matcher import (
@@ -15,7 +16,7 @@ from cxgcorpus.matcher import (
     occurrence_stats,
 )
 
-from helpers import S, is_transpose_consistent, random_matcher_case, sent
+from helpers import S, from_tokens, is_transpose_consistent, random_matcher_case, sent
 
 
 def spans(matches):
@@ -215,6 +216,73 @@ class TestOracleEquivalence:
             before = {m.cxg_id for m in match_sentence(build_index(inv), s, 1)}
             after = {m.cxg_id for m in match_sentence(build_index(bigger), s, 1)}
             assert before <= after
+
+
+def random_corpus(rng, planted_gap: int, cases: int = 30):
+    """One inventory and corpus from `cases` random matcher cases: each
+    case's constructions join the inventory under new ids (a repeated
+    slot sequence only once), and its sentence gets the case number as
+    its id."""
+    constructions, seen, corpus = [], set(), []
+    for case in range(cases):
+        inv, s = random_matcher_case(rng, planted_gap)
+        for con in inv:
+            if con.slots not in seen:
+                seen.add(con.slots)
+                constructions.append(Construction(100 * case + con.cxg_id, con.slots))
+        corpus.append(from_tokens(case, 0, case, s.tokens))
+    return Inventory(constructions), corpus
+
+
+class TestTableOracle:
+    """The table is written from the existence test alone, so it is
+    checked against the oracle on its own, serial and pooled."""
+
+    @pytest.mark.parametrize("max_gap", [0, 1, 2, 3, "sentence length"])
+    def test_table_agrees_with_brute_force(self, max_gap, monkeypatch):
+        rng = random.Random(f"table-{max_gap}")
+        if max_gap == "sentence length":
+            inv, corpus = random_corpus(rng, 4)
+            max_gap = max(len(s.forms) for s in corpus)
+        else:
+            inv, corpus = random_corpus(rng, max_gap)
+        # and two sentences no construction matches
+        corpus += [sent(sid, [("zz", "X", 99)] * 5, pos=sid) for sid in (100, 101)]
+        expected = {
+            s.sentence_id: [m.cxg_id for m in brute_force_match(inv, s, max_gap)] for s in corpus
+        }
+        assert any(expected.values())
+        monkeypatch.setattr(matcher, "_CHUNK_SIZE", 4)  # several chunks for each worker
+        index = build_index(inv)
+        for jobs in (1, 2):
+            table = match_corpus(index, corpus, max_gap, jobs=jobs)
+            assert {sid: table.constructions_of(sid) for sid in expected} == expected, jobs
+            assert table.discarded == [sid for sid, cids in expected.items() if not cids]
+
+    def test_huge_max_gap_is_bounded_by_sentence_length(self):
+        # verification shifts at most as far as the sentence is long, so a
+        # gap of 10**9 costs what a gap of 39 does and finds the same
+        inv, corpus = random_corpus(random.Random(40), 2, cases=8)
+        tokens = [t for s in corpus for t in s.tokens][:40]
+        tokens[0] = tokens[0]._replace(form="first")
+        tokens[-1] = tokens[-1]._replace(form="last")
+        s = from_tokens(0, 0, 0, tokens)
+        inv = Inventory(list(inv.constructions) + [
+            Construction(10_000, (S("LEX", "first"), S("LEX", "last"))),
+        ])
+        index = build_index(inv)
+        wide = spans(match_sentence(index, s, 39))
+        assert (10_000, 0, 40, 38) in wide
+        assert wide == spans(brute_force_match(inv, s, 39))
+        assert spans(match_sentence(index, s, 10**9)) == wide
+        table = match_corpus(index, [s], 10**9)
+        assert table.constructions_of(0) == [span[0] for span in wide]
+        assert match_corpus(index, [s], 39).reverse == table.reverse
+
+    def test_negative_max_gap_is_refused(self):
+        inv = Inventory([Construction(0, (S("LEX", "a"), S("LEX", "b")))])
+        with pytest.raises(ValueError, match="max_gap"):
+            match_sentence(build_index(inv), sent(0, [("a", "X"), ("b", "X")]), -1)
 
 
 class TestMatchCorpus:
