@@ -45,7 +45,7 @@ SIDE_WEIGHT = 0.5
 class Hyperparams:
     dim: int = 2 ** 20
     learning_rate: float = 0.1
-    epochs: int = 10
+    epochs: int = 8
     l2: float = 1e-6
     seed: int = 0
 

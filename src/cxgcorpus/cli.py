@@ -27,13 +27,14 @@ from .errors import CxgError, InputError, ParseError
 from .workspace import (
     ANNOTATE_KEYS,
     BUILD_KEYS,
-    DEFAULT_BAND_EDGES,
     PAIRS_KEYS,
+    STAGE_KEYS,
     STATS_KEYS,
-    STRICTNESS,
     TABLE_KEYS,
     EffectiveConfig,
     check_sidecar,
+    flag,
+    flag_help,
     parse_int_list,
     render_bound,
     write_sidecar,
@@ -48,9 +49,10 @@ EXIT_MULTISET = 4
 
 
 def _effective_config(args) -> EffectiveConfig:
-    keys = ("seed", "band", "max_gap", "strictness", "band_edges")
-    overrides = {key: getattr(args, key, None) or None for key in keys}
-    return EffectiveConfig.from_sources(getattr(args, "config", None), overrides)
+    """The config file's settings, overridden by the setting flags given."""
+    overrides = {key: getattr(args, key) for key in STAGE_KEYS[args.command]
+                 if getattr(args, key) is not None}
+    return EffectiveConfig.from_sources(args.config, overrides)
 
 
 def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
@@ -283,11 +285,8 @@ def cmd_pairs(args) -> int:
     from . import pair_sampler as ps
 
     config = _effective_config(args)
-    if args.inoculation_sizes is None:
-        sizes = ps.INOCULATION_SIZES
-    elif args.inoculation_sizes.strip() == "":
-        sizes = ()
-    else:
+    sizes = ()
+    if (args.inoculation_sizes or "").strip():
         try:
             sizes = parse_int_list(args.inoculation_sizes)
         except ParseError as exc:
@@ -335,11 +334,11 @@ def cmd_baseline(args) -> int:
     for name, path in (("train", args.train), ("test", args.test), ("--dev", args.dev)):
         if path == "":
             raise InputError(f"{name}: the path is empty")
-    hyper = bl.Hyperparams(dim=args.dim, learning_rate=args.learning_rate,
-                           epochs=args.epochs, l2=args.l2)
-    bl.check_hyperparams(hyper, label=lambda name: "--" + name.replace("_", "-"))
     config = _effective_config(args)
-    hyper.seed = config.seed
+    given = {name: getattr(args, name) for name in ("dim", "learning_rate", "epochs", "l2")}
+    hyper = bl.Hyperparams(seed=config.seed,
+                           **{name: value for name, value in given.items() if value is not None})
+    bl.check_hyperparams(hyper, label=flag)
     scoring = ([("metrics_dev.tsv", args.dev)] if args.dev else []) + [("metrics.tsv", args.test)]
     for path in (args.train, *(path for _, path in scoring)):
         check_sidecar(path, config, PAIRS_KEYS)
@@ -369,16 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, band=False):
-        p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed")
-        p.add_argument("--max-gap", dest="max_gap")
-        p.add_argument("--strictness", choices=STRICTNESS)
-        p.add_argument("--band-edges", dest="band_edges",
-                       help=f"comma list, default {','.join(map(str, DEFAULT_BAND_EDGES))}")
-        if band:
-            p.add_argument("--band", help="LO:HI (HI may be inf)")
-
     p = sub.add_parser("annotate", help="parse and annotate a raw corpus")
     p.add_argument("input")
     p.add_argument("out")
@@ -388,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clusters")
     p.add_argument("--tagset")
     p.add_argument("--abbreviations")
-    common(p)
     p.set_defaults(func=cmd_annotate)
 
     p = sub.add_parser("match", help="match an inventory against an annotated corpus")
@@ -396,13 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inventory")
     p.add_argument("out", help="output directory")
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("stats", help="frequency bands of an occurrence table")
     p.add_argument("table")
     p.add_argument("out")
-    common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("build", help="build pre-training corpus variants")
@@ -410,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("out", help="output directory")
     p.add_argument("--variant", choices=["cxg", "base", "random", "all"], default="all")
-    common(p, band=True)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("pairs", help="sample same-construction pair datasets")
@@ -418,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("out", help="output directory")
     p.add_argument("--inoculation-sizes", dest="inoculation_sizes",
-                   help="comma list; empty string disables subsets")
-    common(p, band=True)
+                   help="comma list of training-subset sizes; none by default")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("baseline", help="train/evaluate the pair-probe baseline")
@@ -427,13 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("out", help="output directory")
     p.add_argument("--dev")
-    p.add_argument("--dim", type=int, default=2 ** 20)
-    p.add_argument("--learning-rate", type=float, default=0.1, dest="learning_rate")
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--l2", type=float, default=1e-6)
-    common(p)
+    # without a flag, a hyperparameter keeps its default in baseline.Hyperparams
+    p.add_argument("--dim", type=int)
+    p.add_argument("--learning-rate", type=float, dest="learning_rate")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--l2", type=float)
     p.set_defaults(func=cmd_baseline)
 
+    for command, p in sub.choices.items():
+        p.add_argument("--config", help="key = value config file")
+        for key in STAGE_KEYS[command]:
+            p.add_argument(flag(key), dest=key, help=flag_help(key))
     return parser
 
 

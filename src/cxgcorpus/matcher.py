@@ -318,9 +318,8 @@ class OccurrenceTable:
                     fh.write(f"{sid}\n")
 
     @classmethod
-    def read(
-        cls, table_path: str | Path, discards_path: str | Path | None = None
-    ) -> "OccurrenceTable":
+    def read(cls, table_path: str | Path) -> "OccurrenceTable":
+        """The table `write` wrote, without its discards, which no stage reads."""
         forward: dict[int, list[int]] = {}
         with open(table_path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -338,16 +337,7 @@ class OccurrenceTable:
                 if cid in forward:
                     raise ParseError(f"{table_path}:{lineno}: duplicate cxg_id {cid}")
                 forward[cid] = sids
-        discarded = []
-        if discards_path is not None and Path(discards_path).exists():
-            with open(discards_path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if line.strip():
-                        try:
-                            discarded.append(int(line))
-                        except ValueError:
-                            raise ParseError(f"{discards_path}:{lineno}: non-integer id")
-        return cls(forward, discarded=discarded)
+        return cls(forward)
 
 
 def _match_chunk(

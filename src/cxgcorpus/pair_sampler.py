@@ -31,9 +31,6 @@ SPLITS = ("train", "dev", "test")
 # (same, different) pairs each construction contributes to each split
 QUOTAS = {"train": (2, 2), "dev": (1, 1), "test": (1, 1)}
 
-# training-subset sizes `cxgcorpus pairs` writes when none are given
-INOCULATION_SIZES = (100, 500, 1000, 5000)
-
 _MAX_DRAWS = 1000  # rejection-sampling attempts per requested pair
 _POS_NEED = sum(same for same, _ in QUOTAS.values())
 _NEG_NEED = sum(different for _, different in QUOTAS.values())

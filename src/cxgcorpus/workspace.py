@@ -1,6 +1,6 @@
 """Workspace configuration: `key = value` config files, the effective
-settings a run uses, the text form of band bounds, and sidecars for
-staleness detection.
+settings a run uses, the text form of each setting, the settings each
+stage takes as flags, and sidecars for staleness detection.
 
 Every derived file gets a `<name>.meta` sidecar recording the hash of
 the effective configuration that produced it. Commands that consume a
@@ -16,12 +16,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InputError, ParseError, StaleInputError
 
-DEFAULT_BAND = (2, 10000)
-DEFAULT_BAND_EDGES = (2, 50, 100, 1000, 10000)
 STRICTNESS = ("anchor", "disjoint")
 
 
@@ -35,11 +33,6 @@ def _config_entries(path: str | Path) -> Iterator[tuple[int, str, str]]:
         if not sep:
             raise ParseError(f"{path}:{lineno}: expected `key = value`")
         yield lineno, key.strip(), value.strip()
-
-
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment."""
-    return {key: value for _, key, value in _config_entries(path)}
 
 
 def render_bound(hi: int | None) -> str:
@@ -112,15 +105,35 @@ def _max_gap(text: str) -> int:
     return gap
 
 
-# How each setting is read from its text form, in a config file or on
-# the command line.
+class Setting(NamedTuple):
+    parse: Callable[[str], Any]  # text form -> value; ParseError or ValueError if malformed
+    render: Callable[[Any], str]  # value -> text form, as config files and sidecars hold it
+    help: str  # of the setting's command-line flag
+
+
+# Every setting a config file or a flag may give, and the only place
+# that knows how each is read and written as text.
 _SETTINGS = {
-    "seed": int,
-    "band": parse_band,
-    "max_gap": _max_gap,
-    "strictness": _strictness,
-    "band_edges": _band_edges,
+    "seed": Setting(int, str, "seed of every random draw"),
+    "band": Setting(parse_band, lambda band: f"{band[0]}:{render_bound(band[1])}",
+                    "LO:HI frequency band of the constructions used; HI may be inf"),
+    "max_gap": Setting(_max_gap, str, "tokens a construction may skip between two slots"),
+    "strictness": Setting(_strictness, str,
+                          f"what a different pair avoids: {' or '.join(STRICTNESS)}"),
+    "band_edges": Setting(_band_edges, lambda edges: ",".join(map(str, edges)),
+                          "comma list of the edges of the reported frequency bands"),
 }
+
+
+def flag(key: str) -> str:
+    """The command-line flag of a setting or option: `max_gap` is `--max-gap`."""
+    return "--" + key.replace("_", "-")
+
+
+def flag_help(key: str) -> str:
+    """Help text of a setting's flag, with its default in text form."""
+    setting = _SETTINGS[key]
+    return f"{setting.help} (default {setting.render(getattr(EffectiveConfig(), key))})"
 
 
 @dataclass
@@ -128,20 +141,20 @@ class EffectiveConfig:
     """The settings that affect derived outputs (worker count excluded)."""
 
     seed: int = 0
-    band: tuple[int, int | None] = DEFAULT_BAND
+    band: tuple[int, int | None] = (2, 10000)
     max_gap: int = 1
     strictness: str = "anchor"
-    band_edges: tuple[int, ...] = DEFAULT_BAND_EDGES
+    band_edges: tuple[int, ...] = (2, 50, 100, 1000, 10000)
 
     @classmethod
     def from_sources(
-        cls, config_path: str | Path | None, overrides: dict[str, str | None]
+        cls, config_path: str | Path | None, overrides: dict[str, str]
     ) -> "EffectiveConfig":
         """Config-file values first, command-line overrides on top.
 
-        Both are given as text; an unknown config key or a malformed value
-        raises ParseError naming its `file:line`, or the `--flag` it came
-        from.
+        Both are given as text; an unknown config key or a malformed value,
+        an empty one included, raises ParseError naming its `file:line`, or
+        the `--flag` it came from.
         """
         cfg = cls()
         sources: list[tuple[str, str, str]] = []
@@ -153,14 +166,10 @@ class EffectiveConfig:
                         f"known: {', '.join(sorted(_SETTINGS))}"
                     )
                 sources.append((f"{config_path}:{lineno}", key, value))
-        sources += [
-            (f"--{key.replace('_', '-')}", key, value)
-            for key, value in overrides.items()
-            if value is not None
-        ]
+        sources += [(flag(key), key, value) for key, value in overrides.items()]
         for where, key, value in sources:
             try:
-                setattr(cfg, key, _SETTINGS[key](value))
+                setattr(cfg, key, _SETTINGS[key].parse(value))
             except ValueError:
                 raise ParseError(f"{where}: {key} {value!r} is not an integer")
             except ParseError as exc:
@@ -168,14 +177,7 @@ class EffectiveConfig:
         return cfg
 
     def canonical(self, keys: tuple[str, ...]) -> str:
-        rendered = {
-            "band": f"{self.band[0]}:{render_bound(self.band[1])}",
-            "band_edges": ",".join(str(e) for e in self.band_edges),
-            "max_gap": str(self.max_gap),
-            "seed": str(self.seed),
-            "strictness": self.strictness,
-        }
-        return "".join(f"{k} = {rendered[k]}\n" for k in sorted(keys))
+        return "".join(f"{k} = {_SETTINGS[k].render(getattr(self, k))}\n" for k in sorted(keys))
 
     def subset_hash(self, keys: tuple[str, ...]) -> str:
         return hashlib.sha256(self.canonical(keys).encode("utf-8")).hexdigest()[:16]
@@ -189,6 +191,17 @@ TABLE_KEYS = ("max_gap",)
 STATS_KEYS = ("max_gap", "band_edges")
 BUILD_KEYS = ("max_gap", "band", "seed")
 PAIRS_KEYS = ("max_gap", "band", "seed", "strictness")
+
+# The settings each command takes, as flags: exactly the keys that the
+# sidecars of the files it reads and writes record.
+STAGE_KEYS = {
+    "annotate": ANNOTATE_KEYS,
+    "match": STATS_KEYS,
+    "stats": STATS_KEYS,
+    "build": BUILD_KEYS,
+    "pairs": PAIRS_KEYS,
+    "baseline": PAIRS_KEYS,
+}
 
 
 def file_sha256(path: str | Path) -> str:
@@ -234,7 +247,7 @@ def check_sidecar(
         if source is not None:
             raise InputError(f"{meta} not found: cannot tell which {source} {in_path} came from")
         return
-    recorded_meta = parse_config_file(meta)
+    recorded_meta = {key: value for _, key, value in _config_entries(meta)}
     recorded = recorded_meta.get("config_hash")
     current = config.subset_hash(keys)
     if recorded != current:

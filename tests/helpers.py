@@ -78,6 +78,13 @@ def read_pretraining_file(path: str | Path) -> list[list[str]]:
     return docs
 
 
+def read_table(table_path: str | Path, discards_path: str | Path) -> OccurrenceTable:
+    """The table and the discards `OccurrenceTable.write` wrote."""
+    table = OccurrenceTable.read(table_path)
+    discarded = [int(sid) for sid in Path(discards_path).read_text("utf-8").split()]
+    return OccurrenceTable(table.forward, discarded=discarded)
+
+
 def freq(table: OccurrenceTable, cxg_id: int) -> int:
     return len(table.forward[cxg_id])
 

