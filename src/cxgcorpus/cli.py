@@ -4,6 +4,13 @@ Subcommands: annotate | match | build | pairs | baseline | stats.
 Exit codes: 0 success, 2 input/config errors, 3 pair-audit failures,
 4 corpus multiset-verification failures.
 
+`main` runs every command the same way: it builds the command's
+`EffectiveConfig` once (the config file overridden by the setting flags
+given), runs the command with Python's cyclic garbage collector paused,
+and enables the collector again afterwards only if the caller had it
+enabled; nothing is frozen. A stage makes no reference cycles it needs
+collected, so a collection would only traverse its many containers.
+
 Each command imports the modules it runs when it starts, so that a
 stage loads only its own code, and writes every output file through
 `_outputs`, which stages the files and their sidecars in a hidden
@@ -14,6 +21,7 @@ raised: a failed run leaves its output directory as it was.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import logging
 import os
@@ -48,13 +56,6 @@ EXIT_AUDIT = 3
 EXIT_MULTISET = 4
 
 
-def _effective_config(args) -> EffectiveConfig:
-    """The config file's settings, overridden by the setting flags given."""
-    overrides = {key: getattr(args, key) for key in STAGE_KEYS[args.command]
-                 if getattr(args, key) is not None}
-    return EffectiveConfig.from_sources(args.config, overrides)
-
-
 def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
     """The sentence store annotate wrote next to `annotated`, checked to
     come from the file's current content."""
@@ -84,10 +85,9 @@ def _load_resources(args):
     return ingest.AnnotationResources.default()
 
 
-def cmd_annotate(args) -> int:
+def cmd_annotate(args, config: EffectiveConfig) -> int:
     from . import ingest
 
-    config = _effective_config(args)
     resources = _load_resources(args)
     abbreviations = (
         ingest.load_abbreviations(args.abbreviations)
@@ -162,38 +162,15 @@ def _remove_stale_stages(directory: Path, command: str) -> None:
             pass
 
 
-@contextmanager
-def _frozen_index(inventory_path):
-    """The match index of an inventory, built with the cyclic garbage
-    collector paused and then frozen, so that no collection during
-    set-up or matching traverses its many containers. On exit, also on
-    an error, the collector is enabled if the caller had it enabled, and
-    nothing is left frozen."""
-    from . import inventory as inv
-    from . import matcher
-
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        index = matcher.build_index(inv.load_inventory(inventory_path))
-        gc.freeze()
-        if enabled:
-            gc.enable()
-        yield index
-    finally:
-        gc.unfreeze()
-        if enabled:
-            gc.enable()
-
-
-def cmd_match(args) -> int:
+def cmd_match(args, config: EffectiveConfig) -> int:
     from . import ingest, matcher
+    from . import inventory as inv
 
-    config = _effective_config(args)
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     store = _sentence_store(args.annotated, config)
-    with _frozen_index(args.inventory) as index, _outputs(args.out, config, "match") as stage:
+    index = matcher.build_index(inv.load_inventory(args.inventory))
+    with _outputs(args.out, config, "match") as stage:
         corpus = ingest.scan_annotated(store)
         table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
         table.write(stage("table.tsv", TABLE_KEYS), stage("discards.txt", TABLE_KEYS))
@@ -206,10 +183,9 @@ def cmd_match(args) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, config: EffectiveConfig) -> int:
     from . import matcher
 
-    config = _effective_config(args)
     check_sidecar(args.table, config, TABLE_KEYS)
     table = matcher.OccurrenceTable.read(args.table)
     stats = matcher.occurrence_stats(table, config.band_edges)
@@ -222,30 +198,35 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _check_table_ids(table, texts, table_path, annotated) -> None:
-    """Refuse, before any write, a table naming a sentence the store lacks."""
-    missing = set(table.reverse).difference(texts)
-    if missing:
-        raise InputError(
-            f"{table_path} names {len(missing)} sentence id(s) that {annotated} "
-            f"does not hold (the lowest is {min(missing)}); match the table from that corpus"
-        )
-
-
-def cmd_build(args) -> int:
-    from . import corpus_builder as cb
+def _table_and_store(args, config: EffectiveConfig, refs: bool = False):
+    """The occurrence table `args.table`, the texts of the sentences of
+    `args.annotated` by id and, with `refs`, their `SentenceRef`s in
+    store order. Both inputs are checked against their sidecars, and a
+    table naming a sentence the store lacks is refused, before any write."""
     from . import ingest, matcher
 
-    config = _effective_config(args)
     store = _sentence_store(args.annotated, config)
     check_sidecar(args.table, config, TABLE_KEYS)
     corpus = []
     texts = {}
     for row in ingest.scan_annotated(store):
-        corpus.append(ingest.SentenceRef(*row[:3]))
+        if refs:
+            corpus.append(ingest.SentenceRef(*row[:3]))
         texts[row.sentence_id] = row.text
     table = matcher.OccurrenceTable.read(args.table)
-    _check_table_ids(table, texts, args.table, args.annotated)
+    missing = set(table.reverse).difference(texts)
+    if missing:
+        raise InputError(
+            f"{args.table} names {len(missing)} sentence id(s) that {args.annotated} "
+            f"does not hold (the lowest is {min(missing)}); match the table from that corpus"
+        )
+    return table, texts, corpus
+
+
+def cmd_build(args, config: EffectiveConfig) -> int:
+    from . import corpus_builder as cb
+
+    table, texts, corpus = _table_and_store(args, config, refs=True)
     band = config.band
     want = ("cxg", "base", "random") if args.variant == "all" else (args.variant,)
     with _outputs(args.out, config, "build") as stage:
@@ -280,11 +261,9 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_pairs(args) -> int:
-    from . import ingest, matcher
+def cmd_pairs(args, config: EffectiveConfig) -> int:
     from . import pair_sampler as ps
 
-    config = _effective_config(args)
     sizes = ()
     if (args.inoculation_sizes or "").strip():
         try:
@@ -297,11 +276,7 @@ def cmd_pairs(args) -> int:
                 f"got {args.inoculation_sizes!r}"
             )
 
-    store = _sentence_store(args.annotated, config)
-    check_sidecar(args.table, config, TABLE_KEYS)
-    texts = {row.sentence_id: row.text for row in ingest.scan_annotated(store)}
-    table = matcher.OccurrenceTable.read(args.table)
-    _check_table_ids(table, texts, args.table, args.annotated)
+    table, texts, _ = _table_and_store(args, config)
     with _outputs(args.out, config, "pairs") as stage:
         sampler_config = ps.SamplerConfig(seed=config.seed, strictness=config.strictness)
         sampled = ps.sample_pairs(table, config.band, sampler_config)
@@ -327,14 +302,13 @@ def cmd_pairs(args) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args, config: EffectiveConfig) -> int:
     from . import baseline as bl
     from . import pair_sampler as ps
 
     for name, path in (("train", args.train), ("test", args.test), ("--dev", args.dev)):
         if path == "":
             raise InputError(f"{name}: the path is empty")
-    config = _effective_config(args)
     given = {name: getattr(args, name) for name in ("dim", "learning_rate", "epochs", "l2")}
     hyper = bl.Hyperparams(seed=config.seed,
                            **{name: value for name, value in given.items() if value is not None})
@@ -364,11 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cxgcorpus",
         description="Construction-grammar corpus engine: annotate, match, "
         "build pre-training corpora, sample probe pairs, run the baseline.",
+        allow_abbrev=False,
     )
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is taken only as spelled in full, so that a prefix of a
+    # setting another stage takes (`stats --band` for `--band-edges`) is refused
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("annotate", help="parse and annotate a raw corpus")
+    p = add_parser("annotate", help="parse and annotate a raw corpus")
     p.add_argument("input")
     p.add_argument("out")
     p.add_argument("--mode", choices=["raw", "pre-split", "pre-annotated"], default="raw")
@@ -379,26 +357,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abbreviations")
     p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser("match", help="match an inventory against an annotated corpus")
+    p = add_parser("match", help="match an inventory against an annotated corpus")
     p.add_argument("annotated")
     p.add_argument("inventory")
     p.add_argument("out", help="output directory")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("stats", help="frequency bands of an occurrence table")
+    p = add_parser("stats", help="frequency bands of an occurrence table")
     p.add_argument("table")
     p.add_argument("out")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("build", help="build pre-training corpus variants")
+    p = add_parser("build", help="build pre-training corpus variants")
     p.add_argument("annotated")
     p.add_argument("table")
     p.add_argument("out", help="output directory")
     p.add_argument("--variant", choices=["cxg", "base", "random", "all"], default="all")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("pairs", help="sample same-construction pair datasets")
+    p = add_parser("pairs", help="sample same-construction pair datasets")
     p.add_argument("annotated")
     p.add_argument("table")
     p.add_argument("out", help="output directory")
@@ -406,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of training-subset sizes; none by default")
     p.set_defaults(func=cmd_pairs)
 
-    p = sub.add_parser("baseline", help="train/evaluate the pair-probe baseline")
+    p = add_parser("baseline", help="train/evaluate the pair-probe baseline")
     p.add_argument("train")
     p.add_argument("test")
     p.add_argument("out", help="output directory")
@@ -431,11 +409,18 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        return args.func(args)
+        overrides = {key: getattr(args, key) for key in STAGE_KEYS[args.command]
+                     if getattr(args, key) is not None}
+        return args.func(args, EffectiveConfig.from_sources(args.config, overrides))
     except (CxgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ import cxgcorpus
 from cxgcorpus import baseline as bl
 from cxgcorpus import cli
 from cxgcorpus import corpus_builder as cb
+from cxgcorpus import ingest
 from cxgcorpus import matcher
 from cxgcorpus import pair_sampler as ps
 from cxgcorpus.corpus_builder import MultisetReport
-from cxgcorpus.errors import FacetMissingError
+from cxgcorpus.errors import FacetMissingError, InputError
 from cxgcorpus.ingest import scan_annotated, store_path, write_annotated
 from cxgcorpus.inventory import load_inventory
 from cxgcorpus.matcher import brute_force_match, build_index, match_corpus
@@ -353,43 +354,72 @@ class TestExitCodes:
         assert filecmp.cmp(work["annotated"], out, shallow=False)
 
 
-class TestCollector:
-    """`match` builds its index with the cyclic collector paused and
-    freezes it; the stage leaves the collector as the caller had it."""
+# the library call in which each stage does its main work
+STAGE_CALLS = {
+    "annotate": (ingest, "write_annotated"),
+    "match": (matcher, "match_corpus"),
+    "stats": (matcher, "occurrence_stats"),
+    "build": (cb, "build_cxg_corpus"),
+    "pairs": (ps, "sample_pairs"),
+    "baseline": (bl, "train"),
+}
 
-    def _match(self, work, tmp_path, monkeypatch, inventory):
+
+class TestCollector:
+    """`cli.main` runs every stage with the cyclic collector paused,
+    freezes nothing, and leaves the collector as the caller had it."""
+
+    def _run(self, command, work, tmp_path, monkeypatch, fail=False):
+        """Run `command` of the fixture pipeline into `tmp_path`, recording
+        whether the collector was enabled in its main library call, which
+        raises an input error when `fail` is set."""
         seen = []
-        match_corpus = matcher.match_corpus
+        module, name = STAGE_CALLS[command]
+        call = getattr(module, name)
 
         def recording(*args, **kwargs):
-            seen.append((gc.isenabled(), gc.get_freeze_count() > 0))
-            return match_corpus(*args, **kwargs)
+            seen.append(gc.isenabled())
+            if fail:
+                raise InputError("refused by the test")
+            return call(*args, **kwargs)
 
-        monkeypatch.setattr(matcher, "match_corpus", recording)
-        argv = ["match", work["annotated"], str(inventory), str(tmp_path / "m"),
-                "--config", work["paths"]["config"]]
+        monkeypatch.setattr(module, name, recording)
+        if command == "stats":
+            argv = ["stats", str(work["out"] / "match" / "table.tsv"),
+                    str(tmp_path / "stats.tsv"), "--config", work["paths"]["config"]]
+        else:
+            (argv,) = [step for step in work["steps"] if step[0] == command]
+            out = 2 if command == "annotate" else 3
+            argv = [*argv[:out], str(tmp_path / command), *argv[out + 1:]]
         return cli.main(argv), seen
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_collector_restored_after_match(self, enabled, work, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fail", [False, True], ids=["ok", "exit-2"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("command", sorted(STAGE_CALLS))
+    def test_stage_pauses_and_restores_the_collector(
+        self, command, enabled, fail, work, tmp_path, monkeypatch
+    ):
         if not enabled:
             gc.disable()
         try:
-            code, seen = self._match(work, tmp_path, monkeypatch, work["paths"]["inventory"])
-            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, 0)
+            code, seen = self._run(command, work, tmp_path, monkeypatch, fail)
+            after = gc.isenabled()
         finally:
             gc.enable()
-        assert code == 0
-        assert seen == [(enabled, True)]  # the index was frozen while matching
-        assert filecmp.cmp(work["out"] / "match" / "table.tsv", tmp_path / "m" / "table.tsv",
-                           shallow=False)
+        assert code == (cli.EXIT_INPUT if fail else cli.EXIT_OK)
+        assert seen and not any(seen)
+        assert after == enabled
 
-    def test_collector_restored_after_a_failed_match(self, work, tmp_path, monkeypatch):
-        inventory = tmp_path / "bad_inventory.tsv"
-        inventory.write_text("0\tpos:NOUN\n1\tnope:x\n", encoding="utf-8")
-        code, seen = self._match(work, tmp_path, monkeypatch, inventory)
-        assert code == cli.EXIT_INPUT and seen == []
-        assert gc.isenabled() and gc.get_freeze_count() == 0
+    def test_match_keeps_what_the_caller_froze(self, work, tmp_path, monkeypatch):
+        held = [[i] for i in range(1000)]
+        gc.freeze()
+        try:
+            assert gc.get_freeze_count() >= len(held)
+            code, seen = self._run("match", work, tmp_path, monkeypatch)
+            assert gc.get_freeze_count() >= len(held)
+        finally:
+            gc.unfreeze()
+        assert code == cli.EXIT_OK and seen == [False]
 
 
 class TestDeterminism:
@@ -612,8 +642,12 @@ def _subparser(command) -> argparse.ArgumentParser:
 
 
 def run_cli(argv, capsys) -> tuple[int, str]:
-    """Exit code and stderr of one CLI call."""
-    code = cli.main([str(a) for a in argv])
+    """Exit code and stderr of one CLI call; argparse refuses a command
+    line by raising `SystemExit(2)`."""
+    try:
+        code = cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
     return code, capsys.readouterr().err
 
 
@@ -641,6 +675,7 @@ def _flag_case(stage, flag, value):
         argv = {
             "annotate": ["annotate", work["paths"]["corpus"], tmp / "a.tsv", "--mode", "pre-split"],
             "match": ["match", work["annotated"], work["paths"]["inventory"], tmp / "m"],
+            "stats": ["stats", table, tmp / "stats.tsv"],
             "pairs": ["pairs", work["annotated"], table, tmp / "p"],
             "baseline": ["baseline", pairs / "train.tsv", pairs / "test.tsv", tmp / "b"],
         }[stage]
@@ -736,6 +771,8 @@ MALFORMED = {
     "flag-empty-seed": _flag_case("baseline", "--seed", ""),
     "flag-unknown-strictness": _flag_case("pairs", "--strictness", "disjiont"),
     "flag-zero-jobs": _flag_case("match", "--jobs", "0"),
+    "flag-abbreviated-band-edges": _flag_case("stats", "--band", "2,50"),
+    "flag-abbreviated-max-gap": _flag_case("match", "--max", "3"),
     "flag-zero-dim": _flag_case("baseline", "--dim", "0"),
     "flag-negative-dim": _flag_case("baseline", "--dim", "-4"),
     "flag-zero-epochs": _flag_case("baseline", "--epochs", "0"),
