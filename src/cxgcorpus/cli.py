@@ -75,13 +75,11 @@ def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
 def _load_resources(args):
     from . import ingest
 
-    if args.lexicon or args.suffixes or args.clusters or args.tagset:
+    if args.lexicon or args.suffixes or args.clusters:
         if not (args.lexicon and args.suffixes):
             raise InputError("--lexicon and --suffixes must be given together, "
-                             "and --clusters and --tagset need both")
-        return ingest.AnnotationResources.load(
-            args.lexicon, args.suffixes, args.clusters, args.tagset
-        )
+                             "and --clusters needs both")
+        return ingest.AnnotationResources.load(args.lexicon, args.suffixes, args.clusters)
     return ingest.AnnotationResources.default()
 
 
@@ -89,15 +87,10 @@ def cmd_annotate(args, config: EffectiveConfig) -> int:
     from . import ingest
 
     resources = _load_resources(args)
-    abbreviations = (
-        ingest.load_abbreviations(args.abbreviations)
-        if args.abbreviations
-        else ingest.DEFAULT_ABBREVIATIONS
-    )
     out = Path(args.out)
     with _outputs(out.parent, config, "annotate") as stage:
         stream = ingest.iter_raw_lines(args.input)
-        sentences = ingest.annotate_corpus(stream, resources, args.mode, abbreviations)
+        sentences = ingest.annotate_corpus(stream, resources, args.mode)
         path = stage(out.name, ANNOTATE_KEYS)
         stage(ingest.store_path(out).name, ANNOTATE_KEYS, source=out.name)
         try:
@@ -353,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon")
     p.add_argument("--suffixes")
     p.add_argument("--clusters")
-    p.add_argument("--tagset")
-    p.add_argument("--abbreviations")
     p.set_defaults(func=cmd_annotate)
 
     p = add_parser("match", help="match an inventory against an annotated corpus")

@@ -28,17 +28,23 @@ unchanged.
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DecodeError, ParseError
 
-UNIVERSAL_TAGS = (
+# The one tag set: of the lexicon, the suffix rules, the pre-annotated
+# TSV and an inventory's `pos:` slots.
+UNIVERSAL_TAGS = frozenset({
     "ADJ", "ADP", "ADV", "AUX", "CCONJ", "DET", "INTJ", "NOUN", "NUM",
     "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
-)
+})
 
-DEFAULT_ABBREVIATIONS = frozenset({
+DEFAULT_TAG = "NOUN"  # the tag of a word no lexicon entry or suffix rule tags
+
+# words the sentence splitter does not split after
+ABBREVIATIONS = frozenset({
     "Mr.", "Mrs.", "Ms.", "Dr.", "Prof.", "St.", "Mt.", "Jr.", "Sr.",
     "vs.", "etc.", "e.g.", "i.e.", "cf.", "ca.", "al.", "Inc.", "Ltd.",
     "Co.", "Corp.", "Fig.", "No.", "Vol.", "pp.", "U.S.", "U.K.",
@@ -92,7 +98,8 @@ class AnnotationResources:
 
     pos_lexicon maps a word to its most frequent tag, suffix_rules are
     ordered longest-suffix-first, and cluster_map assigns semantic
-    cluster ids (required to be contiguous from 0).
+    cluster ids (required to be contiguous from 0). Every tag is one of
+    UNIVERSAL_TAGS.
     """
 
     def __init__(
@@ -100,30 +107,16 @@ class AnnotationResources:
         pos_lexicon: dict[str, str],
         suffix_rules: list[tuple[str, str]],
         cluster_map: dict[str, int],
-        tagset: tuple[str, ...] = UNIVERSAL_TAGS,
-        default_tag: str = "NOUN",
     ):
-        self.tagset = tuple(tagset)
-        tags = frozenset(self.tagset)
         for word, tag in pos_lexicon.items():
-            if tag not in tags:
-                raise ParseError(f"lexicon entry {word!r} uses unknown tag {tag!r}")
+            _known_tag("lexicon entry", word, tag)
         for suffix, tag in suffix_rules:
-            if tag not in tags:
-                raise ParseError(f"suffix rule {suffix!r} uses unknown tag {tag!r}")
-        if cluster_map:
-            ids = sorted(set(cluster_map.values()))
-            if ids[0] != 0 or ids[-1] != len(ids) - 1:
-                raise ParseError(
-                    f"cluster ids must form a contiguous range from 0, got {ids[:5]}..{ids[-1]}"
-                )
-        if default_tag not in tags:
-            raise ParseError(f"default tag {default_tag!r} not in tagset")
+            _known_tag("suffix rule", suffix, tag)
+        _check_contiguous(cluster_map)
         self.pos_lexicon = dict(pos_lexicon)
         # Longest suffix first; ties keep file order (stable sort).
         self.suffix_rules = sorted(suffix_rules, key=lambda r: -len(r[0]))
         self.cluster_map = dict(cluster_map)
-        self.default_tag = default_tag
 
     @classmethod
     def load(
@@ -131,41 +124,56 @@ class AnnotationResources:
         lexicon_path: str | Path,
         suffix_path: str | Path,
         cluster_path: str | Path | None = None,
-        tagset_path: str | Path | None = None,
     ) -> "AnnotationResources":
-        """Load resources from TSV files (word<TAB>tag etc.)."""
-        tagset = UNIVERSAL_TAGS
-        if tagset_path is not None:
-            tagset = tuple(
-                line.strip() for line in Path(tagset_path).read_text("utf-8").splitlines()
-                if line.strip()
-            )
-        lexicon = {}
-        for word, tag in _read_tsv_pairs(lexicon_path):
-            lexicon[word] = tag
-        suffixes = list(_read_tsv_pairs(suffix_path))
+        """Load resources from TSV files (word<TAB>tag etc.); an error
+        names the file and, for a bad entry, its line."""
+        lexicon = dict(_read_tsv_pairs(lexicon_path, partial(_known_tag, "lexicon entry")))
+        suffixes = list(_read_tsv_pairs(suffix_path, partial(_known_tag, "suffix rule")))
         clusters: dict[str, int] = {}
         if cluster_path is not None:
-            for word, cid in _read_tsv_pairs(cluster_path):
-                try:
-                    clusters[word] = int(cid)
-                except ValueError:
-                    raise ParseError(f"cluster id {cid!r} for {word!r} is not an integer")
-        return cls(lexicon, suffixes, clusters, tagset=tagset)
+            clusters = dict(_read_tsv_pairs(cluster_path, _cluster_id))
+            try:
+                _check_contiguous(clusters)
+            except ParseError as exc:
+                raise ParseError(f"{cluster_path}: {exc}") from exc
+        return cls(lexicon, suffixes, clusters)
 
     @classmethod
     def default(cls) -> "AnnotationResources":
         """Resources bundled with the package."""
         base = Path(__file__).parent / "resources"
         return cls.load(
-            base / "pos_lexicon.tsv",
-            base / "suffix_rules.tsv",
-            base / "clusters.tsv",
-            base / "tagset.txt",
+            base / "pos_lexicon.tsv", base / "suffix_rules.tsv", base / "clusters.tsv"
         )
 
 
-def _read_tsv_pairs(path: str | Path) -> Iterator[tuple[str, str]]:
+def _known_tag(what: str, key: str, tag: str) -> str:
+    if tag not in UNIVERSAL_TAGS:
+        raise ParseError(f"{what} {key!r} uses unknown tag {tag!r}")
+    return tag
+
+
+def _cluster_id(word: str, cid: str) -> int:
+    try:
+        return int(cid)
+    except ValueError:
+        raise ParseError(f"cluster id {cid!r} for {word!r} is not an integer") from None
+
+
+def _check_contiguous(cluster_map: dict[str, int]) -> None:
+    if cluster_map:
+        ids = sorted(set(cluster_map.values()))
+        if ids[0] != 0 or ids[-1] != len(ids) - 1:
+            raise ParseError(
+                f"cluster ids must form a contiguous range from 0, got {ids[:5]}..{ids[-1]}"
+            )
+
+
+def _read_tsv_pairs(
+    path: str | Path, value: Callable[[str, str], Any]
+) -> Iterator[tuple[str, Any]]:
+    """(key, value(key, field)) for each non-blank line `key<TAB>field`;
+    an error names `path:line`."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -174,12 +182,11 @@ def _read_tsv_pairs(path: str | Path) -> Iterator[tuple[str, str]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
-            yield parts[0], parts[1]
-
-
-def load_abbreviations(path: str | Path) -> frozenset[str]:
-    lines = Path(path).read_text("utf-8").splitlines()
-    return frozenset(line.strip() for line in lines if line.strip())
+            try:
+                field = value(*parts)
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            yield parts[0], field
 
 
 def iter_raw_lines(path: str | Path) -> Iterator[str]:
@@ -237,23 +244,21 @@ def parse_wikitext(stream: str | Iterable[str]) -> Iterator[tuple[int, str]]:
         yield article_id, text
 
 
-def split_sentences(
-    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Rule-based sentence splitting.
 
     A boundary is a run of `.`, `!`, `?` followed by whitespace and an
-    uppercase letter, unless the word ending in that punctuation is a
-    known abbreviation. End-of-text always closes the last sentence.
+    uppercase letter, unless the word ending in that punctuation is one
+    of ABBREVIATIONS. End-of-text always closes the last sentence.
     Newlines are treated as hard boundaries.
     """
     sentences: list[str] = []
     for line in text.split("\n"):
-        sentences.extend(_split_line(line, abbreviations))
+        sentences.extend(_split_line(line))
     return sentences
 
 
-def _split_line(text: str, abbreviations: frozenset[str]) -> list[str]:
+def _split_line(text: str) -> list[str]:
     out = []
     n = len(text)
     start = 0
@@ -271,7 +276,7 @@ def _split_line(text: str, abbreviations: frozenset[str]) -> list[str]:
                 while back >= start and not text[back].isspace():
                     back -= 1
                 word = text[back + 1 : j]
-                if word not in abbreviations:
+                if word not in ABBREVIATIONS:
                     piece = text[start:j].strip()
                     if piece:
                         out.append(piece)
@@ -300,7 +305,7 @@ def tag_pos(tokens: list[str], resources: AnnotationResources) -> list[str]:
                 tags[i] = next(
                     (tag for suffix, tag in rules
                      if tok.endswith(suffix) and len(tok) > len(suffix)),
-                    resources.default_tag,
+                    DEFAULT_TAG,
                 )
     return tags
 
@@ -309,7 +314,6 @@ def annotate_corpus(
     stream: str | Iterable[str],
     resources: AnnotationResources,
     mode: str = "raw",
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS,
 ) -> Iterator[AnnotatedSentence]:
     """Annotate a corpus stream, yielding AnnotatedSentence in order.
 
@@ -319,7 +323,7 @@ def annotate_corpus(
       pre-annotated -- the TSV format written by write_annotated, verbatim
     """
     if mode == "pre-annotated":
-        yield from read_annotated(stream, resources)
+        yield from read_annotated(stream)
         return
     if mode not in ("raw", "pre-split"):
         raise ParseError(f"unknown ingestion mode {mode!r}")
@@ -328,7 +332,7 @@ def annotate_corpus(
     sentence_id = 0
     for article_id, text in parse_wikitext(stream):
         if mode == "raw":
-            sents = split_sentences(text, abbreviations)
+            sents = split_sentences(text)
         else:
             sents = [line.strip() for line in text.split("\n") if line.strip()]
         position = 0
@@ -405,22 +409,19 @@ def write_annotated(
     return count
 
 
-def read_annotated(
-    stream: str | Iterable[str], resources: AnnotationResources | None = None
-) -> Iterator[AnnotatedSentence]:
+def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
     """Read the pre-annotated TSV back into AnnotatedSentence objects.
 
     Facets are taken verbatim; only structural validity is enforced:
-    column count, tag membership when resources are given, strictly
-    increasing sentence ids, and strictly increasing position within
-    each article (which implies corpus-wide uniqueness of
-    (article_id, position) without holding every pair in memory).
+    column count, tags in UNIVERSAL_TAGS, strictly increasing sentence
+    ids, and strictly increasing position within each article (which
+    implies corpus-wide uniqueness of (article_id, position) without
+    holding every pair in memory).
     Rows belong to one sentence while their ids, read as integers, stay
     the same.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
-    tags = frozenset(resources.tagset) if resources is not None else None
     sem_value = _Memo(_sem_value, {"-": None}).__getitem__
 
     cur_key: tuple[int, int, int] | None = None
@@ -450,7 +451,7 @@ def read_annotated(
         form, tag = parts[3], parts[4]
         if not form:
             raise ParseError(f"line {lineno}: empty token form")
-        if tags is not None and tag not in tags:
+        if tag not in UNIVERSAL_TAGS:
             raise ParseError(f"line {lineno}: unknown POS tag {tag!r}")
         try:
             sem = sem_value(parts[5])

@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .ingest import UNIVERSAL_TAGS, AnnotatedSentence
@@ -55,7 +55,6 @@ def render_name(construction: Construction) -> str:
 @dataclass
 class Inventory:
     constructions: list[Construction]
-    source: str = ""
 
     def __post_init__(self):
         seen_ids: set[int] = set()
@@ -82,14 +81,14 @@ class Inventory:
         return any(s.kind == "SEM" for c in self.constructions for s in c.slots)
 
 
-def _parse_slot(piece: str, col: int, tags: frozenset[str]) -> SlotConstraint:
+def _parse_slot(piece: str, col: int) -> SlotConstraint:
     kind, sep, value = piece.partition(":")
     if not sep or not value:
         raise ParseError(f"column {col}: slot {piece!r} is not kind:value")
     if kind == "lex":
         return SlotConstraint("LEX", value)
     if kind == "pos":
-        if value not in tags:
+        if value not in UNIVERSAL_TAGS:
             raise ParseError(f"column {col}: unknown POS tag {value!r}")
         return SlotConstraint("POS", value)
     if kind == "sem":
@@ -99,11 +98,9 @@ def _parse_slot(piece: str, col: int, tags: frozenset[str]) -> SlotConstraint:
     raise ParseError(f"column {col}: unknown slot prefix {kind!r}")
 
 
-def _parse_spec(
-    line: str, tags: frozenset[str], known: dict[str, SlotConstraint]
-) -> Construction:
-    """parse_construction_spec, given the tag set as a frozenset and
-    `known`, the slot of every valid slot text seen so far (added to)."""
+def _parse_spec(line: str, known: dict[str, SlotConstraint]) -> Construction:
+    """parse_construction_spec, given `known`, the slot of every valid
+    slot text seen so far (added to)."""
     head, sep, rest = line.rstrip("\n").partition("\t")
     if not sep:
         raise ParseError("construction spec needs <id><TAB><slots>")
@@ -116,7 +113,7 @@ def _parse_spec(
     for piece in rest.split(" "):
         if piece:
             if piece not in known:
-                known[piece] = _parse_slot(piece, col, tags)
+                known[piece] = _parse_slot(piece, col)
             slots.append(known[piece])
         col += len(piece) + 1
     if len(slots) < 2:
@@ -124,26 +121,22 @@ def _parse_spec(
     return Construction(cxg_id, tuple(slots))
 
 
-def parse_construction_spec(
-    line: str, tagset: Sequence[str] = UNIVERSAL_TAGS
-) -> Construction:
+def parse_construction_spec(line: str) -> Construction:
     """Parse one `<id><TAB>slot slot ...` line.
 
-    Slots are `lex:<form>`, `pos:<TAG>` or `sem:<int>`; errors report the
-    column (1-based character position) of the offending slot.
+    Slots are `lex:<form>`, `pos:<TAG>` with a TAG of UNIVERSAL_TAGS, or
+    `sem:<int>`; errors report the column (1-based character position)
+    of the offending slot.
     """
-    return _parse_spec(line, frozenset(tagset), {})
+    return _parse_spec(line, {})
 
 
-def load_inventory(
-    path: str | Path, tagset: Sequence[str] = UNIVERSAL_TAGS
-) -> Inventory:
+def load_inventory(path: str | Path) -> Inventory:
     """Load an inventory file, rejecting malformed lines and duplicates.
 
     Each distinct slot text is validated and built once, on the line
     where it first appears, and shared by every later line using it.
     """
-    tags = frozenset(tagset)
     known: dict[str, SlotConstraint] = {}
     constructions = []
     with open(path, encoding="utf-8") as fh:
@@ -151,10 +144,10 @@ def load_inventory(
             if not line.strip():
                 continue
             try:
-                constructions.append(_parse_spec(line, tags, known))
+                constructions.append(_parse_spec(line, known))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    inv = Inventory(constructions, source=str(path))
+    inv = Inventory(constructions)
     logger.info("loaded %d constructions from %s", len(inv), path)
     return inv
 
@@ -292,8 +285,4 @@ def induce_inventory(
             "induction produced an empty inventory (%d sentences, min_support=%d)",
             len(sentences), params.min_support,
         )
-    source = (
-        f"induced: max_len={params.max_len} min_support={params.min_support} "
-        f"min_assoc={params.min_assoc} max_inventory={params.max_inventory}"
-    )
-    return Inventory(constructions, source=source)
+    return Inventory(constructions)

@@ -416,9 +416,7 @@ class OccurrenceStats:
     below_min: int  # constructions with freq below the first edge
 
 
-def occurrence_stats(
-    table: OccurrenceTable, band_edges: Sequence[int] = (2, 10000)
-) -> OccurrenceStats:
+def occurrence_stats(table: OccurrenceTable, band_edges: Sequence[int]) -> OccurrenceStats:
     """Per-band construction counts, plus the count below the first band."""
     bands = bands_from_edges(band_edges)
     freqs = list(table.frequencies().values())

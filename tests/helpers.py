@@ -50,11 +50,9 @@ def sent(sid, toks, aid=0, pos=0) -> AnnotatedSentence:
     return from_tokens(sid, aid, pos, (Token(*t) for t in toks))
 
 
-def load_annotated_file(
-    path: str | Path, resources: AnnotationResources | None = None
-) -> list[AnnotatedSentence]:
+def load_annotated_file(path: str | Path) -> list[AnnotatedSentence]:
     with open(path, encoding="utf-8") as fh:
-        return list(read_annotated(fh, resources))
+        return list(read_annotated(fh))
 
 
 def sentence_text_map(corpus: Iterable[AnnotatedSentence]) -> dict[int, str]:
@@ -259,7 +257,7 @@ def make_desk(
         upper_ids.append(cid)
         cid += 1
 
-    inventory = Inventory(constructions, source="desk synthetic")
+    inventory = Inventory(constructions)
     lexicon = dict(tag_of)
     resources = AnnotationResources(lexicon, [], cluster_map)
 
@@ -313,7 +311,7 @@ def make_lexical_corpus(
     constructions = [
         Construction(i, (S("LEX", a), S("LEX", b))) for i, (a, b) in enumerate(anchors)
     ]
-    return sentences, Inventory(constructions, source="lexical synthetic")
+    return sentences, Inventory(constructions)
 
 
 def write_desk_files(desk: DeskCorpus, root) -> dict[str, str]:

@@ -750,6 +750,21 @@ def _pre_annotated_case(second_row):
     return case
 
 
+def _resource_case(flag, content, where):
+    """annotate with three small resource files, the one given to `flag`
+    holding `content`; the error names that file and then `where`."""
+    def case(work, tmp):
+        files = {"--lexicon": "the\tDET\n", "--suffixes": "ing\tVERB\n", "--clusters": "dog\t0\n"}
+        files[flag] = content
+        argv = ["annotate", work["paths"]["corpus"], tmp / "a.tsv", "--mode", "pre-split"]
+        for name, text in files.items():
+            path = tmp / f"{name[2:]}.tsv"
+            path.write_text(text, encoding="utf-8")
+            argv += [name, path]
+        return argv, f"{tmp / flag[2:]}.tsv{where}"
+    return case
+
+
 MALFORMED = {
     "config-seed": _config_case("seed = x"),
     "config-max-gap": _config_case("max_gap = x"),
@@ -760,8 +775,8 @@ MALFORMED = {
     "config-unknown-strictness": _config_case("strictness = disjiont"),
     "flag-band-edges": _flag_case("match", "--band-edges", "2,x"),
     "flag-descending-band-edges": _flag_case("match", "--band-edges", "50,2"),
-    "flag-tagset-without-lexicon": _flag_case(
-        "annotate", "--tagset", Path(cxgcorpus.__file__).parent / "resources" / "tagset.txt"),
+    "flag-clusters-without-lexicon": _flag_case(
+        "annotate", "--clusters", Path(cxgcorpus.__file__).parent / "resources" / "clusters.tsv"),
     "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
     "flag-negative-inoculation-size": _flag_case("pairs", "--inoculation-sizes", "-5,8"),
     "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
@@ -788,6 +803,10 @@ MALFORMED = {
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,
     "table-non-integer-id": _bad_table_id,
+    "lexicon-unknown-tag": _resource_case("--lexicon", "the\tDET\ndog\tBLORP\n", ":2: "),
+    "suffixes-unknown-tag": _resource_case("--suffixes", "ing\tVERB\ns\tVB\n", ":2: "),
+    "clusters-non-integer-id": _resource_case("--clusters", "dog\t0\ncat\tx\n", ":2: "),
+    "clusters-not-contiguous": _resource_case("--clusters", "dog\t0\ncat\t2\n", ": cluster ids"),
     "pre-annotated-non-integer-id": _pre_annotated_case("x\t0\t1\tb\tNOUN\t-"),
     "pre-annotated-id-goes-backwards": _pre_annotated_case("2\t0\t1\tb\tNOUN\t-"),
 }

@@ -1,11 +1,15 @@
+import builtins
 import io
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import cxgcorpus
 from cxgcorpus.errors import DecodeError, ParseError
 from cxgcorpus.ingest import (
+    DEFAULT_TAG,
+    UNIVERSAL_TAGS,
     AnnotatedSentence,
     AnnotationResources,
     Token,
@@ -18,6 +22,7 @@ from cxgcorpus.ingest import (
     tokenize,
     write_annotated,
 )
+from cxgcorpus.inventory import parse_construction_spec
 
 from helpers import from_tokens, load_annotated_file
 
@@ -156,49 +161,49 @@ class TestAnnotateCorpus:
         sents = list(annotate_corpus(" = A = \nMixedCase words.\n", resources, "raw"))
         assert sents[0].tokens[0].form == "MixedCase"
 
-    def test_pre_annotated_passthrough(self, resources):
+    def test_pre_annotated_passthrough(self):
         # three rows, three one-token sentences, facets exactly as given
         tsv = "0\t0\t0\tHello\tINTJ\t-\n1\t0\t1\tworld\tNOUN\t4\n5\t1\t0\tBye\tINTJ\t-\n"
-        sents = list(read_annotated(tsv, resources))
+        sents = list(read_annotated(tsv))
         assert len(sents) == 3
         assert sents[0].tokens[0].form == "Hello" and sents[0].tokens[0].sem is None
         assert sents[1].tokens[0].sem == 4
         assert sents[2].sentence_id == 5
 
-    def test_pre_annotated_multi_token_sentences(self, resources):
+    def test_pre_annotated_multi_token_sentences(self):
         tsv = "0\t0\t0\tHello\tINTJ\t-\n0\t0\t0\tworld\tNOUN\t4\n\n5\t1\t0\tBye\tINTJ\t-\n"
-        sents = list(read_annotated(tsv, resources))
+        sents = list(read_annotated(tsv))
         assert len(sents) == 2
         assert [t.form for t in sents[0].tokens] == ["Hello", "world"]
 
-    def test_pre_annotated_ids_are_read_as_integers(self, resources):
+    def test_pre_annotated_ids_are_read_as_integers(self):
         # `0` and `00` name one sentence; `07` and `7` one cluster
         tsv = "0\t0\t0\ta\tNOUN\t7\n00\t0\t0\tb\tVERB\t07\n0\t00\t000\tc\tDET\t-\n"
-        sents = list(read_annotated(tsv, resources))
+        sents = list(read_annotated(tsv))
         assert sents == [AnnotatedSentence(0, 0, 0, ["a", "b", "c"], ["NOUN", "VERB", "DET"],
                                            [7, 7, None])]
 
-    def test_pre_annotated_bad_sem_fields(self, resources):
+    def test_pre_annotated_bad_sem_fields(self):
         with pytest.raises(ParseError, match="line 2: bad sem field 'x'"):
-            list(read_annotated("0\t0\t0\ta\tNOUN\t-\n0\t0\t0\tb\tNOUN\tx\n", resources))
+            list(read_annotated("0\t0\t0\ta\tNOUN\t-\n0\t0\t0\tb\tNOUN\tx\n"))
         with pytest.raises(ParseError, match="line 1: negative cluster id -2"):
-            list(read_annotated("0\t0\t0\ta\tNOUN\t-2\n", resources))
+            list(read_annotated("0\t0\t0\ta\tNOUN\t-2\n"))
 
-    def test_pre_annotated_bad_columns(self, resources):
+    def test_pre_annotated_bad_columns(self):
         with pytest.raises(ParseError, match="line 2"):
-            list(read_annotated("0\t0\t0\ta\tNOUN\t-\n0\t0\t0\tb\tNOUN\n", resources))
+            list(read_annotated("0\t0\t0\ta\tNOUN\t-\n0\t0\t0\tb\tNOUN\n"))
 
-    def test_pre_annotated_ids_must_increase(self, resources):
+    def test_pre_annotated_ids_must_increase(self):
         tsv = "3\t0\t0\ta\tNOUN\t-\n\n2\t0\t1\tb\tNOUN\t-\n"
         with pytest.raises(ParseError, match="strictly increasing"):
-            list(read_annotated(tsv, resources))
+            list(read_annotated(tsv))
 
     def test_round_trip_identity(self, resources, tmp_path):
         stream = " = A = \nThe dog ran. A cat sat down.\n = B = \nBirds sing loudly.\n"
         original = list(annotate_corpus(stream, resources, "raw"))
         path = tmp_path / "annotated.tsv"
         write_annotated(original, path)
-        reloaded = load_annotated_file(path, resources)
+        reloaded = load_annotated_file(path)
         assert reloaded == original
 
     def test_tokens_view_gives_back_the_tokens(self):
@@ -225,3 +230,41 @@ class TestResources:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ParseError):
             AnnotationResources({"x": "BLORP"}, [], {})
+
+
+def test_every_bundled_resource_is_read(monkeypatch):
+    bundled = Path(cxgcorpus.__file__).parent / "resources"
+    opened = set()
+    real_open = io.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.add(Path(file).resolve())
+        return real_open(file, *args, **kwargs)
+
+    # Path.read_text and friends go through io.open, the builtin through builtins.open
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    AnnotationResources.default()
+    bundled = bundled.resolve()
+    assert {p for p in opened if p.parent == bundled} == set(bundled.iterdir())
+
+
+def _accepts(parse) -> bool:
+    try:
+        parse()
+    except ParseError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("tag", [*sorted(UNIVERSAL_TAGS), "NN", "noun", "BLORP"])
+def test_one_tag_set_for_annotation_and_inventory(tag):
+    in_lexicon = _accepts(lambda: AnnotationResources({"dog": tag}, [], {}))
+    in_suffix_rule = _accepts(lambda: AnnotationResources({}, [("s", tag)], {}))
+    in_tsv = _accepts(lambda: list(read_annotated(f"0\t0\t0\tdog\t{tag}\t-\n")))
+    in_slot = _accepts(lambda: parse_construction_spec(f"0\tpos:{tag} lex:ran"))
+    assert in_lexicon == in_suffix_rule == in_tsv == in_slot == (tag in UNIVERSAL_TAGS)
+
+
+def test_default_tag_is_in_the_tag_set():
+    assert DEFAULT_TAG in UNIVERSAL_TAGS
