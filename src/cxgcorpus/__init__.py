@@ -30,8 +30,8 @@ _EXPORTS = {
         "build_index", "match_corpus", "match_sentence", "occurrence_stats",
     ),
     "corpus_builder": (
-        "BuildManifest", "CorpusDocument", "build_base_clone", "build_cxg_corpus",
-        "build_random", "verify_multiset", "write_pretraining_file",
+        "BuildManifest", "build_base_clone", "build_cxg_corpus", "build_random",
+        "verify_multiset", "write_pretraining_file",
     ),
     "pair_sampler": (
         "PairExample", "PairText", "SamplerConfig", "audit_pairs",

@@ -94,7 +94,7 @@ def hash_feature(feature: str, dim: int) -> int:
 
 
 def featurize_pair(
-    text_a: str, text_b: str, dim: int = 2 ** 20, hashes: dict[str, int] | None = None
+    text_a: str, text_b: str, dim: int, hashes: dict[str, int] | None = None
 ) -> dict[int, float]:
     """Sparse hashed feature vector; deterministic for a given pair.
 

@@ -48,8 +48,6 @@ from .workspace import (
     write_sidecar,
 )
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_AUDIT = 3
@@ -73,8 +71,18 @@ def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
 
 
 def _load_resources(args):
+    """The annotator's resources: the files the flags name, or the
+    bundled ones. Pre-annotated mode takes the tags and clusters of its
+    TSV, so it has no resources and refuses the flags."""
     from . import ingest
 
+    if args.mode == "pre-annotated":
+        given = [flag(name) for name in ("lexicon", "suffixes", "clusters")
+                 if getattr(args, name) is not None]
+        if given:
+            raise InputError(f"{', '.join(given)}: --mode pre-annotated reads the tags and "
+                             "clusters of its TSV and takes no annotator resources")
+        return None
     if args.lexicon or args.suffixes or args.clusters:
         if not (args.lexicon and args.suffixes):
             raise InputError("--lexicon and --suffixes must be given together, "
@@ -95,9 +103,7 @@ def cmd_annotate(args, config: EffectiveConfig) -> int:
         stage(ingest.store_path(out).name, ANNOTATE_KEYS, source=out.name)
         try:
             count = ingest.write_annotated(sentences, path)
-        except ParseError as exc:
-            if args.mode != "pre-annotated":
-                raise
+        except ParseError as exc:  # only the pre-annotated reader raises one
             raise ParseError(f"{args.input}: {exc}") from exc
     print(f"annotated {count} sentences -> {args.out}")
     return EXIT_OK
@@ -302,9 +308,9 @@ def cmd_baseline(args, config: EffectiveConfig) -> int:
     for name, path in (("train", args.train), ("test", args.test), ("--dev", args.dev)):
         if path == "":
             raise InputError(f"{name}: the path is empty")
-    given = {name: getattr(args, name) for name in ("dim", "learning_rate", "epochs", "l2")}
-    hyper = bl.Hyperparams(seed=config.seed,
-                           **{name: value for name, value in given.items() if value is not None})
+    hyper = bl.Hyperparams(seed=config.seed)
+    if args.epochs is not None:
+        hyper.epochs = args.epochs
     bl.check_hyperparams(hyper, label=flag)
     scoring = ([("metrics_dev.tsv", args.dev)] if args.dev else []) + [("metrics.tsv", args.test)]
     for path in (args.train, *(path for _, path in scoring)):
@@ -380,11 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("out", help="output directory")
     p.add_argument("--dev")
-    # without a flag, a hyperparameter keeps its default in baseline.Hyperparams
-    p.add_argument("--dim", type=int)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--l2", type=float)
+    p.add_argument("--epochs", type=int)  # the default is baseline.Hyperparams's
     p.set_defaults(func=cmd_baseline)
 
     for command, p in sub.choices.items():

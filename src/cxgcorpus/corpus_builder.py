@@ -13,12 +13,16 @@ for a given frequency band:
              replicate the material up to the cxg variant's total;
   random  -- the base variant with all sentence occurrences globally
              shuffled and document breaks re-drawn (same document count).
+
+A document is the tuple of its sentence ids, in order.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -28,15 +32,6 @@ from .workspace import render_bound
 if TYPE_CHECKING:
     from .ingest import AnnotatedSentence, SentenceRef
     from .matcher import OccurrenceTable
-
-
-@dataclass(frozen=True)
-class CorpusDocument:
-    doc_id: int
-    kind: str  # cxg | article | random
-    ref: int   # cxg_id | article_id | segment index
-    copy_index: int
-    sentence_ids: tuple[int, ...]
 
 
 @dataclass
@@ -68,18 +63,13 @@ class BuildManifest:
 
 def build_cxg_corpus(
     table: OccurrenceTable, band: tuple[int, int | None]
-) -> tuple[list[CorpusDocument], BuildManifest]:
+) -> tuple[list[tuple[int, ...]], BuildManifest]:
     """One document per selected construction, sentences in id order."""
     selected = table.select_band(band)
     if not selected:
         raise EmptyBandError(f"band {band} selects no constructions")
-    docs = []
-    total = 0
-    for doc_id, cid in enumerate(selected):
-        sids = tuple(table.forward[cid])
-        total += len(sids)
-        docs.append(CorpusDocument(doc_id, "cxg", cid, 0, sids))
-    manifest = BuildManifest("cxg", band[0], band[1], total, len(docs))
+    docs = [tuple(table.forward[cid]) for cid in selected]
+    manifest = BuildManifest("cxg", band[0], band[1], sum(map(len, docs)), len(docs))
     return docs, manifest
 
 
@@ -88,7 +78,7 @@ def build_base_clone(
     table: OccurrenceTable,
     band: tuple[int, int | None],
     target_total: int,
-) -> tuple[list[CorpusDocument], BuildManifest]:
+) -> tuple[list[tuple[int, ...]], BuildManifest]:
     """Article-structured control corpus replicated to target_total.
 
     Sentences instantiating no selected construction are dropped, and
@@ -101,50 +91,32 @@ def build_base_clone(
     if not selected:
         raise EmptyBandError(f"band {band} selects no constructions")
 
-    ordered = sorted(corpus, key=lambda s: (s.article_id, s.position_in_article))
-    base_docs: list[tuple[int, tuple[int, ...]]] = []  # (article_id, sids)
+    base_docs: list[tuple[int, ...]] = []
     run: list[int] = []
-    run_article: int | None = None
-    n_kept = 0
-
-    def close_run():
-        nonlocal run
-        if run:
-            base_docs.append((run_article, tuple(run)))
-            run = []
-
-    for sent in ordered:
+    article = None
+    for sent in sorted(corpus, key=lambda s: (s.article_id, s.position_in_article)):
         keep = any(cid in selected for cid in table.constructions_of(sent.sentence_id))
-        if sent.article_id != run_article:
-            close_run()
-            run_article = sent.article_id
+        if run and (not keep or sent.article_id != article):
+            base_docs.append(tuple(run))
+            run = []
         if keep:
             run.append(sent.sentence_id)
-            n_kept += 1
-        else:
-            close_run()
-    close_run()
+        article = sent.article_id
+    if run:
+        base_docs.append(tuple(run))
 
+    n_kept = sum(map(len, base_docs))
     if n_kept == 0:
         raise InputError("no sentence instantiates any selected construction")
 
-    copies = target_total // n_kept
-    remainder = target_total - copies * n_kept
-
-    docs: list[CorpusDocument] = []
-    doc_id = 0
-    for copy_index in range(copies):
-        for article_id, sids in base_docs:
-            docs.append(CorpusDocument(doc_id, "article", article_id, copy_index, sids))
-            doc_id += 1
+    copies, remainder = divmod(target_total, n_kept)
+    docs = base_docs * copies
     still = remainder
-    for article_id, sids in base_docs:
+    for sids in base_docs:
         if still <= 0:
             break
-        take = sids if len(sids) <= still else sids[:still]
-        docs.append(CorpusDocument(doc_id, "article", article_id, copies, take))
-        doc_id += 1
-        still -= len(take)
+        docs.append(sids[:still])
+        still -= len(sids)
 
     manifest = BuildManifest(
         "base", band[0], band[1], target_total, len(docs),
@@ -154,35 +126,28 @@ def build_base_clone(
 
 
 def build_random(
-    base_documents: list[CorpusDocument],
+    base_documents: list[tuple[int, ...]],
     seed: int,
-    band: tuple[int, int | None] = (2, None),
-) -> tuple[list[CorpusDocument], BuildManifest]:
+    band: tuple[int, int | None],
+) -> tuple[list[tuple[int, ...]], BuildManifest]:
     """Shuffle all sentence occurrences of the base variant and re-draw
     document breaks as a uniform composition into the same number of
     non-empty documents.
     """
-    occurrences: list[int] = []
-    for doc in base_documents:
-        occurrences.extend(doc.sentence_ids)
+    occurrences = list(chain.from_iterable(base_documents))
     n_docs = len(base_documents)
     total = len(occurrences)
     rng = random.Random(seed)
     rng.shuffle(occurrences)
-    if n_docs > 1:
-        cuts = sorted(rng.sample(range(1, total), n_docs - 1))
-    else:
-        cuts = []
-    bounds = [0] + cuts + [total]
-    docs = []
-    for seg, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        docs.append(CorpusDocument(seg, "random", seg, 0, tuple(occurrences[a:b])))
+    cuts = sorted(rng.sample(range(1, total), n_docs - 1)) if n_docs > 1 else []
+    bounds = [0, *cuts, total]
+    docs = [tuple(occurrences[a:b]) for a, b in zip(bounds, bounds[1:])]
     manifest = BuildManifest("random", band[0], band[1], total, len(docs), seed=seed)
     return docs, manifest
 
 
 def write_pretraining_file(
-    documents: list[CorpusDocument],
+    documents: list[tuple[int, ...]],
     sentence_texts: Mapping[int, str],
     path: str | Path,
 ) -> None:
@@ -190,16 +155,14 @@ def write_pretraining_file(
     trailing blank line.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        first = True
-        for doc in documents:
-            if not first:
+        for index, doc in enumerate(documents):
+            if index:
                 fh.write("\n")
-            first = False
-            for sid in doc.sentence_ids:
+            for sid in doc:
                 try:
                     fh.write(sentence_texts[sid] + "\n")
                 except KeyError:
-                    raise InputError(f"{path}: unknown sentence id {sid} in document {doc.doc_id}")
+                    raise InputError(f"{path}: unknown sentence id {sid} in document {index}")
 
 
 @dataclass
@@ -226,19 +189,14 @@ class MultisetReport:
 
 
 def verify_multiset(
-    documents_a: list[CorpusDocument], documents_b: list[CorpusDocument]
+    documents_a: list[tuple[int, ...]], documents_b: list[tuple[int, ...]]
 ) -> MultisetReport:
     """Compare the sentence-occurrence multisets of two variants."""
-    from collections import Counter
-
-    count_a: Counter = Counter()
-    count_b: Counter = Counter()
-    for doc in documents_a:
-        count_a.update(doc.sentence_ids)
-    for doc in documents_b:
-        count_b.update(doc.sentence_ids)
-    mismatched = []
-    for sid in sorted(set(count_a) | set(count_b)):
-        if count_a[sid] != count_b[sid]:
-            mismatched.append((sid, count_a[sid], count_b[sid]))
+    count_a = Counter(chain.from_iterable(documents_a))
+    count_b = Counter(chain.from_iterable(documents_b))
+    mismatched = [
+        (sid, count_a[sid], count_b[sid])
+        for sid in sorted(count_a.keys() | count_b.keys())
+        if count_a[sid] != count_b[sid]
+    ]
     return MultisetReport(sum(count_a.values()), sum(count_b.values()), mismatched)

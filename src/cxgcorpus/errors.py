@@ -14,7 +14,7 @@ class InputError(CxgError):
 
 
 class DecodeError(InputError):
-    """Invalid UTF-8 in a raw corpus; message names the byte offset."""
+    """Invalid UTF-8 in an input file; the message names its line and byte offset."""
 
 
 class ParseError(InputError):

@@ -32,7 +32,8 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import DecodeError, ParseError
+from .errors import ParseError
+from .workspace import decode_error, read_lines
 
 # The one tag set: of the lexicon, the suffix rules, the pre-annotated
 # TSV and an inventory's `pos:` slots.
@@ -174,49 +175,31 @@ def _read_tsv_pairs(
 ) -> Iterator[tuple[str, Any]]:
     """(key, value(key, field)) for each non-blank line `key<TAB>field`;
     an error names `path:line`."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
-            try:
-                field = value(*parts)
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            yield parts[0], field
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(parts)}")
+        try:
+            field = value(*parts)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        yield parts[0], field
 
 
 def iter_raw_lines(path: str | Path) -> Iterator[str]:
     """Yield decoded lines from a raw UTF-8 corpus file, split on '\\n'
     only (a '\\r' stays in its line).
 
-    On invalid UTF-8 the file is read again in binary, line by line, to
-    report the absolute byte offset of the first bad byte ('\\n' never
-    occurs inside a multi-byte UTF-8 sequence, so splitting the bytes on
-    it is safe).
+    Invalid UTF-8 raises workspace.decode_error(path), which names
+    `path:line` and the byte offset of the first bad byte.
     """
     with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             yield from fh
         except UnicodeDecodeError as exc:
-            raise DecodeError(
-                f"{path}: invalid UTF-8 at byte offset {_first_bad_byte(path)}"
-            ) from exc
-
-
-def _first_bad_byte(path: str | Path) -> int | None:
-    offset = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return offset + exc.start
-            offset += len(raw)
-    return None
+            raise decode_error(path) from exc
 
 
 def parse_wikitext(stream: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -312,7 +295,7 @@ def tag_pos(tokens: list[str], resources: AnnotationResources) -> list[str]:
 
 def annotate_corpus(
     stream: str | Iterable[str],
-    resources: AnnotationResources,
+    resources: AnnotationResources | None,
     mode: str = "raw",
 ) -> Iterator[AnnotatedSentence]:
     """Annotate a corpus stream, yielding AnnotatedSentence in order.
@@ -320,7 +303,8 @@ def annotate_corpus(
     mode:
       raw          -- article parsing + sentence splitting + tokenization
       pre-split    -- article parsing; each non-blank line is one sentence
-      pre-annotated -- the TSV format written by write_annotated, verbatim
+      pre-annotated -- the TSV format written by write_annotated, verbatim;
+                       it reads no resources, which may be None
     """
     if mode == "pre-annotated":
         yield from read_annotated(stream)
@@ -493,21 +477,20 @@ def scan_annotated(path: str | Path) -> Iterator[AnnotatedSentence]:
     """Stream the sentences of a sentence store (see write_annotated),
     one line at a time."""
     sem_value = _Memo(_sem_value, {"-": None}).__getitem__
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.rstrip("\n").split("\t")
-            n, extra = divmod(len(fields) - 3, 3)
-            if n < 1 or extra:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 id fields and 3 fields per token, "
-                    f"got {len(fields)} fields"
-                )
-            try:
-                row = AnnotatedSentence(
-                    int(fields[0]), int(fields[1]), int(fields[2]),
-                    fields[3 : 3 + n], fields[3 + n : 3 + 2 * n],
-                    list(map(sem_value, fields[3 + 2 * n :])),
-                )
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer id or bad sem field")
-            yield row
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        n, extra = divmod(len(fields) - 3, 3)
+        if n < 1 or extra:
+            raise ParseError(
+                f"{path}:{lineno}: expected 3 id fields and 3 fields per token, "
+                f"got {len(fields)} fields"
+            )
+        try:
+            row = AnnotatedSentence(
+                int(fields[0]), int(fields[1]), int(fields[2]),
+                fields[3 : 3 + n], fields[3 + n : 3 + 2 * n],
+                list(map(sem_value, fields[3 + 2 * n :])),
+            )
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer id or bad sem field")
+        yield row

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .ingest import UNIVERSAL_TAGS, AnnotatedSentence
+from .workspace import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +87,8 @@ def _parse_slot(piece: str, col: int) -> SlotConstraint:
     if not sep or not value:
         raise ParseError(f"column {col}: slot {piece!r} is not kind:value")
     if kind == "lex":
+        if "\t" in value:  # as in a file whose lines end with a bare '\r'
+            raise ParseError(f"column {col}: lex form {value!r} holds a tab, which no token form can")
         return SlotConstraint("LEX", value)
     if kind == "pos":
         if value not in UNIVERSAL_TAGS:
@@ -139,14 +142,13 @@ def load_inventory(path: str | Path) -> Inventory:
     """
     known: dict[str, SlotConstraint] = {}
     constructions = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                constructions.append(_parse_spec(line, known))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            constructions.append(_parse_spec(line, known))
+        except ParseError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
     inv = Inventory(constructions)
     logger.info("loaded %d constructions from %s", len(inv), path)
     return inv

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import FacetMissingError, ParseError
-from .workspace import bands_from_edges, render_bound
+from .workspace import bands_from_edges, read_lines, render_bound
 
 if TYPE_CHECKING:
     from .ingest import AnnotatedSentence
@@ -308,35 +308,32 @@ class OccurrenceTable:
                 out.append(cid)
         return out
 
-    def write(self, table_path: str | Path, discards_path: str | Path | None = None) -> None:
+    def write(self, table_path: str | Path, discards_path: str | Path) -> None:
         with open(table_path, "w", encoding="utf-8") as fh:
             for cid in sorted(self.forward):
                 fh.write(f"{cid}\t{' '.join(str(s) for s in self.forward[cid])}\n")
-        if discards_path is not None:
-            with open(discards_path, "w", encoding="utf-8") as fh:
-                for sid in self.discarded:
-                    fh.write(f"{sid}\n")
+        with open(discards_path, "w", encoding="utf-8") as fh:
+            for sid in self.discarded:
+                fh.write(f"{sid}\n")
 
     @classmethod
     def read(cls, table_path: str | Path) -> "OccurrenceTable":
         """The table `write` wrote, without its discards, which no stage reads."""
         forward: dict[int, list[int]] = {}
-        with open(table_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cid_field, sep, rest = line.partition("\t")
-                if not sep:
-                    raise ParseError(f"{table_path}:{lineno}: expected cxg_id<TAB>ids")
-                try:
-                    cid = int(cid_field)
-                    sids = [int(s) for s in rest.split()] if rest else []
-                except ValueError:
-                    raise ParseError(f"{table_path}:{lineno}: non-integer id")
-                if cid in forward:
-                    raise ParseError(f"{table_path}:{lineno}: duplicate cxg_id {cid}")
-                forward[cid] = sids
+        for lineno, line in read_lines(table_path):
+            if not line:
+                continue
+            cid_field, sep, rest = line.partition("\t")
+            if not sep:
+                raise ParseError(f"{table_path}:{lineno}: expected cxg_id<TAB>ids")
+            try:
+                cid = int(cid_field)
+                sids = [int(s) for s in rest.split(" ")] if rest else []
+            except ValueError:
+                raise ParseError(f"{table_path}:{lineno}: non-integer id")
+            if cid in forward:
+                raise ParseError(f"{table_path}:{lineno}: duplicate cxg_id {cid}")
+            forward[cid] = sids
         return cls(forward)
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyBandError, InputError, ParseError
-from .workspace import STRICTNESS, parse_bound, render_bound
+from .workspace import STRICTNESS, parse_bound, read_lines, render_bound
 
 if TYPE_CHECKING:
     from .matcher import OccurrenceTable
@@ -320,21 +320,19 @@ def write_pairs(
 
 def read_pairs(path: str | Path) -> list[PairText]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-            label, text_a, text_b, anchor, lo, hi = parts
-            if label not in ("same", "different"):
-                raise ParseError(f"{path}:{lineno}: label must be same or different, got {label!r}")
-            try:
-                out.append(PairText(label, text_a, text_b, int(anchor), int(lo), parse_bound(hi)))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad numeric field")
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 6:
+            raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        label, text_a, text_b, anchor, lo, hi = parts
+        if label not in ("same", "different"):
+            raise ParseError(f"{path}:{lineno}: label must be same or different, got {label!r}")
+        try:
+            out.append(PairText(label, text_a, text_b, int(anchor), int(lo), parse_bound(hi)))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad numeric field")
     return out
 
 

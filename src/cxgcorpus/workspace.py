@@ -15,17 +15,47 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError, ParseError, StaleInputError
+from .errors import DecodeError, InputError, ParseError, StaleInputError
 
 STRICTNESS = ("anchor", "disjoint")
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a UTF-8 text file, split on
+    '\\n' only and without the '\\r' and '\\n' that end it, so that a
+    '\\r' inside a line stays. Invalid UTF-8 raises DecodeError naming
+    `path:line` and the byte offset of the first bad byte."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        try:
+            yield from enumerate(map(str.rstrip, fh, repeat("\r\n")), 1)
+        except UnicodeDecodeError as exc:
+            raise decode_error(path) from exc
+
+
+def decode_error(path: str | Path) -> DecodeError:
+    """The error for a file that is not valid UTF-8: the file is read
+    again in binary, line by line, to name the line and the absolute
+    byte offset of its first bad byte ('\\n' never occurs inside a
+    multi-byte UTF-8 sequence, so splitting the bytes on it is safe)."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DecodeError(
+                    f"{path}:{lineno}: invalid UTF-8 at byte offset {offset + exc.start}")
+            offset += len(raw)
+    return DecodeError(f"{path}: invalid UTF-8")
+
+
 def _config_entries(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) of each `key = value` line; '#' starts a comment."""
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for lineno, line in read_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

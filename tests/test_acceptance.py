@@ -119,23 +119,21 @@ def test_corpus_build_invariants(desk):
 
     cxg_docs, cxg_manifest = build_cxg_corpus(table, band)
     recount = sum(freq(table, c) for c in table.select_band(band))
-    ok_a = cxg_manifest.total_occurrences == recount == sum(
-        len(d.sentence_ids) for d in cxg_docs
-    )
+    ok_a = cxg_manifest.total_occurrences == recount == sum(map(len, cxg_docs))
 
     base_docs, base_manifest = build_base_clone(corpus, table, band, recount)
-    ok_b = sum(len(d.sentence_ids) for d in base_docs) == recount
+    ok_b = sum(map(len, base_docs)) == recount
 
     random_docs, _ = build_random(base_docs, seed=99, band=band)
-    base_sorted = sorted(s for d in base_docs for s in d.sentence_ids)
-    random_sorted = sorted(s for d in random_docs for s in d.sentence_ids)
+    base_sorted = sorted(s for d in base_docs for s in d)
+    random_sorted = sorted(s for d in random_docs for s in d)
     ok_c = base_sorted == random_sorted
 
     meta = {s.sentence_id: (s.article_id, s.position_in_article) for s in corpus}
     adjacent = 0
     violations = 0
     for doc in base_docs:
-        for a, b in zip(doc.sentence_ids, doc.sentence_ids[1:]):
+        for a, b in zip(doc, doc[1:]):
             adjacent += 1
             art_a, pos_a = meta[a]
             art_b, pos_b = meta[b]

@@ -37,8 +37,8 @@ SEPARABLE = [
 
 class TestFeaturize:
     def test_deterministic(self):
-        a = featurize_pair("the red dog", "a red cat")
-        b = featurize_pair("the red dog", "a red cat")
+        a = featurize_pair("the red dog", "a red cat", Hyperparams().dim)
+        b = featurize_pair("the red dog", "a red cat", Hyperparams().dim)
         assert a == b
 
     def test_disjoint_vocabulary_no_cross_features(self):

@@ -207,7 +207,7 @@ def test_import_loads_neither_numpy_nor_multiprocessing(work, tmp_path):
         assert loaded == {"cli", "errors", "workspace"} | STAGE_MODULES[stage], stage
 
 
-# The names `cxgcorpus` exported when its __init__ imported every module.
+# The names `cxgcorpus` exports, by the module each comes from.
 PACKAGE_EXPORTS = {
     "ingest": ("AnnotatedSentence", "AnnotationResources", "Token", "annotate_corpus",
                "parse_wikitext", "split_sentences", "tag_pos", "tokenize"),
@@ -216,9 +216,8 @@ PACKAGE_EXPORTS = {
                   "render_name", "write_inventory"),
     "matcher": ("MatchIndex", "MatchSpan", "OccurrenceTable", "brute_force_match",
                 "build_index", "match_corpus", "match_sentence", "occurrence_stats"),
-    "corpus_builder": ("BuildManifest", "CorpusDocument", "build_base_clone",
-                       "build_cxg_corpus", "build_random", "verify_multiset",
-                       "write_pretraining_file"),
+    "corpus_builder": ("BuildManifest", "build_base_clone", "build_cxg_corpus",
+                       "build_random", "verify_multiset", "write_pretraining_file"),
     "pair_sampler": ("PairExample", "PairText", "SamplerConfig", "audit_pairs",
                      "make_inoculation_subsets", "read_pairs", "sample_pairs", "write_pairs"),
     "baseline": ("Hyperparams", "LinearModel", "evaluate", "featurize_pair",
@@ -635,6 +634,24 @@ class TestConfig:
             tmp_path / "eight" / "model.bin").read_bytes()
 
 
+# Every option of each command, as spelled on the command line.
+OPTIONS = {
+    "annotate": {"--mode", "--lexicon", "--suffixes", "--clusters", "--config"},
+    "match": {"--jobs", "--config", "--max-gap", "--band-edges"},
+    "stats": {"--config", "--max-gap", "--band-edges"},
+    "build": {"--variant", "--config", "--max-gap", "--band", "--seed"},
+    "pairs": {"--inoculation-sizes", "--config", "--max-gap", "--band", "--seed", "--strictness"},
+    "baseline": {"--dev", "--epochs", "--config", "--max-gap", "--band", "--seed", "--strictness"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_stage_takes_exactly_its_options(command):
+    assert OPTIONS.keys() == STAGE_KEYS.keys()
+    options = {o for a in _subparser(command)._actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == OPTIONS[command]
+
+
 def _subparser(command) -> argparse.ArgumentParser:
     (commands,) = [action for action in cli.build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
@@ -765,6 +782,72 @@ def _resource_case(flag, content, where):
     return case
 
 
+def _pre_annotated_with_resources(work, tmp):
+    argv = ["annotate", work["annotated"], tmp / "a.tsv", "--mode", "pre-annotated",
+            "--lexicon", work["paths"]["lexicon"], "--suffixes", work["paths"]["suffixes"]]
+    return argv, "error: --lexicon, --suffixes: --mode pre-annotated"
+
+
+def _damaged(run, damage):
+    """`run(work, tmp)` gives the argv of a valid run and a file it reads;
+    `damage(file)` changes that file and returns what the error must name."""
+    def case(work, tmp):
+        argv, path = run(work, tmp)
+        return argv, damage(path)
+    return case
+
+
+def _invalid_utf8(path):
+    """A byte that is not UTF-8 (0xe9) at the start of the second line."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xe9" + lines[1]
+    path.write_bytes(b"".join(lines))
+    return f"{path}:2: invalid UTF-8 at byte offset {len(lines[0])}"
+
+
+def _bare_cr(path):
+    """Lines that end with a bare '\\r', which make the file one line."""
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+    return f"{path}:1: "
+
+
+def _reads_inventory(work, tmp):
+    inventory = Path(shutil.copy(work["paths"]["inventory"], tmp))
+    argv = ["match", work["annotated"], inventory, tmp / "m", "--config", work["paths"]["config"]]
+    return argv, inventory
+
+
+def _reads_config(work, tmp):
+    config = Path(shutil.copy(work["paths"]["config"], tmp))
+    return ["match", work["annotated"], work["paths"]["inventory"], tmp / "m", "--config", config], config
+
+
+def _reads_lexicon(work, tmp):
+    lexicon = Path(shutil.copy(work["paths"]["lexicon"], tmp))
+    argv = ["annotate", work["paths"]["corpus"], tmp / "a.tsv", "--mode", "pre-split",
+            "--lexicon", lexicon, "--suffixes", work["paths"]["suffixes"]]
+    return argv, lexicon
+
+
+def _reads_table(work, tmp):
+    table = Path(shutil.copy(work["out"] / "match" / "table.tsv", tmp))
+    return ["build", work["annotated"], table, tmp / "b", "--config", work["paths"]["config"]], table
+
+
+def _reads_pairs(work, tmp):
+    test = Path(shutil.copy(work["out"] / "pairs" / "test.tsv", tmp))
+    argv = ["baseline", work["out"] / "pairs" / "train.tsv", test, tmp / "b",
+            "--config", work["paths"]["config"]]
+    return argv, test
+
+
+def _reads_store(work, tmp):
+    annotated = copy_annotated(work, tmp)
+    argv = ["match", annotated, work["paths"]["inventory"], tmp / "m",
+            "--config", work["paths"]["config"]]
+    return argv, store_path(annotated)
+
+
 MALFORMED = {
     "config-seed": _config_case("seed = x"),
     "config-max-gap": _config_case("max_gap = x"),
@@ -788,14 +871,8 @@ MALFORMED = {
     "flag-zero-jobs": _flag_case("match", "--jobs", "0"),
     "flag-abbreviated-band-edges": _flag_case("stats", "--band", "2,50"),
     "flag-abbreviated-max-gap": _flag_case("match", "--max", "3"),
-    "flag-zero-dim": _flag_case("baseline", "--dim", "0"),
-    "flag-negative-dim": _flag_case("baseline", "--dim", "-4"),
     "flag-zero-epochs": _flag_case("baseline", "--epochs", "0"),
     "flag-negative-epochs": _flag_case("baseline", "--epochs", "-2"),
-    "flag-nan-learning-rate": _flag_case("baseline", "--learning-rate", "nan"),
-    "flag-zero-learning-rate": _flag_case("baseline", "--learning-rate", "0"),
-    "flag-infinite-l2": _flag_case("baseline", "--l2", "inf"),
-    "flag-negative-l2": _flag_case("baseline", "--l2", "-1"),
     "pair-label-not-same-or-different": _bad_pair_label,
     "empty-test-path": _empty_path("test"),
     "empty-dev-path": _empty_path("--dev"),
@@ -809,6 +886,19 @@ MALFORMED = {
     "clusters-not-contiguous": _resource_case("--clusters", "dog\t0\ncat\t2\n", ": cluster ids"),
     "pre-annotated-non-integer-id": _pre_annotated_case("x\t0\t1\tb\tNOUN\t-"),
     "pre-annotated-id-goes-backwards": _pre_annotated_case("2\t0\t1\tb\tNOUN\t-"),
+    "pre-annotated-with-lexicon": _pre_annotated_with_resources,
+    "inventory-invalid-utf8": _damaged(_reads_inventory, _invalid_utf8),
+    "config-invalid-utf8": _damaged(_reads_config, _invalid_utf8),
+    "lexicon-invalid-utf8": _damaged(_reads_lexicon, _invalid_utf8),
+    "table-invalid-utf8": _damaged(_reads_table, _invalid_utf8),
+    "pairs-invalid-utf8": _damaged(_reads_pairs, _invalid_utf8),
+    "store-invalid-utf8": _damaged(_reads_store, _invalid_utf8),
+    "inventory-bare-cr-line-ends": _damaged(_reads_inventory, _bare_cr),
+    "config-bare-cr-line-ends": _damaged(_reads_config, _bare_cr),
+    "lexicon-bare-cr-line-ends": _damaged(_reads_lexicon, _bare_cr),
+    "table-bare-cr-line-ends": _damaged(_reads_table, _bare_cr),
+    "pairs-bare-cr-line-ends": _damaged(_reads_pairs, _bare_cr),
+    "store-bare-cr-line-ends": _damaged(_reads_store, _bare_cr),
 }
 
 

@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from cxgcorpus.corpus_builder import (
-    CorpusDocument,
     build_base_clone,
     build_cxg_corpus,
     build_random,
@@ -36,16 +35,13 @@ class TestCxgBuild:
         table = OccurrenceTable({5: [0, 1, 2, 3, 4, 5]})
         docs, manifest = build_cxg_corpus(table, (2, None))
         assert len(docs) == 1
-        assert docs[0].sentence_ids == (0, 1, 2, 3, 4, 5)
-        assert docs[0].kind == "cxg" and docs[0].ref == 5
+        assert docs == [(0, 1, 2, 3, 4, 5)]
         assert manifest.total_occurrences == 6
 
     def test_sentence_repeats_per_membership(self):
         _, table = _toy_corpus_and_table()
         docs, _ = build_cxg_corpus(table, (2, None))
-        counts = Counter()
-        for doc in docs:
-            counts.update(doc.sentence_ids)
+        counts = Counter(sid for doc in docs for sid in doc)
         # sentence 1 instantiates constructions 0, 1 and 2
         assert counts[1] == len(table.constructions_of(1)) == 3
 
@@ -54,7 +50,7 @@ class TestCxgBuild:
         docs, manifest = build_cxg_corpus(desk_table, band)
         recount = sum(freq(desk_table, c) for c in desk_table.select_band(band))
         assert manifest.total_occurrences == recount
-        assert sum(len(d.sentence_ids) for d in docs) == recount
+        assert sum(map(len, docs)) == recount
 
     def test_empty_band_is_error(self):
         table = OccurrenceTable({0: [1, 2]})
@@ -66,21 +62,21 @@ class TestBaseClone:
     def test_drop_breaks_article(self):
         corpus, table = _toy_corpus_and_table()
         docs, manifest = build_base_clone(corpus, table, (2, None), target_total=4)
-        assert [d.sentence_ids for d in docs] == [(0, 1), (3, 4)]
+        assert docs == [(0, 1), (3, 4)]
         assert manifest.copies == 1 and manifest.prefix_len == 0
 
     def test_exact_double_copies(self):
         corpus, table = _toy_corpus_and_table()
         docs, manifest = build_base_clone(corpus, table, (2, None), target_total=8)
         assert manifest.copies == 2 and manifest.prefix_len == 0
-        assert [d.copy_index for d in docs] == [0, 0, 1, 1]
+        assert docs == [(0, 1), (3, 4)] * 2
 
     def test_prefix_splits_final_document(self):
         corpus, table = _toy_corpus_and_table()
         docs, manifest = build_base_clone(corpus, table, (2, None), target_total=7)
         assert manifest.copies == 1 and manifest.prefix_len == 3
-        assert sum(len(d.sentence_ids) for d in docs) == 7
-        assert docs[-1].sentence_ids == (3,)  # second document split after one sentence
+        assert sum(map(len, docs)) == 7
+        assert docs[-1] == (3,)  # second document split after one sentence
 
     def test_adjacency_invariant(self, desk, desk_table):
         band = (2, 10000)
@@ -88,7 +84,7 @@ class TestBaseClone:
         docs, _ = build_base_clone(desk.sentences, desk_table, band, cxg_manifest.total_occurrences)
         meta = {s.sentence_id: (s.article_id, s.position_in_article) for s in desk.sentences}
         for doc in docs:
-            for a, b in zip(doc.sentence_ids, doc.sentence_ids[1:]):
+            for a, b in zip(doc, doc[1:]):
                 art_a, pos_a = meta[a]
                 art_b, pos_b = meta[b]
                 assert art_a == art_b and pos_b == pos_a + 1
@@ -98,38 +94,35 @@ class TestBaseClone:
         _, cxg_manifest = build_cxg_corpus(desk_table, band)
         target = cxg_manifest.total_occurrences
         docs, manifest = build_base_clone(desk.sentences, desk_table, band, target)
-        assert sum(len(d.sentence_ids) for d in docs) == target == manifest.total_occurrences
+        assert sum(map(len, docs)) == target == manifest.total_occurrences
 
 
 class TestRandomVariant:
     def test_permutation_of_occurrences(self):
         corpus, table = _toy_corpus_and_table()
         base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=8)
-        rand_docs, _ = build_random(base_docs, seed=5)
-        base_occ = sorted(s for d in base_docs for s in d.sentence_ids)
-        rand_occ = sorted(s for d in rand_docs for s in d.sentence_ids)
+        rand_docs, _ = build_random(base_docs, seed=5, band=(2, None))
+        base_occ = sorted(s for d in base_docs for s in d)
+        rand_occ = sorted(s for d in rand_docs for s in d)
         assert base_occ == rand_occ
         assert len(rand_docs) == len(base_docs)
-        assert all(d.sentence_ids for d in rand_docs)
+        assert all(rand_docs)
 
     def test_same_seed_same_output(self):
         corpus, table = _toy_corpus_and_table()
         base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=8)
-        a, _ = build_random(base_docs, seed=11)
-        b, _ = build_random(base_docs, seed=11)
-        assert [d.sentence_ids for d in a] == [d.sentence_ids for d in b]
-        c, _ = build_random(base_docs, seed=12)
-        assert [d.sentence_ids for d in a] != [d.sentence_ids for d in c]
+        a, _ = build_random(base_docs, seed=11, band=(2, None))
+        b, _ = build_random(base_docs, seed=11, band=(2, None))
+        assert a == b
+        c, _ = build_random(base_docs, seed=12, band=(2, None))
+        assert a != c
 
 
 class TestPretrainingFile:
     def test_blank_line_between_documents(self, tmp_path):
         corpus, _ = _toy_corpus_and_table()
         texts = sentence_text_map(corpus)
-        docs = [
-            CorpusDocument(0, "article", 0, 0, (0,)),
-            CorpusDocument(1, "article", 0, 0, (3,)),
-        ]
+        docs = [(0,), (3,)]
         path = tmp_path / "out.txt"
         write_pretraining_file(docs, texts, path)
         assert path.read_text("utf-8") == "w0\n\nw3\n"
@@ -146,7 +139,7 @@ class TestPretrainingFile:
         path = tmp_path / "out.txt"
         write_pretraining_file(docs, texts, path)
         reread = read_pretraining_file(path)
-        assert reread == [[texts[s] for s in d.sentence_ids] for d in docs]
+        assert reread == [[texts[s] for s in d] for d in docs]
 
 
 class TestVerifyMultiset:
@@ -162,18 +155,14 @@ class TestVerifyMultiset:
     def test_base_vs_random_exact_equality(self):
         corpus, table = _toy_corpus_and_table()
         base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=9)
-        rand_docs, _ = build_random(base_docs, seed=3)
+        rand_docs, _ = build_random(base_docs, seed=3, band=(2, None))
         report = verify_multiset(base_docs, rand_docs)
         assert report.equal_multisets
 
     def test_deleted_sentence_named(self):
         corpus, table = _toy_corpus_and_table()
         base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=4)
-        truncated = list(base_docs)
-        last = truncated[-1]
-        truncated[-1] = CorpusDocument(
-            last.doc_id, last.kind, last.ref, last.copy_index, last.sentence_ids[:-1]
-        )
+        truncated = [*base_docs[:-1], base_docs[-1][:-1]]
         report = verify_multiset(base_docs, truncated)
         assert not report.equal_multisets
         assert report.mismatched[0][0] == 4  # sentence id 4 went missing

@@ -23,6 +23,7 @@ from cxgcorpus.ingest import (
     write_annotated,
 )
 from cxgcorpus.inventory import parse_construction_spec
+from cxgcorpus.workspace import read_lines
 
 from helpers import from_tokens, load_annotated_file
 
@@ -64,7 +65,7 @@ class TestParseWikitext:
     def test_decode_error_names_byte_offset(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"good line\n\xff\xfe broken\n")
-        with pytest.raises(DecodeError, match="byte offset 10"):
+        with pytest.raises(DecodeError, match="bad.txt:2: invalid UTF-8 at byte offset 10"):
             list(iter_raw_lines(p))
 
     def test_decode_error_past_the_first_64_kib(self, tmp_path):
@@ -79,6 +80,14 @@ class TestParseWikitext:
         data = "a\rb\r\nc\u2028d\x0be\nlast".encode("utf-8")
         p.write_bytes(data)
         assert list(iter_raw_lines(p)) == ["a\rb\r\n", "c\u2028d\x0be\n", "last"]
+
+    def test_structured_lines_lose_only_their_ending(self, tmp_path):
+        p = tmp_path / "table.tsv"
+        p.write_bytes("a\rb\r\nc\u2028d\x0be\n\nlast\r".encode("utf-8"))
+        assert list(read_lines(p)) == [(1, "a\rb"), (2, "c\u2028d\x0be"), (3, ""), (4, "last")]
+        p.write_bytes(b"one\ntwo\nt\xe9\n")
+        with pytest.raises(DecodeError, match="table.tsv:3: invalid UTF-8 at byte offset 9$"):
+            list(read_lines(p))
 
 
 class TestSplitSentences:
