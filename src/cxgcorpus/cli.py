@@ -72,19 +72,23 @@ def _sentence_store(annotated: str, config: EffectiveConfig) -> Path:
 
 def _load_resources(args):
     """The annotator's resources: the files the flags name, or the
-    bundled ones. Pre-annotated mode takes the tags and clusters of its
-    TSV, so it has no resources and refuses the flags."""
+    bundled ones; an empty path is refused. Pre-annotated mode takes the
+    tags and clusters of its TSV, so it has no resources and refuses the
+    flags."""
     from . import ingest
 
+    given = [name for name in ("lexicon", "suffixes", "clusters")
+             if getattr(args, name) is not None]
+    for name in given:
+        if not getattr(args, name):
+            raise InputError(f"{flag(name)}: the path is empty")
     if args.mode == "pre-annotated":
-        given = [flag(name) for name in ("lexicon", "suffixes", "clusters")
-                 if getattr(args, name) is not None]
         if given:
-            raise InputError(f"{', '.join(given)}: --mode pre-annotated reads the tags and "
-                             "clusters of its TSV and takes no annotator resources")
+            raise InputError(f"{', '.join(map(flag, given))}: --mode pre-annotated reads the "
+                             "tags and clusters of its TSV and takes no annotator resources")
         return None
-    if args.lexicon or args.suffixes or args.clusters:
-        if not (args.lexicon and args.suffixes):
+    if given:
+        if args.lexicon is None or args.suffixes is None:
             raise InputError("--lexicon and --suffixes must be given together, "
                              "and --clusters needs both")
         return ingest.AnnotationResources.load(args.lexicon, args.suffixes, args.clusters)
@@ -167,11 +171,13 @@ def cmd_match(args, config: EffectiveConfig) -> int:
 
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1:
+        print(f"--jobs {args.jobs} is ignored: match runs in one process", file=sys.stderr)
     store = _sentence_store(args.annotated, config)
     index = matcher.build_index(inv.load_inventory(args.inventory))
     with _outputs(args.out, config, "match") as stage:
         corpus = ingest.scan_annotated(store)
-        table = matcher.match_corpus(index, corpus, config.max_gap, jobs=args.jobs)
+        table = matcher.match_corpus(index, corpus, config.max_gap)
         table.write(stage("table.tsv", TABLE_KEYS), stage("discards.txt", TABLE_KEYS))
         stats = matcher.occurrence_stats(table, config.band_edges)
         matcher.write_stats(stats, stage("stats.tsv", STATS_KEYS))
@@ -358,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("annotated")
     p.add_argument("inventory")
     p.add_argument("out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored, for old scripts: match runs in one process")
     p.set_defaults(func=cmd_match)
 
     p = add_parser("stats", help="frequency bands of an occurrence table")

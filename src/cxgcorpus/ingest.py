@@ -415,7 +415,7 @@ def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
     last_pos_by_article: dict[int, int] = {}
 
     for lineno, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line.strip():
             if cur_key is not None:
                 yield AnnotatedSentence(*cur_key, forms, tag_col, sems)

@@ -77,10 +77,6 @@ class Inventory:
     def __iter__(self):
         return iter(self.constructions)
 
-    @property
-    def uses_sem(self) -> bool:
-        return any(s.kind == "SEM" for c in self.constructions for s in c.slots)
-
 
 def _parse_slot(piece: str, col: int) -> SlotConstraint:
     kind, sep, value = piece.partition(":")

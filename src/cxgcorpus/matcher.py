@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -40,8 +39,6 @@ if TYPE_CHECKING:
     from .inventory import Inventory
 
 logger = logging.getLogger(__name__)
-
-_CHUNK_SIZE = 512  # sentences per unit of work in match_corpus
 
 
 @dataclass(frozen=True)
@@ -125,14 +122,6 @@ class MatchIndex:
         return [frozenset(f for f in fids if f is not None) for fids in zip(*columns)]
 
 
-def _check_facets(uses_sem: bool, sentence_id: int, sems: list) -> None:
-    if uses_sem and sems.count(None) == len(sems):
-        raise FacetMissingError(
-            f"sentence {sentence_id} carries no SEM annotations "
-            "but the inventory uses SEM slots"
-        )
-
-
 def _smear_steps(max_gap: int, n: int) -> tuple[int, ...]:
     """Shifts that spread a position bitmask over a gap of up to max_gap
     tokens: after a shift by 1, OR-ing in the mask shifted by each step
@@ -162,7 +151,6 @@ def _verify(
     per-sentence core. Bit i of a mask is set when token i carries the
     facet; bit i of starts, when an alignment of all slots begins at i."""
     sems = sentence.sems
-    _check_facets(index.uses_sem, sentence.sentence_id, sems)
     masks: dict[int, int] = {}
     get = masks.get
     bit = 1
@@ -226,7 +214,6 @@ def brute_force_match(
     """Reference matcher: direct recursion over slots and gaps at every
     start position, for every construction. Oracle for match_sentence.
     """
-    _check_facets(inventory.uses_sem, sentence.sentence_id, sentence.sems)
     tokens = sentence.tokens
     n = len(tokens)
 
@@ -337,61 +324,34 @@ class OccurrenceTable:
         return cls(forward)
 
 
-def _match_chunk(
-    index: MatchIndex, chunk: list[AnnotatedSentence], max_gap: int
-) -> list[tuple[int, list[int]]]:
-    return [(s.sentence_id, list(_verify(index, s, max_gap)[2])) for s in chunk]
-
-
-_POOL_STATE: tuple[MatchIndex, int] | None = None
-
-
-def _pool_init(index: MatchIndex, max_gap: int) -> None:
-    global _POOL_STATE
-    _POOL_STATE = (index, max_gap)
-
-
-def _pool_match(chunk: list[AnnotatedSentence]) -> list[tuple[int, list[int]]]:
-    index, max_gap = _POOL_STATE  # type: ignore[misc]
-    return _match_chunk(index, chunk, max_gap)
-
-
 def match_corpus(
-    index: MatchIndex,
-    corpus: Iterable[AnnotatedSentence],
-    max_gap: int = 1,
-    jobs: int = 1,
+    index: MatchIndex, corpus: Iterable[AnnotatedSentence], max_gap: int = 1
 ) -> OccurrenceTable:
     """Match a whole corpus, producing the occurrence table.
 
-    Sentences are processed independently, in chunks, and merged
-    in corpus order, so the result does not depend on the worker count.
+    One loop over the sentences, in corpus order, in this process. A
+    sentence without sem ids matches no SEM slot; only a corpus in which
+    no sentence carries one is refused, and only when the inventory has
+    SEM slots, since every such construction would then be empty.
     """
     forward: dict[int, list[int]] = {cid: [] for cid in index.cxg_ids}
     reverse: dict[int, list[int]] = {}
     discarded: list[int] = []
-
-    sentences = iter(corpus)
-    chunks = iter(lambda: list(islice(sentences, _CHUNK_SIZE)), [])
-    with ExitStack() as stack:
-        if jobs <= 1:
-            results: Iterable[list[tuple[int, list[int]]]] = (
-                _match_chunk(index, chunk, max_gap) for chunk in chunks
-            )
+    sem_seen = not index.uses_sem  # counted per sentence only until one carries a sem id
+    for sentence in corpus:
+        if not sem_seen:
+            sem_seen = sentence.sems.count(None) != len(sentence.sems)
+        sid = sentence.sentence_id
+        cids = list(_verify(index, sentence, max_gap)[2])
+        if cids:
+            for cid in cids:
+                forward[cid].append(sid)
+            reverse[sid] = cids
         else:
-            from multiprocessing import get_context  # only pool runs pay for the import
-
-            pool = stack.enter_context(get_context().Pool(
-                jobs, initializer=_pool_init, initargs=(index, max_gap)))
-            results = pool.imap(_pool_match, chunks)
-        for chunk_result in results:
-            for sid, cids in chunk_result:
-                if cids:
-                    for cid in cids:
-                        forward[cid].append(sid)
-                    reverse[sid] = cids
-                else:
-                    discarded.append(sid)
+            discarded.append(sid)
+    if not sem_seen:
+        raise FacetMissingError(
+            "the corpus carries no SEM annotations but the inventory uses SEM slots")
     matched = len(reverse)
     logger.info(
         "matched corpus: %d sentences instantiate >=1 construction, %d discarded",

@@ -168,7 +168,7 @@ def flag_help(key: str) -> str:
 
 @dataclass
 class EffectiveConfig:
-    """The settings that affect derived outputs (worker count excluded)."""
+    """The settings that affect derived outputs."""
 
     seed: int = 0
     band: tuple[int, int | None] = (2, 10000)

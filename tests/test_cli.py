@@ -278,6 +278,36 @@ def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     assert (tmp_path / "stats.tsv").read_bytes() == (out / "match" / "stats.tsv").read_bytes()
 
 
+class TestSemCheck:
+    """SEM annotations are checked once per corpus: a sentence with no
+    clustered word matches no `sem:` slot, and only a corpus without any
+    sem id is refused by an inventory with `sem:` slots."""
+
+    def _match(self, tmp_path, capsys, *resource_flags):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("The dog ran.\nOh!\n", encoding="utf-8")  # only `dog` has a cluster
+        inventory = tmp_path / "inventory.tsv"
+        inventory.write_text("0\tpos:DET sem:0\n", encoding="utf-8")
+        annotated = tmp_path / "a" / "annotated.tsv"
+        argv = ["annotate", corpus, annotated, "--mode", "pre-split", *resource_flags]
+        assert cli.main([str(a) for a in argv]) == 0
+        return run_cli(["match", annotated, inventory, tmp_path / "m"], capsys)
+
+    def test_sentence_without_sem_ids_matches_no_sem_slot(self, tmp_path, capsys):
+        code, err = self._match(tmp_path, capsys)
+        assert code == cli.EXIT_OK, err
+        assert (tmp_path / "m" / "table.tsv").read_text(encoding="utf-8") == "0\t0\n"
+        assert (tmp_path / "m" / "discards.txt").read_text(encoding="utf-8") == "1\n"
+
+    def test_corpus_without_sem_ids_exits_2(self, tmp_path, capsys):
+        bundled = Path(cxgcorpus.__file__).parent / "resources"
+        code, err = self._match(tmp_path, capsys, "--lexicon", bundled / "pos_lexicon.tsv",
+                                "--suffixes", bundled / "suffix_rules.tsv")
+        assert code == cli.EXIT_INPUT
+        assert "error: the corpus carries no SEM annotations but the inventory uses SEM slots" in err
+        assert not any((tmp_path / "m").iterdir())
+
+
 class TestExitCodes:
     def test_missing_input_is_input_error(self, tmp_path):
         assert cli.main(["annotate", str(tmp_path / "nope.txt"), str(tmp_path / "o.tsv")]) == cli.EXIT_INPUT
@@ -438,11 +468,13 @@ class TestDeterminism:
             shallow=False,
         )
 
-    def test_jobs_flag_does_not_change_output(self, work, tmp_path):
+    def test_jobs_flag_does_not_change_output(self, work, tmp_path, capsys):
+        # `--jobs` is accepted for old scripts and ignored, with one line saying so
         paths = work["paths"]
         argv = ["match", work["annotated"], paths["inventory"], str(tmp_path / "match8"),
                 "--config", paths["config"], "--jobs", "2"]
         assert cli.main(argv) == 0
+        assert capsys.readouterr().err == "--jobs 2 is ignored: match runs in one process\n"
         assert filecmp.cmp(
             work["out"] / "match" / "table.tsv", tmp_path / "match8" / "table.tsv",
             shallow=False,
@@ -759,6 +791,13 @@ def _empty_path(argument):
     return case
 
 
+def _empty_resource(flag):
+    def case(work, tmp):
+        argv, _ = _flag_case("annotate", flag, "")(work, tmp)
+        return argv, f"error: {flag}: the path is empty"
+    return case
+
+
 def _pre_annotated_case(second_row):
     def case(work, tmp):
         tsv = tmp / "external.tsv"
@@ -860,6 +899,9 @@ MALFORMED = {
     "flag-descending-band-edges": _flag_case("match", "--band-edges", "50,2"),
     "flag-clusters-without-lexicon": _flag_case(
         "annotate", "--clusters", Path(cxgcorpus.__file__).parent / "resources" / "clusters.tsv"),
+    "flag-empty-lexicon": _empty_resource("--lexicon"),
+    "flag-empty-suffixes": _empty_resource("--suffixes"),
+    "flag-empty-clusters": _empty_resource("--clusters"),
     "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
     "flag-negative-inoculation-size": _flag_case("pairs", "--inoculation-sizes", "-5,8"),
     "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
@@ -958,12 +1000,30 @@ class TestSentenceStore:
             assert got.constructions_of(s.sentence_id) == oracle
 
     def test_facet_missing_fires_on_store_path(self, annotated, tmp_path, capsys):
+        # sentence 1 carries no sem id, the others do: only a corpus
+        # without any is refused
         inventory = tmp_path / "inventory.tsv"
         inventory.write_text("0\tsem:7 pos:AUX\n1\tpos:PRON pos:VERB\n", encoding="utf-8")
         index = build_index(load_inventory(inventory))
         rows = list(scan_annotated(store_path(annotated)))
-        assert match_corpus(index, rows[:1]).forward == {0: [0], 1: []}
-        with pytest.raises(FacetMissingError, match="sentence 1"):
-            match_corpus(index, rows)
-        code, err = run_cli(["match", annotated, inventory, tmp_path / "m"], capsys)
-        assert code == cli.EXIT_INPUT and "sentence 1" in err
+        assert match_corpus(index, rows).forward == {0: [0], 1: [1, 4]}
+        with pytest.raises(FacetMissingError, match="the corpus carries no SEM annotations"):
+            match_corpus(index, rows[1:2])
+        assert cli.main(["match", str(annotated), str(inventory), str(tmp_path / "m")]) == 0
+        assert (tmp_path / "m" / "table.tsv").read_text(encoding="utf-8") == "0\t0\n1\t1 4\n"
+
+        external = tmp_path / "no_sem.tsv"
+        external.write_text("0\t0\t0\tit\tPRON\t-\n0\t0\t0\tis\tAUX\t-\n", encoding="utf-8")
+        no_sem = tmp_path / "no_sem" / "annotated.tsv"
+        assert cli.main(["annotate", str(external), str(no_sem), "--mode", "pre-annotated"]) == 0
+        code, err = run_cli(["match", no_sem, inventory, tmp_path / "m2"], capsys)
+        assert code == cli.EXIT_INPUT and "the corpus carries no SEM annotations" in err
+        assert not any((tmp_path / "m2").iterdir())
+
+    def test_crlf_tsv_annotates_like_lf(self, annotated, tmp_path):
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(EXTERNAL_TSV.replace("\n", "\r\n").encode("utf-8"))
+        again = tmp_path / "crlf" / "annotated.tsv"
+        assert cli.main(["annotate", str(crlf), str(again), "--mode", "pre-annotated"]) == 0
+        assert again.read_bytes() == annotated.read_bytes()
+        assert store_path(again).read_bytes() == store_path(annotated).read_bytes()
