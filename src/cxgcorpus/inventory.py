@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParseError
 from .ingest import UNIVERSAL_TAGS, AnnotatedSentence
@@ -53,29 +53,48 @@ def render_name(construction: Construction) -> str:
     return " + ".join(s.render() for s in construction.slots)
 
 
-@dataclass
 class Inventory:
-    constructions: list[Construction]
+    """Constructions compiled for the matcher: `facets` holds each
+    distinct slot once, in order of first use, and `slot_ids` maps each
+    cxg_id to its slots' indices into `facets`, in slot order.
+    `constructions` (and iteration) builds the Construction values."""
 
-    def __post_init__(self):
-        seen_ids: set[int] = set()
-        seen_slots: dict[tuple, int] = {}
-        for con in self.constructions:
-            if con.cxg_id in seen_ids:
-                raise ParseError(f"duplicate cxg_id {con.cxg_id}")
-            dup = seen_slots.get(con.slots)
-            if dup is not None:
-                raise ParseError(
-                    f"constructions {dup} and {con.cxg_id} have identical slot sequences"
-                )
-            seen_slots[con.slots] = con.cxg_id
-            seen_ids.add(con.cxg_id)
+    def __init__(self, constructions: Iterable[Construction] = ()):
+        self._facet_ids: dict[SlotConstraint, int] = {}  # in order of first use
+        self.slot_ids: dict[int, tuple[int, ...]] = {}
+        self._owners: dict[tuple[int, ...], int] = {}  # slot ids -> cxg_id
+        for con in constructions:
+            self.add(con.cxg_id, tuple(map(self.facet_id, con.slots)))
+
+    @property
+    def facets(self) -> list[SlotConstraint]:
+        return list(self._facet_ids)
+
+    def facet_id(self, slot: SlotConstraint) -> int:
+        return self._facet_ids.setdefault(slot, len(self._facet_ids))
+
+    def add(self, cxg_id: int, fids: tuple[int, ...]) -> None:
+        """Add a construction, refusing a duplicate id or slot sequence."""
+        if cxg_id in self.slot_ids:
+            raise ParseError(f"duplicate cxg_id {cxg_id}")
+        dup = self._owners.setdefault(fids, cxg_id)
+        if dup != cxg_id:
+            raise ParseError(f"constructions {dup} and {cxg_id} have identical slot sequences")
+        self.slot_ids[cxg_id] = fids
+
+    @property
+    def constructions(self) -> list[Construction]:
+        slot = self.facets.__getitem__
+        return [Construction(cid, tuple(map(slot, fids))) for cid, fids in self.slot_ids.items()]
 
     def __len__(self) -> int:
-        return len(self.constructions)
+        return len(self.slot_ids)
 
     def __iter__(self):
         return iter(self.constructions)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Inventory) and self.constructions == other.constructions
 
 
 def _parse_slot(piece: str, col: int) -> SlotConstraint:
@@ -91,15 +110,16 @@ def _parse_slot(piece: str, col: int) -> SlotConstraint:
             raise ParseError(f"column {col}: unknown POS tag {value!r}")
         return SlotConstraint("POS", value)
     if kind == "sem":
-        if not value.isdigit():
+        if not value.isdecimal():
             raise ParseError(f"column {col}: sem id {value!r} is not an integer")
         return SlotConstraint("SEM", str(int(value)))
     raise ParseError(f"column {col}: unknown slot prefix {kind!r}")
 
 
-def _parse_spec(line: str, known: dict[str, SlotConstraint]) -> Construction:
-    """parse_construction_spec, given `known`, the slot of every valid
-    slot text seen so far (added to)."""
+def _parse_spec(line: str, known: dict, intern: Callable) -> tuple[int, tuple]:
+    """The id and slots of a spec line: `known[piece]` for each slot
+    text, where a text not yet in `known` is parsed and `intern` of its
+    slot is added."""
     head, sep, rest = line.rstrip("\n").partition("\t")
     if not sep:
         raise ParseError("construction spec needs <id><TAB><slots>")
@@ -112,12 +132,12 @@ def _parse_spec(line: str, known: dict[str, SlotConstraint]) -> Construction:
     for piece in rest.split(" "):
         if piece:
             if piece not in known:
-                known[piece] = _parse_slot(piece, col)
+                known[piece] = intern(_parse_slot(piece, col))
             slots.append(known[piece])
         col += len(piece) + 1
     if len(slots) < 2:
         raise ParseError(f"construction {cxg_id} has {len(slots)} slot(s); minimum is 2")
-    return Construction(cxg_id, tuple(slots))
+    return cxg_id, tuple(slots)
 
 
 def parse_construction_spec(line: str) -> Construction:
@@ -127,27 +147,25 @@ def parse_construction_spec(line: str) -> Construction:
     `sem:<int>`; errors report the column (1-based character position)
     of the offending slot.
     """
-    return _parse_spec(line, {})
+    return Construction(*_parse_spec(line, {}, lambda slot: slot))
 
 
 def load_inventory(path: str | Path) -> Inventory:
-    """Load an inventory file, rejecting malformed lines and duplicates.
-
-    Each distinct slot text is validated and built once, on the line
-    where it first appears, and shared by every later line using it.
-    """
-    known: dict[str, SlotConstraint] = {}
-    constructions = []
+    """Load an inventory file, refusing a malformed line or a duplicate
+    at its line. Each distinct slot text is validated once, where it
+    first appears, and mapped to its facet id; a slot text seen before
+    costs one lookup."""
+    inventory = Inventory()
+    known: dict[str, int] = {}  # slot text -> facet id
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
-            constructions.append(_parse_spec(line, known))
+            inventory.add(*_parse_spec(line, known, inventory.facet_id))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    inv = Inventory(constructions)
-    logger.info("loaded %d constructions from %s", len(inv), path)
-    return inv
+    logger.info("loaded %d constructions from %s", len(inventory), path)
+    return inventory
 
 
 def write_inventory(inventory: Inventory, path: str | Path) -> None:

@@ -52,44 +52,36 @@ class MatchSpan:
 class MatchIndex:
     """Immutable rarest-slot inverted index over an inventory.
 
-    The inventory is compiled once, when the index is built: every facet
-    (kind, value) any slot uses gets a dense integer id, each
-    construction is filed under the id of its rarest facet (rarity
+    It takes the inventory's compiled form as it is: `_facets`, every
+    facet (kind, value) any slot uses, indexed by its integer id, and
+    `_checks`, the inventory's own `slot_ids` (cxg_id -> its slots'
+    facet ids in slot order), so the inventory must not grow after.
+    Each construction is filed under the id of its rarest facet (rarity
     measured by inventory-wide facet counts, ties broken by the leftmost
-    slot), and matching works on ids only. `_checks` holds one tuple per
-    construction, its slots' facet ids in slot order: a sentence is a
-    candidate for verification only when its set of facet ids is a
-    superset of that tuple. `entries` is a view derived from the
-    compiled index.
+    slot), and matching works on ids only: a sentence is a candidate for
+    verification only when its set of facet ids is a superset of the
+    construction's tuple. `entries` is a view derived from the index.
     """
 
     def __init__(self, inventory: Inventory):
-        # Facet ids in order of first use; slots are (kind, value)
-        # tuples, so they count as their facets.
-        counts = Counter(chain.from_iterable(con.slots for con in inventory))
-        self._facets = list(counts)
-        facet_ids = {facet: i for i, facet in enumerate(self._facets)}
+        self._facets = inventory.facets
+        self._checks = inventory.slot_ids
+        counts = Counter(chain.from_iterable(self._checks.values()))
 
         # Per kind, the map from a token's value to its facet id. A sem
         # id matches a SEM slot when its decimal form is the slot's
         # value, so a value that is no int's decimal form gets no key.
-        self._lex = {v: f for (kind, v), f in facet_ids.items() if kind == "LEX"}
-        self._pos = {v: f for (kind, v), f in facet_ids.items() if kind == "POS"}
+        self._lex = {v: f for f, (kind, v) in enumerate(self._facets) if kind == "LEX"}
+        self._pos = {v: f for f, (kind, v) in enumerate(self._facets) if kind == "POS"}
         self._sem = {
-            int(v): f for (kind, v), f in facet_ids.items()
+            int(v): f for f, (kind, v) in enumerate(self._facets)
             if kind == "SEM" and v.removeprefix("-").isdecimal() and str(int(v)) == v
         }
 
         # anchor facet id -> the cxg_ids filed under it, in inventory order
         self._anchor: dict[int, list[int]] = {}
-        # cxg_id -> its slots' facet ids, in slot order
-        self._checks: dict[int, tuple[int, ...]] = {}
-        for con in inventory:
-            fids = tuple(map(facet_ids.__getitem__, con.slots))
-            rarity = list(map(counts.__getitem__, con.slots))
-            anchor = fids[rarity.index(min(rarity))]
-            self._anchor.setdefault(anchor, []).append(con.cxg_id)
-            self._checks[con.cxg_id] = fids
+        for cid, fids in self._checks.items():
+            self._anchor.setdefault(min(fids, key=counts.__getitem__), []).append(cid)
 
         self.uses_sem = any(kind == "SEM" for kind, _ in self._facets)
         self.cxg_ids = sorted(self._checks)

@@ -856,6 +856,14 @@ def _reads_inventory(work, tmp):
     return argv, inventory
 
 
+def _inventory_text(text, error):
+    """An inventory of `text`, whose error must name `path:error`."""
+    def damage(path):
+        path.write_text(text, encoding="utf-8")
+        return f"{path}:{error}"
+    return _damaged(_reads_inventory, damage)
+
+
 def _reads_config(work, tmp):
     config = Path(shutil.copy(work["paths"]["config"], tmp))
     return ["match", work["annotated"], work["paths"]["inventory"], tmp / "m", "--config", config], config
@@ -936,6 +944,13 @@ MALFORMED = {
     "pairs-invalid-utf8": _damaged(_reads_pairs, _invalid_utf8),
     "store-invalid-utf8": _damaged(_reads_store, _invalid_utf8),
     "inventory-bare-cr-line-ends": _damaged(_reads_inventory, _bare_cr),
+    "inventory-duplicate-id": _inventory_text(
+        "0\tlex:a pos:NOUN\n0\tlex:b pos:NOUN\n1\tlex:c\n", "2: duplicate cxg_id 0"),
+    "inventory-identical-slots": _inventory_text(
+        "0\tsem:7 pos:NOUN\n1\tsem:07 pos:NOUN\n",
+        "2: constructions 0 and 1 have identical slot sequences"),
+    "inventory-non-decimal-sem": _inventory_text(
+        "0\tsem:\u00b2 pos:NOUN\n", "1: column 3: sem id '\u00b2' is not an integer"),
     "config-bare-cr-line-ends": _damaged(_reads_config, _bare_cr),
     "lexicon-bare-cr-line-ends": _damaged(_reads_lexicon, _bare_cr),
     "table-bare-cr-line-ends": _damaged(_reads_table, _bare_cr),

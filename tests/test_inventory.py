@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cxgcorpus import inventory as inventory_module
 from cxgcorpus.errors import ParseError
 from cxgcorpus.inventory import (
     Construction,
@@ -101,26 +102,90 @@ class TestLoadInventory:
         assert str(exc.value) == f"{p}:2: column 17: sem id 'x' is not an integer"
 
     def test_duplicate_id_rejected(self, tmp_path):
+        # reported at its line, before the error of a later line
         p = tmp_path / "inv.tsv"
-        p.write_text("0\tlex:a pos:NOUN\n0\tlex:b pos:NOUN\n")
-        with pytest.raises(ParseError, match="duplicate cxg_id 0"):
+        p.write_text("0\tlex:a pos:NOUN\n\n0\tlex:b pos:NOUN\n1\tlex:only\n")
+        with pytest.raises(ParseError) as exc:
             load_inventory(p)
+        assert str(exc.value) == f"{p}:3: duplicate cxg_id 0"
 
     def test_sem_spellings_give_one_slot_sequence(self, tmp_path):
         p = tmp_path / "inv.tsv"
-        p.write_text("0\tsem:7 pos:NOUN\n1\tsem:07 pos:NOUN\n")
-        with pytest.raises(ParseError, match="0 and 1 have identical slot sequences"):
+        p.write_text("0\tsem:7 pos:NOUN\n1\tsem:07 pos:NOUN\n2\tsem:x pos:NOUN\n")
+        with pytest.raises(ParseError) as exc:
             load_inventory(p)
+        assert str(exc.value) == f"{p}:2: constructions 0 and 1 have identical slot sequences"
+
+    def test_non_decimal_sem_digit_is_refused(self, tmp_path):
+        # '²' is a digit to str.isdigit but no int to int()
+        with pytest.raises(ParseError, match="sem id '²' is not an integer"):
+            parse_construction_spec("9\tsem:² lex:x")
+        p = tmp_path / "inv.tsv"
+        p.write_text("0\tsem:² pos:NOUN\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_inventory(p)
+        assert str(exc.value) == f"{p}:1: column 3: sem id '²' is not an integer"
 
     def test_write_load_identity(self, tmp_path):
         inv = Inventory([
             Construction(3, (S("LEX", "didn't"), S("POS", "VERB"))),
             Construction(1, (S("SEM", 2), S("POS", "NOUN"), S("LEX", "how"))),
+            Construction(2, (S("POS", "VERB"), S("LEX", "how"), S("POS", "VERB"))),
         ])
         p = tmp_path / "inv.tsv"
         write_inventory(inv, p)
         loaded = load_inventory(p)
         assert {c.cxg_id: c.slots for c in loaded} == {c.cxg_id: c.slots for c in inv}
+        again = tmp_path / "again.tsv"
+        write_inventory(loaded, again)
+        assert again.read_bytes() == p.read_bytes()
+
+
+def _inventory_file(path, rng):
+    """A generated inventory file whose slot texts repeat across lines,
+    with both `sem:7` and `sem:07`, a blank line and doubled spaces."""
+    pool = (
+        [f"lex:w{i}" for i in range(12)] + ["pos:NOUN", "pos:VERB", "pos:DET"]
+        + ["sem:7", "sem:07", "sem:3", "sem:003"]
+    )
+    lines, seen = [], set()
+    while len(lines) < 300:
+        pieces = [rng.choice(pool) for _ in range(rng.randrange(2, 5))]
+        slots = tuple(parse_construction_spec("0\t" + " ".join(pieces)).slots)
+        if slots not in seen:
+            seen.add(slots)
+            lines.append(f"{len(lines) * 3 + 1}\t" + rng.choice((" ", "  ")).join(pieces))
+    lines.insert(100, "")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestCompiledForm:
+    """load_inventory compiles the file straight into facet ids."""
+
+    def test_index_from_file_equals_index_from_constructions(self, tmp_path):
+        p = tmp_path / "inv.tsv"
+        _inventory_file(p, random.Random(15))
+        inv = load_inventory(p)
+        assert len(inv) == 300
+        assert S("SEM", 7) in inv.facets and ("SEM", "07") not in inv.facets
+        assert Inventory(list(inv.constructions)) == inv
+        from_file = build_index(inv)
+        rebuilt = build_index(Inventory(list(inv.constructions)))
+        assert from_file._facets == rebuilt._facets
+        assert list(from_file._checks.items()) == list(rebuilt._checks.items())
+        assert from_file._anchor == rebuilt._anchor
+        assert list(from_file.entries.items()) == list(rebuilt.entries.items())
+
+    def test_match_path_builds_no_construction(self, tmp_path, monkeypatch):
+        p = tmp_path / "inv.tsv"
+        _inventory_file(p, random.Random(16))
+
+        def refuse(*args):
+            raise AssertionError("a Construction was built")
+
+        monkeypatch.setattr(inventory_module, "Construction", refuse)
+        index = build_index(load_inventory(p))
+        assert index.size == 300
 
 
 def _corpus_of_repeats(n, forms_tags):
