@@ -12,17 +12,15 @@ so a model's bytes do not depend on the CPU.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import random
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
 from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError, ParseError
 from .workspace import render_bound
@@ -41,8 +39,7 @@ CROSS_WEIGHT = 2.0
 SIDE_WEIGHT = 0.5
 
 
-@dataclass
-class Hyperparams:
+class Hyperparams(NamedTuple):
     dim: int = 2 ** 20
     learning_rate: float = 0.1
     epochs: int = 8
@@ -119,12 +116,11 @@ def _dot(w: array, vec: dict[int, float]) -> float:
     return math.fsum(map(mul, map(w.__getitem__, vec), vec.values()))
 
 
-@dataclass
-class LinearModel:
+class LinearModel(NamedTuple):
     weights: array  # array('d') of length hyper.dim
     bias: float
     hyper: Hyperparams
-    epoch_losses: list[float] = field(default_factory=list)
+    epoch_losses: tuple[float, ...] = ()
     train_accuracy: float = 0.0
 
     def decision(self, vec: dict[int, float]) -> float:
@@ -189,19 +185,17 @@ def train(
     for vec, y in examples:
         z = bias + _dot(w, vec)
         correct += int((z >= 0.0) == (y == 1.0))
-    return LinearModel(w, bias, hyper, losses, correct / len(examples))
+    return LinearModel(w, bias, hyper, tuple(losses), correct / len(examples))
 
 
-@dataclass
-class BandAccuracy:
+class BandAccuracy(NamedTuple):
     band_lo: int
     band_hi: int | None
     n_pairs: int
     accuracy: float
 
 
-@dataclass
-class EvalResult:
+class EvalResult(NamedTuple):
     accuracy: float
     n_pairs: int
     per_band: list[BandAccuracy]
@@ -235,7 +229,7 @@ def shuffle_control(pairs: list[PairText], seed: int) -> list[PairText]:
     """Uniformly permute the labels, leaving pair contents untouched."""
     labels = [p.label for p in pairs]
     random.Random(seed).shuffle(labels)
-    return [dataclasses.replace(p, label=lab) for p, lab in zip(pairs, labels)]
+    return [p._replace(label=lab) for p, lab in zip(pairs, labels)]
 
 
 def write_metrics(result: EvalResult, path: str | Path) -> None:

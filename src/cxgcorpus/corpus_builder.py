@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyBandError, InputError
 from .workspace import render_bound
@@ -34,8 +33,7 @@ if TYPE_CHECKING:
     from .matcher import OccurrenceTable
 
 
-@dataclass
-class BuildManifest:
+class BuildManifest(NamedTuple):
     variant: str
     band_lo: int
     band_hi: int | None
@@ -165,8 +163,7 @@ def write_pretraining_file(
                     raise InputError(f"{path}: unknown sentence id {sid} in document {index}")
 
 
-@dataclass
-class MultisetReport:
+class MultisetReport(NamedTuple):
     total_a: int
     total_b: int
     mismatched: list[tuple[int, int, int]]  # (sentence_id, mult_a, mult_b)

@@ -27,6 +27,7 @@ unchanged.
 
 from __future__ import annotations
 
+import io
 import re
 from functools import partial
 from pathlib import Path
@@ -207,10 +208,11 @@ def parse_wikitext(stream: str | Iterable[str]) -> Iterator[tuple[int, str]]:
 
     Articles are the maximal runs of lines between top-level heading
     lines; headings themselves are dropped, as are articles with no
-    non-whitespace content.
+    non-whitespace content. A str is split into lines at '\n' only, as
+    iter_raw_lines splits a file.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines(keepends=True)
+        stream = io.StringIO(stream, newline="\n")
     article_id = 0
     buf: list[str] = []
     for line in stream:
@@ -402,10 +404,11 @@ def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
     implies corpus-wide uniqueness of (article_id, position) without
     holding every pair in memory).
     Rows belong to one sentence while their ids, read as integers, stay
-    the same.
+    the same. A str is split into lines at '\n' only, as iter_raw_lines
+    splits a file.
     """
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = io.StringIO(stream, newline="\n")
     sem_value = _Memo(_sem_value, {"-": None}).__getitem__
 
     cur_key: tuple[int, int, int] | None = None

@@ -5,22 +5,24 @@ A construction is an ordered sequence of at least two slot constraints,
 each requiring an exact surface form (LEX), a POS tag (POS), or a
 semantic cluster id (SEM). Inventories are normally loaded from a file;
 induction exists so the pipeline is usable end to end without one.
+
+The records here, like every record of the package, are typing
+NamedTuples, so a copy with one field changed is `x._replace(...)`.
+Nothing here logs: `match -v` reports the construction count itself, and
+an induction that keeps no candidate says so through `warnings.warn`.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
+import warnings
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParseError
 from .ingest import UNIVERSAL_TAGS, AnnotatedSentence
 from .workspace import read_lines
-
-logger = logging.getLogger(__name__)
 
 
 class SlotConstraint(NamedTuple):
@@ -164,7 +166,6 @@ def load_inventory(path: str | Path) -> Inventory:
             inventory.add(*_parse_spec(line, known, inventory.facet_id))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    logger.info("loaded %d constructions from %s", len(inventory), path)
     return inventory
 
 
@@ -175,20 +176,28 @@ def write_inventory(inventory: Inventory, path: str | Path) -> None:
             fh.write(con.spec_line() + "\n")
 
 
-@dataclass
-class InductionParams:
+class _InductionFields(NamedTuple):
     max_len: int = 4
     min_support: int = 5
     min_assoc: float = 0.1
     max_inventory: int = 10000
 
-    def __post_init__(self):
+
+class InductionParams(_InductionFields):
+    """The thresholds of induce_inventory; an out-of-range one raises
+    ParseError when the record is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_len < 2:
             raise ParseError("max_len must be >= 2")
         if self.min_support < 2:
             raise ParseError("min_support must be >= 2")
         if self.max_inventory <= 0:
             raise ParseError("max_inventory must be positive")
+        return self
 
 
 def _token_facets(form: str, pos: str, sem: int | None) -> list[tuple[str, str]]:
@@ -297,8 +306,6 @@ def induce_inventory(
         for i, (_, combo, _) in enumerate(kept)
     ]
     if not constructions:
-        logger.warning(
-            "induction produced an empty inventory (%d sentences, min_support=%d)",
-            len(sentences), params.min_support,
-        )
+        warnings.warn(f"induction produced an empty inventory ({len(sentences)} sentences, "
+                      f"min_support={params.min_support})", stacklevel=2)
     return Inventory(constructions)

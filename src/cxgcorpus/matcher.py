@@ -24,12 +24,10 @@ indexed path.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import FacetMissingError, ParseError
 from .workspace import bands_from_edges, read_lines, render_bound
@@ -38,11 +36,8 @@ if TYPE_CHECKING:
     from .ingest import AnnotatedSentence
     from .inventory import Inventory
 
-logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class MatchSpan:
+class MatchSpan(NamedTuple):
     cxg_id: int
     start: int
     end: int  # exclusive
@@ -344,23 +339,16 @@ def match_corpus(
     if not sem_seen:
         raise FacetMissingError(
             "the corpus carries no SEM annotations but the inventory uses SEM slots")
-    matched = len(reverse)
-    logger.info(
-        "matched corpus: %d sentences instantiate >=1 construction, %d discarded",
-        matched, len(discarded),
-    )
     return OccurrenceTable(forward, reverse, discarded)
 
 
-@dataclass(frozen=True)
-class BandCount:
+class BandCount(NamedTuple):
     lo: int
     hi: int | None  # None = unbounded
     count: int
 
 
-@dataclass
-class OccurrenceStats:
+class OccurrenceStats(NamedTuple):
     bands: list[BandCount]
     below_min: int  # constructions with freq below the first edge
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyBandError, InputError, ParseError
 from .workspace import STRICTNESS, parse_bound, read_lines, render_bound
@@ -36,8 +35,7 @@ _POS_NEED = sum(same for same, _ in QUOTAS.values())
 _NEG_NEED = sum(different for _, different in QUOTAS.values())
 
 
-@dataclass(frozen=True)
-class PairExample:
+class PairExample(NamedTuple):
     sent_a: int
     sent_b: int
     label: str  # same | different
@@ -46,30 +44,36 @@ class PairExample:
     band_hi: int | None
 
 
-@dataclass
-class SamplerConfig:
+class _SamplerFields(NamedTuple):
     seed: int = 0
     strictness: str = "anchor"
 
-    def __post_init__(self):
+
+class SamplerConfig(_SamplerFields):
+    """The sampler's settings; an unknown strictness raises ParseError
+    when the record is constructed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.strictness not in STRICTNESS:
             raise ParseError(f"unknown strictness {self.strictness!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class Shortfall:
+class Shortfall(NamedTuple):
     cxg_id: int
     split: str
     requested: int
     delivered: int
 
 
-@dataclass
-class SampledPairs:
-    train: list[PairExample] = field(default_factory=list)
-    dev: list[PairExample] = field(default_factory=list)
-    test: list[PairExample] = field(default_factory=list)
-    shortfalls: list[Shortfall] = field(default_factory=list)
+class SampledPairs(NamedTuple):
+    train: list[PairExample]
+    dev: list[PairExample]
+    test: list[PairExample]
+    shortfalls: list[Shortfall]
 
     def split(self, name: str) -> list[PairExample]:
         return getattr(self, name)
@@ -159,7 +163,7 @@ def sample_pairs(
     universe = table.sentence_ids
     band_lo, band_hi = band
 
-    result = SampledPairs()
+    result = SampledPairs([], [], [], [])
     seen: set[tuple[int, int]] = set()
 
     for cid in selected:
@@ -215,11 +219,10 @@ def make_inoculation_subsets(
     return {size: order[:size] for size in sizes}
 
 
-@dataclass
-class AuditReport:
-    violations: list[tuple[str, PairExample, str]] = field(default_factory=list)
-    duplicates: list[tuple[int, int]] = field(default_factory=list)
-    leaks: list[tuple[int, int]] = field(default_factory=list)
+class AuditReport(NamedTuple):
+    violations: list[tuple[str, PairExample, str]]
+    duplicates: list[tuple[int, int]]
+    leaks: list[tuple[int, int]]
 
     @property
     def ok(self) -> bool:
@@ -241,7 +244,7 @@ def audit_pairs(
     """Re-derive every label from the occurrence table and flag
     violations, duplicate pairs, and cross-split leakage.
     """
-    report = AuditReport()
+    report = AuditReport([], [], [])
     seen_in: dict[tuple[int, int], set[str]] = {}
     counts: dict[tuple[int, int], int] = {}
 
@@ -284,8 +287,7 @@ def audit_pairs(
     return report
 
 
-@dataclass(frozen=True)
-class PairText:
+class PairText(NamedTuple):
     """A pair as written to disk: sentence texts instead of ids."""
 
     label: str

@@ -14,7 +14,6 @@ derived file whose source has changed since.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -166,8 +165,7 @@ def flag_help(key: str) -> str:
     return f"{setting.help} (default {setting.render(getattr(EffectiveConfig(), key))})"
 
 
-@dataclass
-class EffectiveConfig:
+class EffectiveConfig(NamedTuple):
     """The settings that affect derived outputs."""
 
     seed: int = 0
@@ -186,7 +184,6 @@ class EffectiveConfig:
         an empty one included, raises ParseError naming its `file:line`, or
         the `--flag` it came from.
         """
-        cfg = cls()
         sources: list[tuple[str, str, str]] = []
         if config_path is not None:
             for lineno, key, value in _config_entries(config_path):
@@ -197,14 +194,15 @@ class EffectiveConfig:
                     )
                 sources.append((f"{config_path}:{lineno}", key, value))
         sources += [(flag(key), key, value) for key, value in overrides.items()]
+        values = {}
         for where, key, value in sources:
             try:
-                setattr(cfg, key, _SETTINGS[key].parse(value))
+                values[key] = _SETTINGS[key].parse(value)
             except ValueError:
                 raise ParseError(f"{where}: {key} {value!r} is not an integer")
             except ParseError as exc:
                 raise ParseError(f"{where}: {exc}")
-        return cfg
+        return cls(**values)
 
     def canonical(self, keys: tuple[str, ...]) -> str:
         return "".join(f"{k} = {_SETTINGS[k].render(getattr(self, k))}\n" for k in sorted(keys))

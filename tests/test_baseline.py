@@ -96,8 +96,7 @@ class TestTrain:
         ("learning_rate", 0.0), ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.inf),
     ])
     def test_out_of_range_hyperparams_rejected(self, field, value):
-        hyper = Hyperparams(seed=1)
-        setattr(hyper, field, value)
+        hyper = Hyperparams(seed=1)._replace(**{field: value})
         with pytest.raises(InputError, match=rf"^Hyperparams\.{field} must be"):
             train(SEPARABLE, hyper)
 
@@ -169,7 +168,7 @@ class TestEvaluate:
         model = train(SEPARABLE, Hyperparams(epochs=1, seed=0))
         model.weights[:] = array("d", [0.0]) * len(model.weights)
         assert not any(model.weights)
-        model.bias = 5.0  # always predicts "same"
+        model = model._replace(bias=5.0)  # always predicts "same"
         result = evaluate(model, SEPARABLE)
         assert result.accuracy == 0.5
 

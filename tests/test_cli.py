@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import errno
 import filecmp
 import gc
@@ -175,13 +174,19 @@ STAGE_MODULES = {
 }
 
 
+# Modules no stage needs, which each would cost every stage start-up
+# time: numpy and multiprocessing, and dataclasses and logging, which
+# pull in inspect, ast, traceback and tokenize.
+UNNEEDED = ("numpy", "multiprocessing", "dataclasses", "logging", "inspect")
+
+
 def _loaded_modules(code, argv=()):
-    """The `cxgcorpus` modules and the numpy and multiprocessing packages
-    a fresh interpreter has loaded after running `code`."""
+    """The `cxgcorpus` modules and the UNNEEDED packages a fresh
+    interpreter has loaded after running `code`."""
     src = str(Path(cxgcorpus.__file__).parents[1])
     code += (
         "; print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & "
-        "{'numpy', 'multiprocessing'} | {m.split('.')[1] for m in sys.modules "
+        f"{set(UNNEEDED)!r} | {{m.split('.')[1] for m in sys.modules "
         "if m.startswith('cxgcorpus.')})))"
     )
     result = subprocess.run(
@@ -193,7 +198,8 @@ def _loaded_modules(code, argv=()):
 
 def test_import_loads_neither_numpy_nor_multiprocessing(work, tmp_path):
     """Every stage pays for what `import cxgcorpus.cli` loads, which is no
-    stage module; each stage then loads only the modules it runs."""
+    stage module and none of UNNEEDED; each stage then loads only the
+    modules it runs, and none of UNNEEDED either."""
     assert _loaded_modules("import sys, cxgcorpus.cli") == {"cli", "errors", "workspace"}
     code = "import sys; from cxgcorpus import cli; assert cli.main(sys.argv[1:]) == 0"
     for step in work["steps"]:
@@ -263,6 +269,37 @@ def test_baseline_runs_where_numpy_cannot_be_imported(work, tmp_path):
     assert written == {k: v for k, v in GOLDEN_SHA256.items() if k.startswith("baseline/")}
 
 
+def test_verbose_adds_two_match_lines_and_changes_no_output(work, tmp_path, capsys):
+    """`-v` makes `match` print two lines on stderr and changes nothing
+    else: every stage's stdout and output files are those of a run
+    without it, and no other stage prints more."""
+    table = matcher.OccurrenceTable.read(work["out"] / "match" / "table.tsv")
+    discarded = (work["out"] / "match" / "discards.txt").read_text("utf-8").split()
+    inventory = work["paths"]["inventory"]
+    for step in work["steps"]:
+        stage = step[0]
+        runs = []
+        for flags in ([], ["-v"]):
+            out = tmp_path / ("verbose" if flags else "quiet") / stage
+            argv = list(step)
+            if stage == "annotate":
+                argv[2] = str(out / "annotated.tsv")
+            else:
+                argv[3] = str(out)
+            assert cli.main(flags + argv) == 0, stage
+            printed = capsys.readouterr()
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((printed.out.replace(str(out), "OUT"), printed.err, files))
+        (out_q, err_q, files_q), (out_v, err_v, files_v) = runs
+        assert out_v == out_q and files_v == files_q and files_q and err_q == "", stage
+        expected = ""
+        if stage == "match":
+            expected = (f"loaded {len(load_inventory(inventory))} constructions from {inventory}\n"
+                        f"matched corpus: {len(table.reverse)} sentences instantiate >=1 "
+                        f"construction, {len(discarded)} discarded\n")
+        assert err_v == expected, stage
+
+
 def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     """perfbench/trace.py wraps named functions and methods of the
     program; one that is renamed or gone stops the traced stage."""
@@ -324,7 +361,8 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_INPUT
 
     def test_audit_failure_exit_code(self, work, tmp_path, monkeypatch):
-        bad = AuditReport(violations=[("train", PairExample(0, 1, "same", 0, 2, 50), "boom")])
+        bad = AuditReport(violations=[("train", PairExample(0, 1, "same", 0, 2, 50), "boom")],
+                          duplicates=[], leaks=[])
         monkeypatch.setattr(ps, "audit_pairs", lambda *a, **k: bad)
         argv = ["pairs", work["annotated"], str(work["out"] / "match" / "table.tsv"),
                 str(tmp_path / "p2"), "--config", work["paths"]["config"],
@@ -621,7 +659,7 @@ class TestConfig:
     @pytest.mark.parametrize("command", sorted(STAGE_KEYS))
     def test_stage_takes_the_settings_its_sidecars_record(self, command, work, tmp_path):
         options = {o for a in _subparser(command)._actions for o in a.option_strings}
-        settings = {flag(f.name): f.name for f in dataclasses.fields(EffectiveConfig)}
+        settings = {flag(name): name for name in EffectiveConfig._fields}
         taken = {settings[o] for o in options & settings.keys()}
         assert taken == set(STAGE_KEYS[command])
         root = work["out"]  # the fixture ran every stage but stats

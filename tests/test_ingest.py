@@ -226,6 +226,20 @@ class TestAnnotateCorpus:
         with pytest.raises(ParseError):
             list(annotate_corpus("x", resources, "magic"))
 
+    @pytest.mark.parametrize("mode, text, n", [
+        # U+2028 before a heading: only a split there would make it one
+        ("raw", " = A = \nThe dog ran.\u2028 = B = \nA cat\x85sat.\x0bIt\x1cran.\x0c\n", 3),
+        ("pre-annotated", "0\t0\t0\ta\u2028b\tNOUN\t-\n0\t0\t0\tc\tNOUN\t-\n\n"
+                          "1\t0\t1\td\x1ce\tNOUN\t-\n1\t0\t1\tf\x85\tNOUN\t-\n", 2),
+    ], ids=["raw", "pre-annotated"])
+    def test_str_and_file_split_into_the_same_lines(self, mode, text, n, resources, tmp_path):
+        # a str is split at '\n' only, as iter_raw_lines splits a file
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        from_file = list(annotate_corpus(iter_raw_lines(path), resources, mode))
+        assert list(annotate_corpus(text, resources, mode)) == from_file
+        assert len(from_file) == n and {s.article_id for s in from_file} == {0}
+
 
 class TestResources:
     def test_cluster_ids_contiguous(self):

@@ -213,7 +213,8 @@ class TestInduction:
     def test_small_corpus_gives_empty_inventory(self):
         corpus = _corpus_of_repeats(2, [("a", "DET"), ("b", "NOUN")])
         params = InductionParams(max_len=2, min_support=5, min_assoc=0.0)
-        inv = induce_inventory(corpus, params)
+        with pytest.warns(UserWarning, match=r"empty inventory \(2 sentences, min_support=5\)"):
+            inv = induce_inventory(corpus, params)
         assert len(inv) == 0
 
     def test_deterministic(self):

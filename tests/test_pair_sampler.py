@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -102,8 +101,7 @@ class TestAudit:
     def test_flipped_label_reported(self, desk_pairs, desk_table):
         sampled, config = desk_pairs
         splits = _splits(sampled)
-        bad = dataclasses.replace(
-            splits["train"][0],
+        bad = splits["train"][0]._replace(
             label="different" if splits["train"][0].label == "same" else "same",
         )
         tampered = dict(splits)
