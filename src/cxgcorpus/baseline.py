@@ -8,6 +8,10 @@ with the fixed block weights CROSS_WEIGHT and SIDE_WEIGHT, trained with
 seeded SGD on the logistic loss in plain Python: the weights are an
 `array('d')` and every dot product is an exactly rounded `math.fsum`,
 so a model's bytes do not depend on the CPU.
+
+One memo per run featurizes each distinct sentence side once into an
+`array('l')` of buckets and hashes each unigram and cross feature once;
+it keeps no bigram string, and training examples are packed arrays.
 """
 
 from __future__ import annotations
@@ -65,55 +69,52 @@ def check_hyperparams(hyper: Hyperparams, label=lambda name: f"Hyperparams.{name
             raise InputError(f"{label(name)} must be {need}, got {value}")
 
 
-def pair_features(text_a: str, text_b: str) -> list[str]:
-    """Raw feature strings for a pair, before hashing.
-
-    Side-marked unigrams and bigrams are asymmetric by design; the
-    cross block (X:) over shared tokens is symmetric under swapping the
-    two sentences.
-    """
-    toks_a = text_a.split()
-    toks_b = text_b.split()
-    feats = []
-    for side, toks in (("A", toks_a), ("B", toks_b)):
-        for tok in toks:
-            feats.append(f"{side}:{tok}")
-        for t1, t2 in zip(toks, toks[1:]):
-            feats.append(f"{side}:{t1}_{t2}")
-    for tok in sorted(set(toks_a) & set(toks_b)):
-        feats.append(f"X:{tok}")
-    return feats
-
-
 def hash_feature(feature: str, dim: int) -> int:
     digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dim
 
 
+def _bucket(feature: str, dim: int, memo: dict) -> int:
+    idx = memo.get(feature)
+    if idx is None:
+        idx = memo[feature] = hash_feature(feature, dim)
+    return idx
+
+
 def featurize_pair(
-    text_a: str, text_b: str, dim: int, hashes: dict[str, int] | None = None
+    text_a: str, text_b: str, dim: int, memo: dict | None = None
 ) -> dict[int, float]:
     """Sparse hashed feature vector; deterministic for a given pair.
 
-    Cross-features (shared tokens) get CROSS_WEIGHT per occurrence,
-    side-marked features get SIDE_WEIGHT. `hashes` memoizes each
-    feature's bucket across the calls that share it (same `dim`).
+    Each side gives its side-marked unigrams and bigrams (A:tok, A:t1_t2,
+    B:...), each weighted SIDE_WEIGHT; the cross block gives X:tok for
+    every token the sides share, weighted CROSS_WEIGHT, so it is
+    symmetric under swapping the sentences. Colliding buckets add up.
+    `memo` (same `dim`) holds each side's bucket array by (side, text)
+    and each unigram and cross feature's bucket by its string, so a
+    bigram is hashed once per distinct side and never kept as a string.
     """
-    if hashes is None:
-        hashes = {}
+    if memo is None:
+        memo = {}
     vec: dict[int, float] = {}
-    for feat in pair_features(text_a, text_b):
-        idx = hashes.get(feat)
-        if idx is None:
-            idx = hashes[feat] = hash_feature(feat, dim)
-        val = CROSS_WEIGHT if feat.startswith("X:") else SIDE_WEIGHT
-        vec[idx] = vec.get(idx, 0.0) + val
+    for side, text in (("A", text_a), ("B", text_b)):
+        buckets = memo.get((side, text))
+        if buckets is None:
+            toks = text.split()
+            buckets = array("l", [_bucket(f"{side}:{t}", dim, memo) for t in toks])
+            buckets.extend(hash_feature(f"{side}:{a}_{b}", dim) for a, b in zip(toks, toks[1:]))
+            memo[side, text] = buckets
+        for idx in buckets:
+            vec[idx] = vec.get(idx, 0.0) + SIDE_WEIGHT
+    for tok in set(text_a.split()).intersection(text_b.split()):
+        idx = _bucket(f"X:{tok}", dim, memo)
+        vec[idx] = vec.get(idx, 0.0) + CROSS_WEIGHT
     return vec
 
 
-def _dot(w: array, vec: dict[int, float]) -> float:
+def _dot(w: array, keys, values) -> float:
     """Exactly rounded sum of w[j] * v, so independent of summation order."""
-    return math.fsum(map(mul, map(w.__getitem__, vec), vec.values()))
+    return math.fsum(map(mul, map(w.__getitem__, keys), values))
 
 
 class LinearModel(NamedTuple):
@@ -124,10 +125,10 @@ class LinearModel(NamedTuple):
     train_accuracy: float = 0.0
 
     def decision(self, vec: dict[int, float]) -> float:
-        return self.bias + _dot(self.weights, vec)
+        return self.bias + _dot(self.weights, vec, vec.values())
 
-    def predict(self, text_a: str, text_b: str, hashes: dict[str, int] | None = None) -> str:
-        z = self.decision(featurize_pair(text_a, text_b, self.hyper.dim, hashes))
+    def predict(self, text_a: str, text_b: str, memo: dict | None = None) -> str:
+        z = self.decision(featurize_pair(text_a, text_b, self.hyper.dim, memo))
         return "same" if z >= 0.0 else "different"
 
 
@@ -141,24 +142,26 @@ def _sigmoid(z: float) -> float:
 def train(
     pairs: list[PairText],
     hyper: Hyperparams | None = None,
-    hashes: dict[str, int] | None = None,
+    memo: dict | None = None,
 ) -> LinearModel:
     """Seeded SGD on the logistic loss with per-epoch reshuffling. Each
-    step touches only the pair's own buckets, L2 included. `hashes` is
-    featurize_pair's feature -> bucket memo, which a later `evaluate`
-    of the model may share."""
+    step touches only the pair's own buckets, L2 included. `memo` is
+    featurize_pair's, which a later `evaluate` of the model may share;
+    each example is kept as its packed bucket and value arrays."""
     hyper = hyper or Hyperparams()
     check_hyperparams(hyper)
-    if hashes is None:
-        hashes = {}
+    if memo is None:
+        memo = {}
     if len(pairs) < 2:
         raise InputError("need at least 2 training pairs")
     labels = {p.label for p in pairs}
     if labels != {"same", "different"}:
         raise InputError(f"training set must contain both labels, got {sorted(labels)}")
 
-    examples = [(featurize_pair(p.text_a, p.text_b, hyper.dim, hashes),
-                 1.0 if p.label == "same" else 0.0) for p in pairs]
+    examples = []
+    for p in pairs:
+        vec = featurize_pair(p.text_a, p.text_b, hyper.dim, memo)
+        examples.append((array("l", vec), array("d", vec.values()), float(p.label == "same")))
 
     w = array("d", [0.0]) * hyper.dim
     bias = 0.0
@@ -170,20 +173,20 @@ def train(
         rng.shuffle(order)
         total = 0.0
         for i in order:
-            vec, y = examples[i]
-            z = bias + _dot(w, vec)
+            keys, values, y = examples[i]
+            z = bias + _dot(w, keys, values)
             p = _sigmoid(z)
             p_clip = min(max(p, 1e-12), 1.0 - 1e-12)
             total += -(y * math.log(p_clip) + (1.0 - y) * math.log(1.0 - p_clip))
             g = p - y
-            for j, v in vec.items():
+            for j, v in zip(keys, values):
                 w[j] -= lr * (g * v + l2 * w[j])
             bias -= lr * g
         losses.append(total / len(examples))
 
     correct = 0
-    for vec, y in examples:
-        z = bias + _dot(w, vec)
+    for keys, values, y in examples:
+        z = bias + _dot(w, keys, values)
         correct += int((z >= 0.0) == (y == 1.0))
     return LinearModel(w, bias, hyper, tuple(losses), correct / len(examples))
 
@@ -202,18 +205,18 @@ class EvalResult(NamedTuple):
 
 
 def evaluate(
-    model: LinearModel, pairs: list[PairText], hashes: dict[str, int] | None = None
+    model: LinearModel, pairs: list[PairText], memo: dict | None = None
 ) -> EvalResult:
     """Overall and per-band accuracy; pairs carry their band tags.
-    `hashes` is featurize_pair's memo, as in `train`."""
+    `memo` is featurize_pair's, as in `train`."""
     if not pairs:
         raise InputError("cannot evaluate on an empty pair list")
-    if hashes is None:
-        hashes = {}
+    if memo is None:
+        memo = {}
     correct_total = 0
     results: dict[tuple, tuple[int, int]] = {}
     for p in pairs:
-        good = int(model.predict(p.text_a, p.text_b, hashes) == p.label)
+        good = int(model.predict(p.text_a, p.text_b, memo) == p.label)
         correct_total += good
         n, c = results.get((p.band_lo, p.band_hi), (0, 0))
         results[(p.band_lo, p.band_hi)] = (n + 1, c + good)

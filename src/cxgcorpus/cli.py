@@ -333,11 +333,11 @@ def cmd_baseline(args, config: EffectiveConfig) -> int:
     train_pairs = ps.read_pairs(args.train)
     # all pair files are read first, so that a malformed one stops the stage before any write
     scored = {name: ps.read_pairs(path) for name, path in scoring}
-    hashes: dict[str, int] = {}  # one feature -> bucket memo for the whole run
-    model = bl.train(train_pairs, hyper, hashes)
+    memo: dict = {}  # featurize_pair's side arrays and unigram/cross buckets, for the whole run
+    model = bl.train(train_pairs, hyper, memo)
     with _outputs(args.out, config, "baseline") as stage:
         for name, pairs in scored.items():
-            result = bl.evaluate(model, pairs, hashes)
+            result = bl.evaluate(model, pairs, memo)
             bl.write_metrics(result, stage(name, PAIRS_KEYS))
         bl.save_model(model, stage("model.bin", PAIRS_KEYS))
     print(

@@ -185,7 +185,7 @@ class _InductionFields(NamedTuple):
 
 class InductionParams(_InductionFields):
     """The thresholds of induce_inventory; an out-of-range one raises
-    ParseError when the record is constructed."""
+    ParseError when the record is constructed or copied with `_replace`."""
 
     __slots__ = ()
 
@@ -198,6 +198,10 @@ class InductionParams(_InductionFields):
         if self.max_inventory <= 0:
             raise ParseError("max_inventory must be positive")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 def _token_facets(form: str, pos: str, sem: int | None) -> list[tuple[str, str]]:

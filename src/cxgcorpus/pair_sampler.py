@@ -51,7 +51,7 @@ class _SamplerFields(NamedTuple):
 
 class SamplerConfig(_SamplerFields):
     """The sampler's settings; an unknown strictness raises ParseError
-    when the record is constructed."""
+    when the record is constructed or copied with `_replace`."""
 
     __slots__ = ()
 
@@ -60,6 +60,10 @@ class SamplerConfig(_SamplerFields):
         if self.strictness not in STRICTNESS:
             raise ParseError(f"unknown strictness {self.strictness!r}")
         return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
 class Shortfall(NamedTuple):
@@ -244,6 +248,8 @@ def audit_pairs(
     """Re-derive every label from the occurrence table and flag
     violations, duplicate pairs, and cross-split leakage.
     """
+    if strictness not in STRICTNESS:
+        raise ParseError(f"unknown strictness {strictness!r}")
     report = AuditReport([], [], [])
     seen_in: dict[tuple[int, int], set[str]] = {}
     counts: dict[tuple[int, int], int] = {}

@@ -112,6 +112,24 @@ def pair_key(pair: PairExample) -> tuple[int, int]:
     return (pair.sent_a, pair.sent_b)
 
 
+def pair_features(text_a: str, text_b: str) -> list[str]:
+    """Raw feature strings of a pair, the definition `featurize_pair`
+    hashes: side-marked unigrams and bigrams (asymmetric by design), then
+    the cross block (X:) over shared tokens, symmetric under swapping
+    the two sentences."""
+    toks_a = text_a.split()
+    toks_b = text_b.split()
+    feats = []
+    for side, toks in (("A", toks_a), ("B", toks_b)):
+        for tok in toks:
+            feats.append(f"{side}:{tok}")
+        for t1, t2 in zip(toks, toks[1:]):
+            feats.append(f"{side}:{t1}_{t2}")
+    for tok in sorted(set(toks_a) & set(toks_b)):
+        feats.append(f"X:{tok}")
+    return feats
+
+
 # --------------------------------------------------------------------------
 # randomized matcher cases (oracle sweeps)
 

@@ -8,19 +8,21 @@ import pytest
 
 from cxgcorpus import baseline
 from cxgcorpus.baseline import (
+    CROSS_WEIGHT,
+    SIDE_WEIGHT,
     Hyperparams,
     LinearModel,
     evaluate,
     featurize_pair,
     hash_feature,
     load_model,
-    pair_features,
     save_model,
     shuffle_control,
     train,
 )
 from cxgcorpus.errors import InputError, ParseError
 from cxgcorpus.pair_sampler import PairText
+from helpers import pair_features
 
 
 def _pair(label, a, b, lo=2, hi=50):
@@ -50,6 +52,34 @@ class TestFeaturize:
         ba = set(pair_features("bb cc", "aa bb"))
         assert {f for f in ab if f.startswith("X:")} == {f for f in ba if f.startswith("X:")}
         assert ab != ba
+
+    def test_equals_the_hashed_feature_strings_under_any_memo(self):
+        # dim 8: A, B and X buckets collide, and colliding features add up
+        rng = random.Random(5)
+        vocab = ["aa", "bb", "cc", "dd", "e"]
+        texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 6))) for _ in range(40)]
+        pairs = [(rng.choice(texts), rng.choice(texts)) for _ in range(150)]
+        pairs += [(t, t) for t in texts[:5]] + [("aa", "aa"), ("aa", "bb"), ("e e e", "e")]
+        dim = 2 ** 3
+
+        def reference(text_a, text_b):
+            vec = {}
+            for f in pair_features(text_a, text_b):
+                weight = CROSS_WEIGHT if f.startswith("X:") else SIDE_WEIGHT
+                idx = hash_feature(f, dim)
+                vec[idx] = vec.get(idx, 0.0) + weight
+            return vec
+
+        expected = [reference(a, b) for a, b in pairs]
+        assert any(len(v) < len(set(pair_features(a, b))) for v, (a, b) in zip(expected, pairs))
+        assert [featurize_pair(a, b, dim) for a, b in pairs] == expected
+        shared = {}
+        assert [featurize_pair(a, b, dim, shared) for a, b in pairs] == expected
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        shuffled = {}
+        vecs = {i: featurize_pair(*pairs[i], dim, shuffled) for i in order}
+        assert vecs == dict(enumerate(expected))
 
     def test_collision_rate_below_one_percent(self, desk, desk_table):
         # exact-mapping oracle: hash every distinct feature string from a
@@ -101,20 +131,29 @@ class TestTrain:
             train(SEPARABLE, hyper)
 
     def test_hash_memo_shared_with_evaluate(self, monkeypatch):
-        # one memo for train and evaluate: each distinct feature is hashed
-        # once, and the model and the scores are the same as without it
+        # one memo for train and evaluate: the model and the scores are the
+        # same as without it; each unigram and cross feature is hashed once
+        # per run, each bigram once per distinct (side, text), and the memo
+        # keeps the side arrays but no bigram string
         hyper = Hyperparams(dim=2 ** 12, epochs=3, seed=2)
         unshared = train(SEPARABLE, hyper)
         expected = evaluate(unshared, SEPARABLE[:3])
         calls = []
         monkeypatch.setattr(baseline, "hash_feature",
                             lambda feature, dim: calls.append(feature) or hash_feature(feature, dim))
-        hashes = {}
-        model = train(SEPARABLE, hyper, hashes)
-        assert evaluate(model, SEPARABLE[:3], hashes) == expected
+        memo = {}
+        model = train(SEPARABLE, hyper, memo)
+        assert evaluate(model, SEPARABLE[:3], memo) == expected
         assert model.weights == unshared.weights and model.bias == unshared.bias
+        sides = {("A", p.text_a) for p in SEPARABLE} | {("B", p.text_b) for p in SEPARABLE}
+        bigrams = [f"{side}:{t1}_{t2}" for side, text in sides
+                   for t1, t2 in zip(text.split(), text.split()[1:])]
         features = {f for p in SEPARABLE for f in pair_features(p.text_a, p.text_b)}
-        assert sorted(calls) == sorted(features) == sorted(hashes)
+        once = features - set(bigrams)
+        assert bigrams and once
+        assert sorted(calls) == sorted([*once, *bigrams])
+        assert sorted(k for k in memo if isinstance(k, str)) == sorted(once)
+        assert {k for k in memo if not isinstance(k, str)} == sides
 
     def test_matches_a_plain_reference_trainer(self, desk, desk_table):
         # the same SGD over dense lists with left-to-right sums: equal up

@@ -294,3 +294,11 @@ class TestInventoryInvariants:
             InductionParams(min_support=1)
         with pytest.raises(ParseError):
             InductionParams(max_inventory=0)
+
+    def test_replace_checks_params_like_the_constructor(self):
+        with pytest.raises(ParseError, match="must be >= 2"):
+            InductionParams()._replace(min_support=1, max_len=1)
+        with pytest.raises(ParseError, match="^max_inventory must be positive$"):
+            InductionParams()._replace(max_inventory=0)
+        params = InductionParams()._replace(min_support=2)
+        assert type(params) is InductionParams and params.min_support == 2

@@ -78,6 +78,12 @@ class TestQuotas:
         c = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=6))
         assert all_pairs(a) != all_pairs(c)
 
+    def test_replace_checks_strictness_like_the_constructor(self):
+        with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
+            SamplerConfig(seed=1)._replace(strictness="disjont")
+        config = SamplerConfig(seed=1)._replace(strictness="disjoint")
+        assert type(config) is SamplerConfig and config == (1, "disjoint")
+
     def test_disjoint_strictness_sound_or_shortfall(self, desk_table):
         # on the desk corpus generic patterns cover nearly every
         # sentence, so disjoint negatives are mostly infeasible: that
@@ -97,6 +103,12 @@ class TestAudit:
         sampled, config = desk_pairs
         report = audit_pairs(_splits(sampled), desk_table, config.strictness)
         assert report.ok, report.summary()
+
+    def test_unknown_strictness_refused(self, desk_pairs, desk_table):
+        # a misspelt "disjoint" would audit anchor-style pairs as sound
+        sampled, _ = desk_pairs
+        with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
+            audit_pairs(_splits(sampled), desk_table, "disjont")
 
     def test_flipped_label_reported(self, desk_pairs, desk_table):
         sampled, config = desk_pairs
