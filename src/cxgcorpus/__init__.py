@@ -26,7 +26,7 @@ _EXPORTS = {
         "render_name", "write_inventory",
     ),
     "matcher": (
-        "MatchIndex", "MatchSpan", "OccurrenceTable", "brute_force_match",
+        "MatchIndex", "OccurrenceTable", "brute_force_match",
         "build_index", "match_corpus", "match_sentence", "occurrence_stats",
     ),
     "corpus_builder": (

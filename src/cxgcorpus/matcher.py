@@ -4,12 +4,13 @@ The engine is an inverted index keyed by each construction's globally
 rarest slot facet: a sentence only pays for the constructions whose
 rarest facet it actually contains, so lookup cost for absent facets is
 independent of inventory size. Candidates are verified on per-facet
-position bitmasks (bit i set when token i carries the facet): one
-backward pass over the slots, shifting across up to max_gap skipped
-tokens between consecutive slots (never before the first or after the
-last), gives every start of an alignment. The occurrence table needs
-only that existence test; match_sentence adds a forward pass from the
-leftmost start for the span with minimal total gap.
+position bitmasks (bit i set when token i carries the facet), with the
+shift-and test of Baeza-Yates & Gonnet (CACM 1992): one backward pass
+over the slots, shifting across up to max_gap skipped tokens between
+consecutive slots (never before the first or after the last), gives
+every start of an alignment, and a construction is instantiated when
+that set is not empty. match_sentence returns the cxg_ids that pass,
+and match_corpus writes the occurrence table from it.
 
 Matching works on a sentence's three facet columns (forms, tags, sem
 ids), which every ingest.AnnotatedSentence carries, whether it was
@@ -25,7 +26,8 @@ indexed path.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import lt
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -34,14 +36,7 @@ from .workspace import bands_from_edges, read_lines, render_bound
 
 if TYPE_CHECKING:
     from .ingest import AnnotatedSentence
-    from .inventory import Inventory
-
-
-class MatchSpan(NamedTuple):
-    cxg_id: int
-    start: int
-    end: int  # exclusive
-    gaps_used: int
+    from .inventory import Construction, Inventory
 
 
 class MatchIndex:
@@ -130,13 +125,10 @@ def build_index(inventory: Inventory) -> MatchIndex:
     return MatchIndex(inventory)
 
 
-def _verify(
-    index: MatchIndex, sentence: AnnotatedSentence, max_gap: int
-) -> tuple[dict[int, int], tuple[int, ...], dict[int, int]]:
-    """The sentence's facet masks, its smear steps, and cxg_id -> starts
-    for every construction it instantiates, in cxg_id order: the
-    per-sentence core. Bit i of a mask is set when token i carries the
-    facet; bit i of starts, when an alignment of all slots begins at i."""
+def match_sentence(index: MatchIndex, sentence: AnnotatedSentence, max_gap: int) -> list[int]:
+    """The cxg_ids of every construction the sentence instantiates, in
+    id order. Bit i of a facet's mask is set when token i carries the
+    facet; bit i of `reach`, when slots[j:] align from position i."""
     sems = sentence.sems
     masks: dict[int, int] = {}
     get = masks.get
@@ -152,12 +144,11 @@ def _verify(
     steps = _smear_steps(max_gap, len(sems))
     present = set(masks)
     candidates = set(chain.from_iterable(map(index._anchor.get, present, repeat(()))))
-    found = {}
+    found = []
     checks = index._checks
     for cid in sorted(candidates):
         slots = checks[cid]
         if present.issuperset(slots):
-            # positions from which slots[j:] align, for j from the last down
             reach = masks[slots[-1]]
             for fid in slots[-2::-1]:
                 reach >>= 1
@@ -165,41 +156,16 @@ def _verify(
                     reach |= reach >> step
                 reach &= masks[fid]
             if reach:
-                found[cid] = reach
-    return masks, steps, found
-
-
-def match_sentence(
-    index: MatchIndex, sentence: AnnotatedSentence, max_gap: int = 1
-) -> list[MatchSpan]:
-    """All constructions the sentence instantiates, one span each.
-
-    The reported span is the leftmost one, with minimal total gaps among
-    alignments at that start.
-    """
-    masks, steps, found = _verify(index, sentence, max_gap)
-    spans = []
-    for cid, starts in found.items():
-        slots = index._checks[cid]
-        start = (starts & -starts).bit_length() - 1
-        # positions slots[:j + 1] can end at from start; the lowest at
-        # the last slot gives the minimal total gap
-        ends = 1 << start
-        for fid in slots[1:]:
-            ends <<= 1
-            for step in steps:
-                ends |= ends << step
-            ends &= masks[fid]
-        last = (ends & -ends).bit_length() - 1
-        spans.append(MatchSpan(cid, start, last + 1, last - start - (len(slots) - 1)))
-    return spans
+                found.append(cid)
+    return found
 
 
 def brute_force_match(
-    inventory: Inventory, sentence: AnnotatedSentence, max_gap: int = 1
-) -> list[MatchSpan]:
+    inventory: Inventory, sentence: AnnotatedSentence, max_gap: int
+) -> list[Construction]:
     """Reference matcher: direct recursion over slots and gaps at every
-    start position, for every construction. Oracle for match_sentence.
+    start position, for every construction. The constructions the
+    sentence instantiates, in cxg_id order. Oracle for match_sentence.
     """
     tokens = sentence.tokens
     n = len(tokens)
@@ -211,27 +177,17 @@ def brute_force_match(
             return tok.pos == slot.value
         return tok.sem is not None and str(tok.sem) == slot.value
 
-    def ends(slots, i: int, pos: int) -> list[int]:
-        if pos >= n or not satisfies(slots[i], tokens[pos]):
-            return []
+    def aligns(slots, i: int, pos: int) -> bool:
+        if not satisfies(slots[i], tokens[pos]):
+            return False
         if i == len(slots) - 1:
-            return [pos]
-        collected = []
-        for q in range(pos + 1, min(pos + 2 + max_gap, n)):
-            collected.extend(ends(slots, i + 1, q))
-        return collected
+            return True
+        return any(aligns(slots, i + 1, q) for q in range(pos + 1, min(pos + 2 + max_gap, n)))
 
-    spans = []
-    for con in sorted(inventory, key=lambda c: c.cxg_id):
-        for start in range(n):
-            finals = ends(con.slots, 0, start)
-            if finals:
-                last = min(finals)
-                spans.append(
-                    MatchSpan(con.cxg_id, start, last + 1, last - start - (len(con.slots) - 1))
-                )
-                break
-    return spans
+    return [
+        con for con in sorted(inventory, key=lambda c: c.cxg_id)
+        if any(aligns(con.slots, 0, start) for start in range(n))
+    ]
 
 
 class OccurrenceTable:
@@ -292,7 +248,9 @@ class OccurrenceTable:
 
     @classmethod
     def read(cls, table_path: str | Path) -> "OccurrenceTable":
-        """The table `write` wrote, without its discards, which no stage reads."""
+        """The table `write` wrote, without its discards, which no stage
+        reads; a row whose sentence ids are not strictly increasing is
+        refused, since `write` writes none."""
         forward: dict[int, list[int]] = {}
         for lineno, line in read_lines(table_path):
             if not line:
@@ -307,12 +265,15 @@ class OccurrenceTable:
                 raise ParseError(f"{table_path}:{lineno}: non-integer id")
             if cid in forward:
                 raise ParseError(f"{table_path}:{lineno}: duplicate cxg_id {cid}")
+            if len(sids) > 1 and not all(map(lt, sids, islice(sids, 1, None))):
+                raise ParseError(
+                    f"{table_path}:{lineno}: sentence ids are not strictly increasing")
             forward[cid] = sids
         return cls(forward)
 
 
 def match_corpus(
-    index: MatchIndex, corpus: Iterable[AnnotatedSentence], max_gap: int = 1
+    index: MatchIndex, corpus: Iterable[AnnotatedSentence], max_gap: int
 ) -> OccurrenceTable:
     """Match a whole corpus, producing the occurrence table.
 
@@ -329,7 +290,7 @@ def match_corpus(
         if not sem_seen:
             sem_seen = sentence.sems.count(None) != len(sentence.sems)
         sid = sentence.sentence_id
-        cids = list(_verify(index, sentence, max_gap)[2])
+        cids = match_sentence(index, sentence, max_gap)
         if cids:
             for cid in cids:
                 forward[cid].append(sid)

@@ -78,8 +78,8 @@ def test_matcher_oracle_equivalence():
         max_gap = rng.choice((0, 1, 2))
         inventory, sentence = random_matcher_case(rng, max_gap)
         index = build_index(inventory)
-        fast = [(m.cxg_id, m.start, m.end, m.gaps_used) for m in match_sentence(index, sentence, max_gap)]
-        slow = [(m.cxg_id, m.start, m.end, m.gaps_used) for m in brute_force_match(inventory, sentence, max_gap)]
+        fast = match_sentence(index, sentence, max_gap)
+        slow = [con.cxg_id for con in brute_force_match(inventory, sentence, max_gap)]
         if fast != slow:
             mismatches += 1
     elapsed = time.perf_counter() - start

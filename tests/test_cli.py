@@ -4,6 +4,7 @@ import filecmp
 import gc
 import hashlib
 import itertools
+import json
 import os
 import shutil
 import subprocess
@@ -220,7 +221,7 @@ PACKAGE_EXPORTS = {
     "inventory": ("Construction", "InductionParams", "Inventory", "SlotConstraint",
                   "induce_inventory", "load_inventory", "parse_construction_spec",
                   "render_name", "write_inventory"),
-    "matcher": ("MatchIndex", "MatchSpan", "OccurrenceTable", "brute_force_match",
+    "matcher": ("MatchIndex", "OccurrenceTable", "brute_force_match",
                 "build_index", "match_corpus", "match_sentence", "occurrence_stats"),
     "corpus_builder": ("BuildManifest", "build_base_clone", "build_cxg_corpus",
                        "build_random", "verify_multiset", "write_pretraining_file"),
@@ -300,19 +301,41 @@ def test_verbose_adds_two_match_lines_and_changes_no_output(work, tmp_path, caps
         assert err_v == expected, stage
 
 
-def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
-    """perfbench/trace.py wraps named functions and methods of the
-    program; one that is renamed or gone stops the traced stage."""
+def _perfbench(script, *args):
+    """Run perfbench/`script` with the program on its path."""
     src = Path(cxgcorpus.__file__).parents[1]
-    out = work["out"]
-    result = subprocess.run(
-        [sys.executable, str(src.parent / "perfbench" / "trace.py"), str(tmp_path / "trace.json"),
-         "stats", str(out / "match" / "table.tsv"), str(tmp_path / "stats.tsv"),
-         "--config", work["paths"]["config"]],
+    return subprocess.run(
+        [sys.executable, str(src.parent / "perfbench" / script), *map(str, args)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
+
+
+def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
+    """perfbench/trace.py wraps named functions and methods of the
+    program; one that is renamed or gone stops the traced stage, and
+    `match` calls the traced `match_sentence` once per sentence."""
+    out = work["out"]
+    config = work["paths"]["config"]
+    result = _perfbench("trace.py", tmp_path / "stats.json", "stats", out / "match" / "table.tsv",
+                        tmp_path / "stats.tsv", "--config", config)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "stats.tsv").read_bytes() == (out / "match" / "stats.tsv").read_bytes()
+    result = _perfbench("trace.py", tmp_path / "match.json", "match", work["annotated"],
+                        work["paths"]["inventory"], tmp_path / "m", "--config", config)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "m" / "table.tsv").read_bytes() == (out / "match" / "table.tsv").read_bytes()
+    counts = json.loads((tmp_path / "match.json").read_text("utf-8"))["counts"]
+    assert counts["matcher.match_sentence_calls"] == len(work["desk"].sentences) == 900
+
+
+def test_benchmark_oracle_agrees_with_the_table(work):
+    """perfbench/steps.py oracle reads `brute_force_match`'s results as
+    constructions and compares their cxg_ids with the written table."""
+    out = work["out"]
+    result = _perfbench("steps.py", "oracle", work["annotated"], work["paths"]["inventory"],
+                        out / "match", "--config", work["paths"]["config"], "--seed", 3)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert " 0 mismatches" in result.stdout
 
 
 class TestSemCheck:
@@ -919,6 +942,17 @@ def _reads_table(work, tmp):
     return ["build", work["annotated"], table, tmp / "b", "--config", work["paths"]["config"]], table
 
 
+def _table_row_0(edit):
+    """Rewrite the sentence ids of the table's first row with `edit`."""
+    def damage(path):
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        cid, ids = lines[0].split("\t")
+        lines[0] = f"{cid}\t{' '.join(edit(ids.split()))}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return f"{path}:1: sentence ids are not strictly increasing"
+    return _damaged(_reads_table, damage)
+
+
 def _reads_pairs(work, tmp):
     test = Path(shutil.copy(work["out"] / "pairs" / "test.tsv", tmp))
     argv = ["baseline", work["out"] / "pairs" / "train.tsv", test, tmp / "b",
@@ -968,6 +1002,8 @@ MALFORMED = {
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,
     "table-non-integer-id": _bad_table_id,
+    "table-repeated-sentence-id": _table_row_0(lambda ids: ids[:1] + ids),
+    "table-unsorted-sentence-ids": _table_row_0(lambda ids: ids[::-1]),
     "lexicon-unknown-tag": _resource_case("--lexicon", "the\tDET\ndog\tBLORP\n", ":2: "),
     "suffixes-unknown-tag": _resource_case("--suffixes", "ing\tVERB\ns\tVB\n", ":2: "),
     "clusters-non-integer-id": _resource_case("--clusters", "dog\t0\ncat\tx\n", ":2: "),
@@ -1046,10 +1082,10 @@ class TestSentenceStore:
         got = read_table(tmp_path / "m" / "table.tsv", tmp_path / "m" / "discards.txt")
         inv = load_inventory(inventory)
         sentences = load_annotated_file(annotated)
-        expected = match_corpus(build_index(inv), sentences)
+        expected = match_corpus(build_index(inv), sentences, 1)
         assert got.forward == expected.forward and got.discarded == expected.discarded
         for s in sentences:
-            oracle = [m.cxg_id for m in brute_force_match(inv, s)]
+            oracle = [con.cxg_id for con in brute_force_match(inv, s, 1)]
             assert got.constructions_of(s.sentence_id) == oracle
 
     def test_facet_missing_fires_on_store_path(self, annotated, tmp_path, capsys):
@@ -1059,9 +1095,9 @@ class TestSentenceStore:
         inventory.write_text("0\tsem:7 pos:AUX\n1\tpos:PRON pos:VERB\n", encoding="utf-8")
         index = build_index(load_inventory(inventory))
         rows = list(scan_annotated(store_path(annotated)))
-        assert match_corpus(index, rows).forward == {0: [0], 1: [1, 4]}
+        assert match_corpus(index, rows, 1).forward == {0: [0], 1: [1, 4]}
         with pytest.raises(FacetMissingError, match="the corpus carries no SEM annotations"):
-            match_corpus(index, rows[1:2])
+            match_corpus(index, rows[1:2], 1)
         assert cli.main(["match", str(annotated), str(inventory), str(tmp_path / "m")]) == 0
         assert (tmp_path / "m" / "table.tsv").read_text(encoding="utf-8") == "0\t0\n1\t1 4\n"
 
