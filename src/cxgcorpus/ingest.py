@@ -23,6 +23,12 @@ built only when a caller reads a sentence's `tokens` view.
 
 Case is never folded anywhere: surface forms pass through annotation
 unchanged.
+
+A token is a `_TOKEN_RE` match. `tokenize` cuts the sentence at
+whitespace and keeps a piece whole when it is all letters and digits
+or one character long; only a piece that glues punctuation to a word
+goes through the regex. The tokens are exactly those of
+`_TOKEN_RE.findall` over the whole sentence; `tokenize` says why.
 """
 
 from __future__ import annotations
@@ -60,7 +66,8 @@ _HEADING_RE = re.compile(r"^=\s*[^=]+?\s*=$")
 # other punctuation character becomes its own token.
 _TOKEN_RE = re.compile(r"\w+(?:['’]\w+)*|[^\w\s]")
 
-_SENT_PUNCT = ".!?"
+# A run of sentence punctuation and the whitespace after it (group 1).
+_BOUNDARY_RE = re.compile(r"[.!?]+(\s*)")
 
 
 class Token(NamedTuple):
@@ -245,30 +252,20 @@ def split_sentences(text: str) -> list[str]:
 
 def _split_line(text: str) -> list[str]:
     out = []
-    n = len(text)
     start = 0
-    i = 0
-    while i < n:
-        if text[i] in _SENT_PUNCT:
-            j = i + 1
-            while j < n and text[j] in _SENT_PUNCT:
-                j += 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if k > j and k < n and text[k].isupper():
-                back = i - 1
-                while back >= start and not text[back].isspace():
-                    back -= 1
-                word = text[back + 1 : j]
-                if word not in ABBREVIATIONS:
-                    piece = text[start:j].strip()
-                    if piece:
-                        out.append(piece)
-                    start = k
-            i = j
-        else:
-            i += 1
+    for m in _BOUNDARY_RE.finditer(text):
+        j, k = m.span(1)
+        if j < k < len(text) and text[k].isupper():
+            # the word ending in this punctuation: scan back to the
+            # whitespace before it, so each word is scanned at most once
+            back = m.start() - 1
+            while back >= start and not text[back].isspace():
+                back -= 1
+            if text[back + 1 : j] not in ABBREVIATIONS:
+                piece = text[start:j].strip()
+                if piece:
+                    out.append(piece)
+                start = k
     tail = text[start:].strip()
     if tail:
         out.append(tail)
@@ -276,8 +273,26 @@ def _split_line(text: str) -> list[str]:
 
 
 def tokenize(sentence: str) -> list[str]:
-    """Whitespace/punctuation tokenizer; apostrophe contractions stay whole."""
-    return _TOKEN_RE.findall(sentence)
+    """The tokens of a sentence: each maximal run of word characters
+    (`\\w`: what `str.isalnum` accepts, and `_`), joined into one token
+    across an internal `'` or `’` ("didn't" stays whole), and each other
+    non-whitespace character on its own.
+
+    The sentence is cut at whitespace first, and a piece that is all
+    letters and digits (`str.isalnum`) or one character long is one
+    token as it stands; only the other pieces go through `_TOKEN_RE`.
+    This gives `_TOKEN_RE.findall(sentence)` exactly: `str.split()` and
+    the regex's `\\s` test whitespace alike, no token spans whitespace,
+    an alphanumeric piece is one `\\w+` run, and one non-whitespace
+    character is one token under either alternative.
+    """
+    out = []
+    for piece in sentence.split():
+        if piece.isalnum() or len(piece) == 1:
+            out.append(piece)
+        else:
+            out += _TOKEN_RE.findall(piece)
+    return out
 
 
 def tag_pos(tokens: list[str], resources: AnnotationResources) -> list[str]:

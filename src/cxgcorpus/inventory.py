@@ -125,10 +125,11 @@ def _parse_spec(line: str, known: dict, intern: Callable) -> tuple[int, tuple]:
     head, sep, rest = line.rstrip("\n").partition("\t")
     if not sep:
         raise ParseError("construction spec needs <id><TAB><slots>")
-    try:
-        cxg_id = int(head)
-    except ValueError:
-        raise ParseError(f"bad construction id {head!r}")
+    # the one spelling write_inventory gives back: ASCII digits, no sign,
+    # no `_`, no space and no leading zero
+    if not (head.isascii() and head.isdigit()) or (head.startswith("0") and head != "0"):
+        raise ParseError(f"cxg_id {head!r} is not ASCII digits without a sign or leading zero")
+    cxg_id = int(head)
     slots = []
     col = len(head) + 2  # 1-based column of the first slot character
     for piece in rest.split(" "):

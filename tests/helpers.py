@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from cxgcorpus.ingest import AnnotatedSentence, AnnotationResources, Token, read_annotated
+from cxgcorpus.ingest import (
+    ABBREVIATIONS, AnnotatedSentence, AnnotationResources, Token, read_annotated,
+)
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
 from cxgcorpus.matcher import OccurrenceTable
 from cxgcorpus.pair_sampler import PairExample, SampledPairs
@@ -128,6 +130,41 @@ def pair_features(text_a: str, text_b: str) -> list[str]:
     for tok in sorted(set(toks_a) & set(toks_b)):
         feats.append(f"X:{tok}")
     return feats
+
+
+def split_line_reference(text: str) -> list[str]:
+    """The sentences of one line, by the splitting rule of
+    `ingest.split_sentences` written as a character loop: the
+    specification `ingest._split_line` is tested against."""
+    out = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            while j < n and text[j] in ".!?":
+                j += 1
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if k > j and k < n and text[k].isupper():
+                back = i - 1
+                while back >= start and not text[back].isspace():
+                    back -= 1
+                word = text[back + 1 : j]
+                if word not in ABBREVIATIONS:
+                    piece = text[start:j].strip()
+                    if piece:
+                        out.append(piece)
+                    start = k
+            i = j
+        else:
+            i += 1
+    tail = text[start:].strip()
+    if tail:
+        out.append(tail)
+    return out
 
 
 # --------------------------------------------------------------------------

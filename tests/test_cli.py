@@ -164,6 +164,26 @@ def test_stage_outputs_keep_their_bytes(work):
     assert written == GOLDEN_SHA256
 
 
+# sha256 of the files `annotate` writes in raw mode from
+# tests/data/raw_corpus.txt with the bundled resources. The work
+# fixture's pre-split text leaves every token a bare word or a lone
+# punctuation mark; this corpus glues punctuation to words, writes both
+# apostrophes, the abbreviations, `_`, an Arabic-Indic digit and
+# non-ASCII whitespace, so it pins the splitter and both tokenizer paths.
+RAW_GOLDEN_SHA256 = {
+    "annotated.tsv": "5b83f319f90af6ea5976a94e1541cdcff216fb257a5ea8878a33645d704db2eb",
+    "annotated.tsv.sents": "230391240997d02aaf568116c9639257bc4cc543a60b442fcca26f8faaecba95",
+}
+
+
+def test_raw_annotation_keeps_its_bytes(tmp_path):
+    corpus = Path(__file__).parent / "data" / "raw_corpus.txt"
+    assert cli.main(["annotate", str(corpus), str(tmp_path / "annotated.tsv")]) == 0
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in RAW_GOLDEN_SHA256}
+    assert written == RAW_GOLDEN_SHA256
+
+
 # The package modules each stage loads, besides the package itself and
 # the cli, errors and workspace modules that `import cxgcorpus.cli` loads.
 STAGE_MODULES = {
@@ -1023,6 +1043,8 @@ MALFORMED = {
     "inventory-identical-slots": _inventory_text(
         "0\tsem:7 pos:NOUN\n1\tsem:07 pos:NOUN\n",
         "2: constructions 0 and 1 have identical slot sequences"),
+    "inventory-non-canonical-id": _inventory_text(
+        "0\tlex:a pos:NOUN\n7_0\tlex:b pos:NOUN\n", "2: cxg_id '7_0' is not ASCII digits"),
     "inventory-non-decimal-sem": _inventory_text(
         "0\tsem:\u00b2 pos:NOUN\n", "1: column 3: sem id '\u00b2' is not an integer"),
     "config-bare-cr-line-ends": _damaged(_reads_config, _bare_cr),

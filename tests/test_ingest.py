@@ -1,13 +1,16 @@
 import builtins
 import io
+import random
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import cxgcorpus
+from cxgcorpus import ingest
 from cxgcorpus.errors import DecodeError, ParseError
 from cxgcorpus.ingest import (
+    ABBREVIATIONS,
     DEFAULT_TAG,
     UNIVERSAL_TAGS,
     AnnotatedSentence,
@@ -25,7 +28,7 @@ from cxgcorpus.ingest import (
 from cxgcorpus.inventory import parse_construction_spec
 from cxgcorpus.workspace import read_lines
 
-from helpers import from_tokens, load_annotated_file
+from helpers import from_tokens, load_annotated_file, split_line_reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,6 +116,16 @@ class TestSplitSentences:
         recovered = sum(min(pred_counts[s], n) for s, n in gold_counts.items())
         assert recovered / len(gold) >= 0.97
 
+    def test_equals_the_reference_loop_on_random_lines(self):
+        # words that are and are not abbreviations, a titlecase letter
+        # (not upper), and whitespace that only str.isspace knows
+        pieces = [*sorted(ABBREVIATIONS)[::3], "U.S", "e.g", "He", "he", "\u01c5x", "A", "b",
+                  ".", "!", "?", "...", "?!", " ", " ", "\xa0", "\x1c", "\t", "\u3000", "x."]
+        rng = random.Random(1901)
+        for _ in range(20000):
+            line = "".join(rng.choices(pieces, k=rng.randrange(12)))
+            assert ingest._split_line(line) == split_line_reference(line), repr(line)
+
 
 class TestTokenize:
     def test_contraction_stays_whole(self):
@@ -123,6 +136,23 @@ class TestTokenize:
 
     def test_empty_sentence(self):
         assert tokenize("  ") == []
+
+    def test_both_paths(self):
+        # "Smith" and "." are pieces as they stand; the regex cuts the rest
+        assert tokenize("Mr. Smith didn\u2019t stay, (at 9:30)!") == [
+            "Mr", ".", "Smith", "didn\u2019t", "stay", ",", "(", "at", "9", ":", "30", ")", "!"]
+
+    def test_equals_the_token_regex_on_random_strings(self):
+        # word characters of several kinds (`_`, a letter with a combining
+        # accent, an Arabic-Indic digit), both apostrophes, punctuation and
+        # whitespace that only the Unicode whitespace test knows
+        alphabet = ["a", "a", "Z", "0", "_", "\u00e9", "\u0301", "\u0663", "\u00df", "'", "\u2019",
+                    ".", ",", "-", "!", "(", '"', " ", " ", "\t", "\xa0", "\x1c", "\x85",
+                    "\u2028", "\u3000"]
+        rng = random.Random(1902)
+        for _ in range(100000):
+            text = "".join(rng.choices(alphabet, k=rng.randrange(14)))
+            assert tokenize(text) == ingest._TOKEN_RE.findall(text), repr(text)
 
 
 class TestTagPos:

@@ -126,6 +126,16 @@ class TestLoadInventory:
             load_inventory(p)
         assert str(exc.value) == f"{p}:1: column 3: sem id '²' is not an integer"
 
+    @pytest.mark.parametrize("head", ["+8", "-3", "7_0", " 8", "08", "\u0663", "8 ", ""])
+    def test_non_canonical_id_is_refused(self, head, tmp_path):
+        # int() would read all but the last as 8, -3, 70, 8, 8, 3 and 8
+        p = tmp_path / "inv.tsv"
+        p.write_text(f"0\tlex:a pos:NOUN\n{head}\tlex:b pos:NOUN\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_inventory(p)
+        assert str(exc.value) == (
+            f"{p}:2: cxg_id {head!r} is not ASCII digits without a sign or leading zero")
+
     def test_write_load_identity(self, tmp_path):
         inv = Inventory([
             Construction(3, (S("LEX", "didn't"), S("POS", "VERB"))),
@@ -139,6 +149,26 @@ class TestLoadInventory:
         again = tmp_path / "again.tsv"
         write_inventory(loaded, again)
         assert again.read_bytes() == p.read_bytes()
+
+
+def test_write_of_load_gives_back_a_canonical_file(tmp_path):
+    # random canonical, id-sorted files: the ids, the slot texts (sem ids
+    # without a leading zero, single spaces) and the line order come back
+    rng = random.Random(1903)
+    pool = [f"lex:{w}" for w in ("a", "didn't", "caf\u00e9", "\u0663", "x_y", "B.")] + [
+        "pos:NOUN", "pos:VERB", "pos:PUNCT", "sem:0", "sem:7", "sem:12"]
+    for case in range(50):
+        ids = sorted(rng.sample(range(10 ** rng.randrange(1, 5)), rng.randrange(1, 10)))
+        lines, seen = [], set()
+        for cxg_id in ids:
+            pieces = tuple(rng.choice(pool) for _ in range(rng.randrange(2, 5)))
+            if pieces not in seen:
+                seen.add(pieces)
+                lines.append(f"{cxg_id}\t" + " ".join(pieces) + "\n")
+        src, out = tmp_path / f"in{case}.tsv", tmp_path / f"out{case}.tsv"
+        src.write_text("".join(lines), encoding="utf-8")
+        write_inventory(load_inventory(src), out)
+        assert out.read_bytes() == src.read_bytes()
 
 
 def _inventory_file(path, rng):
