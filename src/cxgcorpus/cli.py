@@ -17,6 +17,12 @@ stage loads only its own code, and writes every output file through
 directory and moves them into place only when the command has not
 raised: a failed run leaves its output directory as it was.
 
+`match` streams the sentence store through `ingest.scan_annotated`.
+`build` and `pairs` first read the occurrence table and decide which
+sentences they will write (the band's, the sampled pairs'), then read
+the store once through `ingest.store_texts`, which checks every line
+as `scan_annotated` does but keeps the texts of only those sentences.
+
 `-v` makes `match` print two lines on stderr, the number of
 constructions loaded and the numbers of matched and discarded
 sentences; the other stages print nothing more. The CLI imports
@@ -192,7 +198,7 @@ def cmd_match(args, config: EffectiveConfig) -> int:
         stats = matcher.occurrence_stats(table, config.band_edges)
         matcher.write_stats(stats, stage("stats.tsv", STATS_KEYS))
     print(
-        f"matched {len(table.sentence_ids)} sentences against {index.size} constructions "
+        f"matched {len(table.reverse)} sentences against {index.size} constructions "
         f"({len(table.discarded)} discarded) -> {Path(args.out) / 'table.tsv'}"
     )
     return EXIT_OK
@@ -213,36 +219,40 @@ def cmd_stats(args, config: EffectiveConfig) -> int:
     return EXIT_OK
 
 
-def _table_and_store(args, config: EffectiveConfig, refs: bool = False):
-    """The occurrence table `args.table`, the texts of the sentences of
-    `args.annotated` by id and, with `refs`, their `SentenceRef`s in
-    store order. Both inputs are checked against their sidecars, and a
-    table naming a sentence the store lacks is refused, before any write."""
-    from . import ingest, matcher
+def _checked_table(args, config: EffectiveConfig):
+    """The sentence store of `args.annotated` and the occurrence table
+    `args.table`, both checked against their sidecars."""
+    from . import matcher
 
     store = _sentence_store(args.annotated, config)
     check_sidecar(args.table, config, TABLE_KEYS)
-    corpus = []
-    texts = {}
-    for row in ingest.scan_annotated(store):
-        if refs:
-            corpus.append(ingest.SentenceRef(*row[:3]))
-        texts[row.sentence_id] = row.text
-    table = matcher.OccurrenceTable.read(args.table)
-    missing = set(table.reverse).difference(texts)
+    return store, matcher.OccurrenceTable.read(args.table)
+
+
+def _store_texts(args, store: Path, table, wanted):
+    """One checked pass over the store: its `SentenceRef`s in store
+    order and the texts of the sentences in `wanted` by id. A table
+    naming a sentence the store lacks is refused."""
+    from . import ingest
+
+    refs, texts = ingest.store_texts(store, wanted)
+    missing = table.reverse.keys() - [ref.sentence_id for ref in refs]
     if missing:
         raise InputError(
             f"{args.table} names {len(missing)} sentence id(s) that {args.annotated} "
             f"does not hold (the lowest is {min(missing)}); match the table from that corpus"
         )
-    return table, texts, corpus
+    return refs, texts
 
 
 def cmd_build(args, config: EffectiveConfig) -> int:
     from . import corpus_builder as cb
 
-    table, texts, corpus = _table_and_store(args, config, refs=True)
+    store, table = _checked_table(args, config)
     band = config.band
+    # every variant writes only the sentences of the selected constructions
+    wanted = set().union(*map(table.forward.__getitem__, table.select_band(band)))
+    corpus, texts = _store_texts(args, store, table, wanted)
     want = ("cxg", "base", "random") if args.variant == "all" else (args.variant,)
     with _outputs(args.out, config, "build") as stage:
         built = {"cxg": cb.build_cxg_corpus(table, band)}
@@ -291,7 +301,7 @@ def cmd_pairs(args, config: EffectiveConfig) -> int:
                 f"got {args.inoculation_sizes!r}"
             )
 
-    table, texts, _ = _table_and_store(args, config)
+    store, table = _checked_table(args, config)
     with _outputs(args.out, config, "pairs") as stage:
         sampler_config = ps.SamplerConfig(seed=config.seed, strictness=config.strictness)
         sampled = ps.sample_pairs(table, config.band, sampler_config)
@@ -301,6 +311,10 @@ def cmd_pairs(args, config: EffectiveConfig) -> int:
             table,
             config.strictness,
         )
+        # the subsets are drawn from train, so the splits name every sentence written
+        wanted = {sid for name in ps.SPLITS for pair in sampled.split(name)
+                  for sid in (pair.sent_a, pair.sent_b)}
+        _, texts = _store_texts(args, store, table, wanted)
         stage("audit.txt", PAIRS_KEYS).write_text(report.summary() + "\n", encoding="utf-8")
         if not report.ok:
             print(f"pair audit FAILED: {report.summary()}", file=sys.stderr)

@@ -16,6 +16,12 @@ sidecar records the sha256 of the TSV it was written with, and `match`,
 changed since; external TSVs get their store by going through
 `annotate --mode pre-annotated`.
 
+The store has two readers that hold each line to one contract, with the
+same `file:line` messages (see scan_annotated): scan_annotated streams
+whole sentences, for `match`, and store_texts makes one light pass that
+returns every line's ids and the texts of only the sentences a caller
+wants, for `build` and `pairs`.
+
 A sentence is one AnnotatedSentence from annotation to matching: its
 ids and its three facet columns (forms, tags, sem ids). The annotator,
 both readers and the writer work on the columns; a Token per token is
@@ -37,7 +43,7 @@ import io
 import re
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
 from .workspace import decode_error, read_lines
@@ -491,18 +497,38 @@ class SentenceRef(NamedTuple):
     position_in_article: int
 
 
+def _field_count_error(path, lineno: int, fields: int) -> ParseError:
+    return ParseError(
+        f"{path}:{lineno}: expected 3 id fields and 3 fields per token, got {fields} fields"
+    )
+
+
+def _bad_field_error(path, lineno: int) -> ParseError:
+    return ParseError(f"{path}:{lineno}: non-integer id or bad sem field")
+
+
+def _order_error(path, lineno: int, sid: int, last: int) -> ParseError:
+    return ParseError(
+        f"{path}:{lineno}: sentence ids must be strictly increasing; saw {sid} after {last}"
+    )
+
+
 def scan_annotated(path: str | Path) -> Iterator[AnnotatedSentence]:
     """Stream the sentences of a sentence store (see write_annotated),
-    one line at a time."""
+    one line at a time.
+
+    A line must hold 3 + 3n tab-separated fields with n >= 1: three
+    integer ids, n forms, n tags and n sem fields ('-' or a cluster id
+    under `_sem_value`), and its sentence id must be greater than the
+    previous line's. A line that breaks this is refused at `path:line`;
+    store_texts checks the same contract with the same messages."""
     sem_value = _Memo(_sem_value, {"-": None}).__getitem__
+    last = None
     for lineno, line in read_lines(path):
         fields = line.split("\t")
         n, extra = divmod(len(fields) - 3, 3)
         if n < 1 or extra:
-            raise ParseError(
-                f"{path}:{lineno}: expected 3 id fields and 3 fields per token, "
-                f"got {len(fields)} fields"
-            )
+            raise _field_count_error(path, lineno, len(fields))
         try:
             row = AnnotatedSentence(
                 int(fields[0]), int(fields[1]), int(fields[2]),
@@ -510,5 +536,50 @@ def scan_annotated(path: str | Path) -> Iterator[AnnotatedSentence]:
                 list(map(sem_value, fields[3 + 2 * n :])),
             )
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer id or bad sem field")
+            raise _bad_field_error(path, lineno) from None
+        if last is not None and row.sentence_id <= last:
+            raise _order_error(path, lineno, row.sentence_id, last)
+        last = row.sentence_id
         yield row
+
+
+def store_texts(
+    path: str | Path, wanted: Container[int]
+) -> tuple[list[SentenceRef], dict[int, str]]:
+    """Check every line of a sentence store as scan_annotated does, with
+    the same messages, and return each line's SentenceRef in store order
+    and the text of each sentence whose id is in `wanted`.
+
+    A line's fields are counted by its tabs, and only its ids and its
+    sem fields are split off; its forms are split only when its sentence
+    is wanted, and its tags never. A sem field is checked the first
+    time its text is seen."""
+    accepted = {"-"}  # the sem field texts already checked
+    refs: list[SentenceRef] = []
+    texts: dict[int, str] = {}
+    last = None
+    for lineno, line in read_lines(path):
+        tabs = line.count("\t")
+        n, extra = divmod(tabs - 2, 3)
+        if n < 1 or extra:
+            raise _field_count_error(path, lineno, tabs + 1)
+        head = line.split("\t", 3)
+        sems = line.rsplit("\t", n)
+        sems[0] = "-"  # the rest of the line, before the sem fields
+        try:
+            ref = SentenceRef(int(head[0]), int(head[1]), int(head[2]))
+            if not accepted.issuperset(sems):
+                for field in sems:
+                    if field not in accepted:
+                        _sem_value(field)
+                        accepted.add(field)
+        except ValueError:
+            raise _bad_field_error(path, lineno) from None
+        sid = ref.sentence_id
+        if last is not None and sid <= last:
+            raise _order_error(path, lineno, sid, last)
+        last = sid
+        refs.append(ref)
+        if sid in wanted:
+            texts[sid] = " ".join(head[3].split("\t", n)[:n])
+    return refs, texts

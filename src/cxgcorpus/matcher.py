@@ -210,7 +210,7 @@ class OccurrenceTable:
             for cid in sorted(forward):
                 for sid in forward[cid]:
                     reverse.setdefault(sid, []).append(cid)
-            reverse = {sid: sorted(cids) for sid, cids in sorted(reverse.items())}
+            reverse = dict(sorted(reverse.items()))
         self.reverse = reverse
         self.discarded = list(discarded or [])
 
@@ -241,7 +241,7 @@ class OccurrenceTable:
     def write(self, table_path: str | Path, discards_path: str | Path) -> None:
         with open(table_path, "w", encoding="utf-8") as fh:
             for cid in sorted(self.forward):
-                fh.write(f"{cid}\t{' '.join(str(s) for s in self.forward[cid])}\n")
+                fh.write(f"{cid}\t{' '.join(map(str, self.forward[cid]))}\n")
         with open(discards_path, "w", encoding="utf-8") as fh:
             for sid in self.discarded:
                 fh.write(f"{sid}\n")

@@ -842,6 +842,14 @@ def _bad_store_id(work, tmp):
     return argv, f"{store}:2"
 
 
+def _repeated_store_id(work, tmp):
+    """The store's second line written twice: the copy, line 3, repeats its id."""
+    annotated = _damaged_store(work, tmp, "repeated-id")
+    argv = ["build", annotated, work["out"] / "match" / "table.tsv", tmp / "b",
+            "--config", work["paths"]["config"]]
+    return argv, f"{store_path(annotated)}:3: sentence ids must be strictly increasing"
+
+
 def _bad_table_id(work, tmp):
     table = tmp / "table.tsv"
     shutil.copy(work["out"] / "match" / "table.tsv", table)
@@ -1021,6 +1029,7 @@ MALFORMED = {
     "missing-store": _missing_store,
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,
+    "store-repeated-sentence-id": _repeated_store_id,
     "table-non-integer-id": _bad_table_id,
     "table-repeated-sentence-id": _table_row_0(lambda ids: ids[:1] + ids),
     "table-unsorted-sentence-ids": _table_row_0(lambda ids: ids[::-1]),
@@ -1138,3 +1147,124 @@ class TestSentenceStore:
         assert cli.main(["annotate", str(crlf), str(again), "--mode", "pre-annotated"]) == 0
         assert again.read_bytes() == annotated.read_bytes()
         assert store_path(again).read_bytes() == store_path(annotated).read_bytes()
+
+
+def _store_line_2(edit):
+    """Damage a store by rewriting its second line (without its newline)
+    with `edit`, which may return several lines."""
+    def damage(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[1] = edit(lines[1])
+        return b"\n".join(lines)
+    return damage
+
+
+def _last_field(value: bytes):
+    return _store_line_2(lambda line: line.rsplit(b"\t", 1)[0] + b"\t" + value)
+
+
+STORE_DAMAGE = {
+    "wrong-field-count": _store_line_2(lambda line: line.rsplit(b"\t", 1)[0]),
+    "non-integer-id": _store_line_2(lambda line: b"x" + line),
+    "bad-sem-field": _last_field(b"q"),
+    "negative-sem-field": _last_field(b"-3"),
+    "repeated-id": _store_line_2(lambda line: line + b"\n" + line),
+    "invalid-utf8": _store_line_2(lambda line: b"\xe9" + line),
+}
+
+
+def _damaged_store(work, tmp, case) -> Path:
+    annotated = copy_annotated(work, tmp)
+    store = store_path(annotated)
+    store.write_bytes(STORE_DAMAGE[case](store.read_bytes()))
+    return annotated
+
+
+def _read_both(store: Path, wanted):
+    """What scan_annotated and store_texts give for `store`: the refs and
+    the texts of `wanted`, or the message of the error they raise."""
+    try:
+        rows = list(scan_annotated(store))
+        scanned = ([ingest.SentenceRef(*row[:3]) for row in rows],
+                   {row.sentence_id: row.text for row in rows if row.sentence_id in wanted})
+    except InputError as exc:
+        scanned = str(exc)
+    try:
+        passed = ingest.store_texts(store, wanted)
+    except InputError as exc:
+        passed = str(exc)
+    return scanned, passed
+
+
+class TestStoreReaders:
+    """scan_annotated (match's reader) and store_texts (the one pass of
+    build and pairs) hold every store line to one contract."""
+
+    def test_valid_store_reads_alike(self, work):
+        store = store_path(work["annotated"])
+        every = {row.sentence_id for row in scan_annotated(store)}
+        for wanted in (every, set(range(0, 900, 7)), ()):
+            scanned, passed = _read_both(store, wanted)
+            assert passed == scanned
+            assert len(passed[0]) == 900 and len(passed[1]) == len(set(wanted) & every)
+
+    @pytest.mark.parametrize("case", sorted(STORE_DAMAGE))
+    def test_damaged_store_is_refused_alike(self, case, work, tmp_path):
+        store = store_path(_damaged_store(work, tmp_path, case))
+        scanned, passed = _read_both(store, set(range(900)))
+        assert isinstance(passed, str) and passed == scanned
+        line = 3 if case == "repeated-id" else 2
+        assert passed.startswith(f"{store}:{line}: ")
+
+    @pytest.mark.parametrize("stage", ["match", "build", "pairs"])
+    @pytest.mark.parametrize("case", sorted(STORE_DAMAGE))
+    def test_every_stage_refuses_a_damaged_store_line(self, stage, case, work, tmp_path, capsys):
+        annotated = _damaged_store(work, tmp_path, case)
+        expected = _read_both(store_path(annotated), ())[0]
+        config = ["--config", work["paths"]["config"]]
+        table = work["out"] / "match" / "table.tsv"
+        argv = {"match": ["match", annotated, work["paths"]["inventory"], tmp_path / "out"],
+                "build": ["build", annotated, table, tmp_path / "out"],
+                "pairs": ["pairs", annotated, table, tmp_path / "out"]}[stage]
+        code, err = run_cli(argv + config, capsys)
+        assert code == cli.EXIT_INPUT
+        assert err == f"error: {expected}\n"
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def _texts_spy(monkeypatch, module, name, ids):
+    """Record, for each call of module.name(items, texts, path), the ids
+    of its texts mapping and `ids(items)`, the ids the call writes."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(items, texts, path):
+        calls.append((set(texts), ids(items)))
+        return real(items, texts, path)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_pairs_keeps_only_the_texts_of_sampled_sentences(work, tmp_path, monkeypatch):
+    calls = _texts_spy(monkeypatch, ps, "write_pairs",
+                       lambda pairs: {sid for pair in pairs for sid in (pair.sent_a, pair.sent_b)})
+    argv = ["pairs", work["annotated"], str(work["out"] / "match" / "table.tsv"),
+            str(tmp_path / "p"), "--config", work["paths"]["config"], "--inoculation-sizes", "8"]
+    assert cli.main(argv) == 0
+    written = set().union(*(ids for _, ids in calls))  # train, dev, test and the subset
+    assert len(calls) == 4 and all(texts == written for texts, _ in calls)
+    assert len(written) < 900
+
+
+def test_build_keeps_only_the_texts_of_the_band(work, tmp_path, monkeypatch):
+    table = read_table(work["out"] / "match" / "table.tsv", work["out"] / "match" / "discards.txt")
+    lowest = min(f for f in table.frequencies().values() if f >= 2)
+    in_band = {sid for cid in table.select_band((lowest, lowest)) for sid in table.instances(cid)}
+    calls = _texts_spy(monkeypatch, cb, "write_pretraining_file",
+                       lambda docs: set().union(*docs))
+    argv = ["build", work["annotated"], str(work["out"] / "match" / "table.tsv"),
+            str(tmp_path / "b"), "--config", work["paths"]["config"],
+            "--band", f"{lowest}:{lowest}"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 3 and all(texts == ids == in_band for texts, ids in calls)
+    assert len(in_band) < len(table.reverse)
