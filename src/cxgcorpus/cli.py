@@ -22,6 +22,8 @@ raised: a failed run leaves its output directory as it was.
 sentences they will write (the band's, the sampled pairs'), then read
 the store once through `ingest.store_texts`, which checks every line
 as `scan_annotated` does but keeps the texts of only those sentences.
+Of the stages, only `pairs` under `disjoint` strictness builds the
+table's transpose, `OccurrenceTable.reverse`.
 
 `-v` makes `match` print two lines on stderr, the number of
 constructions loaded and the numbers of matched and discarded
@@ -113,13 +115,10 @@ def cmd_annotate(args, config: EffectiveConfig) -> int:
     out = Path(args.out)
     with _outputs(out.parent, config, "annotate") as stage:
         stream = ingest.iter_raw_lines(args.input)
-        sentences = ingest.annotate_corpus(stream, resources, args.mode)
+        sentences = ingest.annotate_corpus(stream, resources, args.mode, args.input)
         path = stage(out.name, ANNOTATE_KEYS)
         stage(ingest.store_path(out).name, ANNOTATE_KEYS, source=out.name)
-        try:
-            count = ingest.write_annotated(sentences, path)
-        except ParseError as exc:  # only the pre-annotated reader raises one
-            raise ParseError(f"{args.input}: {exc}") from exc
+        count = ingest.write_annotated(sentences, path)
     print(f"annotated {count} sentences -> {args.out}")
     return EXIT_OK
 
@@ -236,7 +235,7 @@ def _store_texts(args, store: Path, table, wanted):
     from . import ingest
 
     refs, texts = ingest.store_texts(store, wanted)
-    missing = table.reverse.keys() - [ref.sentence_id for ref in refs]
+    missing = set().union(*table.forward.values()).difference(ref[0] for ref in refs)
     if missing:
         raise InputError(
             f"{args.table} names {len(missing)} sentence id(s) that {args.annotated} "
@@ -250,15 +249,15 @@ def cmd_build(args, config: EffectiveConfig) -> int:
 
     store, table = _checked_table(args, config)
     band = config.band
-    # every variant writes only the sentences of the selected constructions
-    wanted = set().union(*map(table.forward.__getitem__, table.select_band(band)))
+    built = {"cxg": cb.build_cxg_corpus(table, band)}
+    target = built["cxg"][1].total_occurrences
+    # every variant writes only the sentences of the cxg variant's documents
+    wanted = set().union(*built["cxg"][0])
     corpus, texts = _store_texts(args, store, table, wanted)
     want = ("cxg", "base", "random") if args.variant == "all" else (args.variant,)
     with _outputs(args.out, config, "build") as stage:
-        built = {"cxg": cb.build_cxg_corpus(table, band)}
-        target = built["cxg"][1].total_occurrences
         if "base" in want or "random" in want:
-            built["base"] = cb.build_base_clone(corpus, table, band, target)
+            built["base"] = cb.build_base_clone(corpus, table, band, target, kept=wanted)
             if "random" in want:
                 built["random"] = cb.build_random(built["base"][0], config.seed, band)
         for name in want:
@@ -272,8 +271,9 @@ def cmd_build(args, config: EffectiveConfig) -> int:
             )
         if args.variant != "all":
             return EXIT_OK
-        report_cxg = cb.verify_multiset(built["cxg"][0], built["base"][0])
-        report_rand = cb.verify_multiset(built["base"][0], built["random"][0])
+        base = cb.occurrences(built["base"][0])  # counted once for both comparisons
+        report_cxg = cb.verify_multiset(built["cxg"][0], base)
+        report_rand = cb.verify_multiset(base, built["random"][0])
         stage("verify.txt", BUILD_KEYS).write_text(
             f"cxg vs base: {report_cxg.summary()}\n"
             f"base vs random: {report_rand.summary()}\n",

@@ -22,8 +22,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple
 
 from .errors import EmptyBandError, InputError
 from .workspace import render_bound
@@ -31,6 +32,9 @@ from .workspace import render_bound
 if TYPE_CHECKING:
     from .ingest import AnnotatedSentence, SentenceRef
     from .matcher import OccurrenceTable
+
+
+_WRITE_SENTENCES = 1024  # lines per write: few calls, and a bounded string per call
 
 
 class BuildManifest(NamedTuple):
@@ -45,18 +49,10 @@ class BuildManifest(NamedTuple):
     seed: int | None = None
 
     def write(self, path: str | Path) -> None:
-        lines = [
-            f"variant = {self.variant}",
-            f"band_lo = {self.band_lo}",
-            f"band_hi = {render_bound(self.band_hi)}",
-            f"total_occurrences = {self.total_occurrences}",
-            f"n_documents = {self.n_documents}",
-        ]
-        for key in ("kept_sentences", "copies", "prefix_len", "seed"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key} = {value}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        """`key = value` lines in field order, without the optional fields that are None."""
+        fields = {**self._asdict(), "band_hi": render_bound(self.band_hi)}
+        lines = [f"{key} = {value}\n" for key, value in fields.items() if value is not None]
+        Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def build_cxg_corpus(
@@ -76,6 +72,8 @@ def build_base_clone(
     table: OccurrenceTable,
     band: tuple[int, int | None],
     target_total: int,
+    *,
+    kept: AbstractSet[int] | None = None,
 ) -> tuple[list[tuple[int, ...]], BuildManifest]:
     """Article-structured control corpus replicated to target_total.
 
@@ -84,22 +82,25 @@ def build_base_clone(
     document were adjacent in the source article. Whole copies of the
     resulting document list are emitted, then a prefix (splitting at
     most one document) to land exactly on target_total occurrences.
+    `kept`, the selected constructions' sentence ids, saves selecting.
     """
-    selected = set(table.select_band(band))
-    if not selected:
+    if kept is None:
+        kept = set().union(*map(table.forward.__getitem__, table.select_band(band)))
+    if not kept:
         raise EmptyBandError(f"band {band} selects no constructions")
 
     base_docs: list[tuple[int, ...]] = []
     run: list[int] = []
     article = None
-    for sent in sorted(corpus, key=lambda s: (s.article_id, s.position_in_article)):
-        keep = any(cid in selected for cid in table.constructions_of(sent.sentence_id))
-        if run and (not keep or sent.article_id != article):
+    for sent in sorted(corpus, key=itemgetter(1, 2)):  # (article_id, position_in_article)
+        sid, article_id = sent[0], sent[1]
+        keep = sid in kept
+        if run and (not keep or article_id != article):
             base_docs.append(tuple(run))
             run = []
         if keep:
-            run.append(sent.sentence_id)
-        article = sent.article_id
+            run.append(sid)
+        article = article_id
     if run:
         base_docs.append(tuple(run))
 
@@ -150,17 +151,21 @@ def write_pretraining_file(
     path: str | Path,
 ) -> None:
     """One sentence per line, a blank line between documents, no
-    trailing blank line.
+    trailing blank line. Each write takes up to _WRITE_SENTENCES lines,
+    since a cxg document can hold most of the corpus.
     """
+    text = sentence_texts.__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         for index, doc in enumerate(documents):
-            if index:
-                fh.write("\n")
-            for sid in doc:
+            head = [""] if index else []  # the blank line before each document but the first
+            for start in range(0, len(doc) or 1, _WRITE_SENTENCES):
                 try:
-                    fh.write(sentence_texts[sid] + "\n")
-                except KeyError:
-                    raise InputError(f"{path}: unknown sentence id {sid} in document {index}")
+                    lines = [*head, *map(text, doc[start:start + _WRITE_SENTENCES]), ""]
+                except KeyError as exc:
+                    raise InputError(
+                        f"{path}: unknown sentence id {exc.args[0]} in document {index}")
+                fh.write("\n".join(lines))
+                head = []
 
 
 class MultisetReport(NamedTuple):
@@ -185,13 +190,21 @@ class MultisetReport(NamedTuple):
         )
 
 
+def occurrences(documents: list[tuple[int, ...]]) -> Counter[int]:
+    """The multiplicity of each sentence id over a variant's documents."""
+    return Counter(chain.from_iterable(documents))
+
+
 def verify_multiset(
-    documents_a: list[tuple[int, ...]], documents_b: list[tuple[int, ...]]
+    documents_a: list[tuple[int, ...]] | Counter[int],
+    documents_b: list[tuple[int, ...]] | Counter[int],
 ) -> MultisetReport:
-    """Compare the sentence-occurrence multisets of two variants."""
-    count_a = Counter(chain.from_iterable(documents_a))
-    count_b = Counter(chain.from_iterable(documents_b))
-    mismatched = [
+    """Compare the sentence-occurrence multisets of two variants; a side
+    given as its `occurrences` is not counted again."""
+    count_a, count_b = (docs if isinstance(docs, Counter) else occurrences(docs)
+                        for docs in (documents_a, documents_b))
+    # dict's own == runs in C (Counter's loops in Python); counts hold no zeros
+    mismatched = [] if dict.__eq__(count_a, count_b) else [
         (sid, count_a[sid], count_b[sid])
         for sid in sorted(count_a.keys() | count_b.keys())
         if count_a[sid] != count_b[sid]

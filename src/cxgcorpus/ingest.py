@@ -320,6 +320,7 @@ def annotate_corpus(
     stream: str | Iterable[str],
     resources: AnnotationResources | None,
     mode: str = "raw",
+    source: str | Path | None = None,
 ) -> Iterator[AnnotatedSentence]:
     """Annotate a corpus stream, yielding AnnotatedSentence in order.
 
@@ -330,7 +331,7 @@ def annotate_corpus(
                        it reads no resources, which may be None
     """
     if mode == "pre-annotated":
-        yield from read_annotated(stream)
+        yield from read_annotated(stream, source)
         return
     if mode not in ("raw", "pre-split"):
         raise ParseError(f"unknown ingestion mode {mode!r}")
@@ -416,7 +417,9 @@ def write_annotated(
     return count
 
 
-def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
+def read_annotated(
+    stream: str | Iterable[str], source: str | Path | None = None
+) -> Iterator[AnnotatedSentence]:
     """Read the pre-annotated TSV back into AnnotatedSentence objects.
 
     Facets are taken verbatim; only structural validity is enforced:
@@ -426,10 +429,11 @@ def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
     holding every pair in memory).
     Rows belong to one sentence while their ids, read as integers, stay
     the same. A str is split into lines at '\n' only, as iter_raw_lines
-    splits a file.
+    splits a file. An error names the line `source:N:` (`line N:` without one).
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline="\n")
+    where = "line " if source is None else f"{source}:"
     sem_value = _Memo(_sem_value, {"-": None}).__getitem__
 
     cur_key: tuple[int, int, int] | None = None
@@ -448,23 +452,23 @@ def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
             continue
         parts = line.split("\t")
         if len(parts) != 6:
-            raise ParseError(f"line {lineno}: expected 6 columns, got {len(parts)}")
+            raise ParseError(f"{where}{lineno}: expected 6 columns, got {len(parts)}")
         key = cur_key
         if parts[:3] != cur_fields:
             try:
                 key = (int(parts[0]), int(parts[1]), int(parts[2]))
             except ValueError:
-                raise ParseError(f"line {lineno}: non-integer id field")
+                raise ParseError(f"{where}{lineno}: non-integer id field")
             cur_fields = parts[:3]
         form, tag = parts[3], parts[4]
         if not form:
-            raise ParseError(f"line {lineno}: empty token form")
+            raise ParseError(f"{where}{lineno}: empty token form")
         if tag not in UNIVERSAL_TAGS:
-            raise ParseError(f"line {lineno}: unknown POS tag {tag!r}")
+            raise ParseError(f"{where}{lineno}: unknown POS tag {tag!r}")
         try:
             sem = sem_value(parts[5])
         except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}")
+            raise ParseError(f"{where}{lineno}: {exc}")
         if key != cur_key:
             if cur_key is not None:
                 yield AnnotatedSentence(*cur_key, forms, tag_col, sems)
@@ -472,12 +476,12 @@ def read_annotated(stream: str | Iterable[str]) -> Iterator[AnnotatedSentence]:
             sid, aid, pos = key
             if sid <= last_sid:
                 raise ParseError(
-                    f"line {lineno}: sentence ids must be strictly increasing; "
+                    f"{where}{lineno}: sentence ids must be strictly increasing; "
                     f"saw {sid} after {last_sid}"
                 )
             if pos <= last_pos_by_article.get(aid, -1):
                 raise ParseError(
-                    f"line {lineno}: position {pos} in article {aid} repeats or goes backwards"
+                    f"{where}{lineno}: position {pos} in article {aid} repeats or goes backwards"
                 )
             last_pos_by_article[aid] = pos
             last_sid = sid
@@ -581,5 +585,6 @@ def store_texts(
         last = sid
         refs.append(ref)
         if sid in wanted:
-            texts[sid] = " ".join(head[3].split("\t", n)[:n])
+            # the n forms, the first n - 1 tabs turned to spaces (a form holds no tab)
+            texts[sid] = head[3].replace("\t", " ", n - 1).partition("\t")[0]
     return refs, texts

@@ -26,6 +26,7 @@ indexed path.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import lt
 from pathlib import Path
@@ -195,7 +196,9 @@ class OccurrenceTable:
 
     forward maps cxg_id to the sorted sentence ids instantiating it
     (zero-frequency inventory entries keep an empty list); reverse is
-    the exact transpose; discarded lists sentences matching nothing.
+    the exact transpose, built on first read unless given (match_corpus
+    gives its own; of the CLI's readers only `pairs` under `disjoint`
+    strictness reads it); discarded lists sentences matching nothing.
     """
 
     def __init__(
@@ -205,18 +208,22 @@ class OccurrenceTable:
         discarded: list[int] | None = None,
     ):
         self.forward = forward
-        if reverse is None:
-            reverse = {}
-            for cid in sorted(forward):
-                for sid in forward[cid]:
-                    reverse.setdefault(sid, []).append(cid)
-            reverse = dict(sorted(reverse.items()))
-        self.reverse = reverse
+        if reverse is not None:
+            self.reverse = reverse
         self.discarded = list(discarded or [])
+
+    @cached_property
+    def reverse(self) -> dict[int, list[int]]:
+        """sentence id -> its cxg_ids in id order, sentence ids ascending."""
+        reverse: dict[int, list[int]] = {}
+        for cid in sorted(self.forward):
+            for sid in self.forward[cid]:
+                reverse.setdefault(sid, []).append(cid)
+        return dict(sorted(reverse.items()))
 
     @property
     def sentence_ids(self) -> list[int]:
-        return sorted(self.reverse)
+        return sorted(set().union(*self.forward.values()))
 
     def frequencies(self) -> dict[int, int]:
         return {cid: len(sids) for cid, sids in self.forward.items()}

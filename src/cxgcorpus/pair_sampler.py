@@ -246,11 +246,14 @@ def audit_pairs(
     strictness: str = "anchor",
 ) -> AuditReport:
     """Re-derive every label from the occurrence table and flag
-    violations, duplicate pairs, and cross-split leakage.
+    violations, duplicate pairs, and cross-split leakage. Only
+    `disjoint` strictness reads the table's `reverse`.
     """
     if strictness not in STRICTNESS:
         raise ParseError(f"unknown strictness {strictness!r}")
     report = AuditReport([], [], [])
+    anchors = {pair.anchor_cxg for pairs in pairs_by_split.values() for pair in pairs}
+    members = {cid: set(table.forward.get(cid, ())) for cid in anchors}  # anchor -> its instances
     seen_in: dict[tuple[int, int], set[str]] = {}
     counts: dict[tuple[int, int], int] = {}
 
@@ -263,8 +266,8 @@ def audit_pairs(
             if pair.sent_a == pair.sent_b:
                 report.violations.append((split_name, pair, "sentence paired with itself"))
                 continue
-            in_a = pair.anchor_cxg in table.constructions_of(pair.sent_a)
-            in_b = pair.anchor_cxg in table.constructions_of(pair.sent_b)
+            in_a = pair.sent_a in members[pair.anchor_cxg]
+            in_b = pair.sent_b in members[pair.anchor_cxg]
             if pair.label == "same":
                 if not (in_a and in_b):
                     report.violations.append(

@@ -20,6 +20,7 @@ to match against.
 
 from __future__ import annotations
 
+import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from cxgcorpus.ingest import (
-    ABBREVIATIONS, AnnotatedSentence, AnnotationResources, Token, read_annotated,
+    ABBREVIATIONS, AnnotatedSentence, AnnotationResources, SentenceRef, Token, read_annotated,
 )
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
 from cxgcorpus.matcher import OccurrenceTable
@@ -104,6 +105,81 @@ def is_transpose_consistent(table: OccurrenceTable) -> bool:
             if i >= len(fwd) or fwd[i] != sid:
                 return False
     return True
+
+
+# --------------------------------------------------------------------------
+# naive references for the corpus builder, written without its code
+
+def reference_band(table: OccurrenceTable, band: tuple[int, int | None]) -> list[int]:
+    """The cxg_ids whose frequency lies in the band (never below 2), ascending."""
+    lo, hi = max(band[0], 2), band[1]
+    freqs = {cid: len(sids) for cid, sids in table.forward.items()}
+    return [cid for cid in sorted(freqs) if lo <= freqs[cid] and (hi is None or freqs[cid] <= hi)]
+
+
+def reference_cxg(table: OccurrenceTable, band) -> list[tuple[int, ...]]:
+    """The cxg variant: the band's forward rows, in cxg_id order."""
+    return [tuple(table.forward[cid]) for cid in reference_band(table, band)]
+
+
+def reference_base(corpus, table: OccurrenceTable, band, target_total: int) -> list[tuple]:
+    """The base variant: the sentences in (article, position) order, a
+    sentence kept when any of its constructions is selected, a document
+    broken at every drop and every article change; then the documents
+    repeated in a cycle, the last one cut, until target_total sentences."""
+    selected = reference_band(table, band)
+    runs: list[list[int]] = [[]]
+    article = None
+    for s in sorted(corpus, key=lambda s: (s.article_id, s.position_in_article)):
+        keep = any(s.sentence_id in table.forward[cid] for cid in selected)
+        if not keep or s.article_id != article:
+            runs.append([])
+        if keep:
+            runs[-1].append(s.sentence_id)
+        article = s.article_id
+    documents = [tuple(run) for run in runs if run]
+    out: list[tuple[int, ...]] = []
+    total = 0
+    for doc in itertools.cycle(documents):
+        if total == target_total:
+            break
+        out.append(doc[: target_total - total])
+        total += len(out[-1])
+    return out
+
+
+def reference_pretraining_bytes(documents, texts: dict[int, str]) -> bytes:
+    """A pre-training file: each sentence on its line, documents joined by one blank line."""
+    return "\n".join("".join(f"{texts[sid]}\n" for sid in doc) for doc in documents).encode()
+
+
+def random_build_case(rng: random.Random):
+    """A small random table and the SentenceRefs and texts of its store:
+    sentence ids with gaps, articles whose positions do not follow the
+    ids, constructions that may have no instance, and one row repeated
+    under several ids in about a fifth of the cases, so that the cxg
+    total is an exact multiple of the kept sentences. Returns (refs,
+    texts, table, band)."""
+    sids = sorted(rng.sample(range(60), rng.randrange(1, 25)))
+    n_articles = rng.randrange(1, 5)
+    article_of = {sid: rng.randrange(n_articles) for sid in sids}
+    refs = []
+    for aid in range(n_articles):
+        members = [sid for sid in sids if article_of[sid] == aid]
+        positions = sorted(rng.sample(range(3 * len(members) + 1), len(members)))
+        rng.shuffle(positions)
+        refs.extend(SentenceRef(sid, aid, pos) for sid, pos in zip(members, positions))
+    refs.sort()
+    texts = {sid: f"s{sid} " + " ".join(rng.choices("abc", k=rng.randrange(1, 4))) for sid in sids}
+    cids = rng.sample(range(100), rng.randrange(1, 8))
+    if rng.random() < 0.2:
+        row = sorted(rng.sample(sids, rng.randrange(0, len(sids) + 1)))
+        forward = {cid: list(row) for cid in cids}
+    else:
+        forward = {cid: sorted(rng.sample(sids, rng.randrange(0, len(sids) + 1))) for cid in cids}
+    lo = rng.randrange(0, 8)
+    band = (lo, None if rng.random() < 0.4 else lo + rng.randrange(0, 10))
+    return refs, texts, OccurrenceTable(forward), band
 
 
 def all_pairs(sampled: SampledPairs) -> list[PairExample]:

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import filecmp
+import functools
 import gc
 import hashlib
 import itertools
@@ -588,7 +589,7 @@ def _rerun_annotate(work, tmp, out, monkeypatch):
     rows[bad] = "\t".join(fields)
     external = tmp / "external.tsv"
     external.write_text("".join(rows), encoding="utf-8")
-    return ["annotate", external, annotated, "--mode", "pre-annotated"], f"{external}: line {bad + 1}:"
+    return ["annotate", external, annotated, "--mode", "pre-annotated"], f"{external}:{bad + 1}:"
 
 
 def _rerun_match(work, tmp, out, monkeypatch):
@@ -891,7 +892,7 @@ def _pre_annotated_case(second_row):
     def case(work, tmp):
         tsv = tmp / "external.tsv"
         tsv.write_text(f"3\t0\t0\ta\tNOUN\t-\n\n{second_row}\n", encoding="utf-8")
-        return ["annotate", tsv, tmp / "annotated.tsv", "--mode", "pre-annotated"], f"{tsv}: line 3"
+        return ["annotate", tsv, tmp / "annotated.tsv", "--mode", "pre-annotated"], f"{tsv}:3: "
     return case
 
 
@@ -1268,3 +1269,59 @@ def test_build_keeps_only_the_texts_of_the_band(work, tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     assert len(calls) == 3 and all(texts == ids == in_band for texts, ids in calls)
     assert len(in_band) < len(table.reverse)
+
+
+def _count_reverse_builds(monkeypatch) -> list:
+    """Replace OccurrenceTable.reverse with one that records each build."""
+    builds = []
+    real = matcher.OccurrenceTable.reverse.func
+
+    def reverse(table):
+        builds.append(table)
+        return real(table)
+    prop = functools.cached_property(reverse)
+    prop.__set_name__(matcher.OccurrenceTable, "reverse")
+    monkeypatch.setattr(matcher.OccurrenceTable, "reverse", prop)
+    return builds
+
+
+def test_build_and_anchor_pairs_never_build_the_transpose(work, tmp_path, monkeypatch):
+    def refuse(table):
+        raise AssertionError("the table's reverse was read")
+    monkeypatch.setattr(matcher.OccurrenceTable, "reverse", property(refuse))
+    table = str(work["out"] / "match" / "table.tsv")
+    config = ["--config", work["paths"]["config"]]
+    assert cli.main(["build", work["annotated"], table, str(tmp_path / "build"), *config]) == 0
+    assert cli.main(["pairs", work["annotated"], table, str(tmp_path / "pairs"), *config,
+                     "--strictness", "anchor", "--inoculation-sizes", "8,16"]) == 0
+    for stage in ("build", "pairs"):
+        written = sorted(p.name for p in (tmp_path / stage).iterdir())
+        assert written == sorted(p.name for p in (work["out"] / stage).iterdir())
+        for name in written:
+            assert filecmp.cmp(tmp_path / stage / name, work["out"] / stage / name, shallow=False)
+
+
+def test_disjoint_pairs_build_the_transpose_once_and_flag_a_shared_construction(
+    work, tmp_path, monkeypatch
+):
+    table = read_table(work["out"] / "match" / "table.tsv", work["out"] / "match" / "discards.txt")
+    # a 'different' pair one-sided on its anchor whose sentences share another construction
+    anchor = work["desk"].anchor_cxg_ids[0]
+    a = table.instances(anchor)[0]
+    b = next(sid for sid in table.sentence_ids if anchor not in table.constructions_of(sid)
+             and set(table.constructions_of(sid)) & set(table.constructions_of(a)))
+    bad = PairExample(a, b, "different", anchor, 2, 10000)
+    real = ps.sample_pairs
+
+    def sample(*args):
+        sampled = real(*args)
+        sampled.train.append(bad)
+        return sampled
+    monkeypatch.setattr(ps, "sample_pairs", sample)
+    builds = _count_reverse_builds(monkeypatch)
+    argv = ["pairs", work["annotated"], str(work["out"] / "match" / "table.tsv"),
+            str(tmp_path / "p"), "--config", work["paths"]["config"], "--strictness", "disjoint"]
+    assert cli.main(argv) == cli.EXIT_AUDIT
+    assert len(builds) == 1
+    audit = (tmp_path / "p" / "audit.txt").read_text("utf-8")
+    assert audit.startswith("1 label violation(s), ")

@@ -1,18 +1,25 @@
+import random
 from collections import Counter
 
 import pytest
 
 from cxgcorpus.corpus_builder import (
+    _WRITE_SENTENCES,
     build_base_clone,
     build_cxg_corpus,
     build_random,
+    occurrences,
     verify_multiset,
     write_pretraining_file,
 )
-from cxgcorpus.errors import EmptyBandError
+from cxgcorpus.errors import EmptyBandError, InputError
+from cxgcorpus.ingest import store_texts
 from cxgcorpus.matcher import OccurrenceTable
 
-from helpers import freq, read_pretraining_file, sent, sentence_text_map
+from helpers import (
+    freq, random_build_case, read_pretraining_file, reference_base, reference_cxg,
+    reference_pretraining_bytes, sent, sentence_text_map,
+)
 
 
 def _toy_corpus_and_table():
@@ -132,6 +139,35 @@ class TestPretrainingFile:
         write_pretraining_file([], {}, path)
         assert path.read_text("utf-8") == ""
 
+    def test_empty_documents_keep_their_blank_lines(self, tmp_path):
+        texts = {0: "a", 1: "b"}
+        path = tmp_path / "out.txt"
+        for docs, expected in (
+            ([(0,), (), (1,)], b"a\n\n\nb\n"),
+            ([(), (0, 1)], b"\na\nb\n"),
+            ([(0,), ()], b"a\n\n"),
+            ([(), ()], b"\n"),
+            ([()], b""),
+        ):
+            write_pretraining_file(docs, texts, path)
+            assert path.read_bytes() == expected == reference_pretraining_bytes(docs, texts)
+
+    def test_documents_longer_than_one_write_keep_their_bytes(self, tmp_path):
+        n = _WRITE_SENTENCES
+        texts = {sid: f"sentence {sid}" for sid in range(3 * n)}
+        docs = [tuple(range(2 * n + 5)), (), tuple(range(n)), (7,), tuple(range(n + 1))]
+        path = tmp_path / "out.txt"
+        write_pretraining_file(docs, texts, path)
+        assert path.read_bytes() == reference_pretraining_bytes(docs, texts)
+        with pytest.raises(InputError, match=rf"unknown sentence id {3 * n} in document 1$"):
+            write_pretraining_file([(0,), (*range(n + 5), 3 * n)], texts, path)
+
+    def test_unknown_sentence_id_names_its_document(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(InputError) as caught:
+            write_pretraining_file([(0,), (), (1, 7, 0)], {0: "a", 1: "b"}, path)
+        assert str(caught.value) == f"{path}: unknown sentence id 7 in document 2"
+
     def test_round_trip_structure(self, tmp_path):
         corpus, table = _toy_corpus_and_table()
         texts = sentence_text_map(corpus)
@@ -159,6 +195,17 @@ class TestVerifyMultiset:
         report = verify_multiset(base_docs, rand_docs)
         assert report.equal_multisets
 
+    def test_counted_side_reports_alike(self):
+        corpus, table = _toy_corpus_and_table()
+        cxg_docs, manifest = build_cxg_corpus(table, (2, None))
+        base_docs, _ = build_base_clone(corpus, table, (2, None), manifest.total_occurrences)
+        rand_docs, _ = build_random(base_docs, seed=3, band=(2, None))
+        base = occurrences(base_docs)
+        assert base == Counter(sid for doc in base_docs for sid in doc)
+        assert verify_multiset(cxg_docs, base) == verify_multiset(cxg_docs, base_docs)
+        assert verify_multiset(base, rand_docs) == verify_multiset(base_docs, rand_docs)
+        assert verify_multiset(base, rand_docs).equal_multisets
+
     def test_deleted_sentence_named(self):
         corpus, table = _toy_corpus_and_table()
         base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=4)
@@ -166,3 +213,56 @@ class TestVerifyMultiset:
         report = verify_multiset(base_docs, truncated)
         assert not report.equal_multisets
         assert report.mismatched[0][0] == 4  # sentence id 4 went missing
+
+
+def test_variants_agree_with_the_naive_references(tmp_path):
+    """Seeded small tables and stores: the store pass gives the band's
+    texts, the cxg and base variants equal the references, the random
+    variant keeps the base multiset and document count, every file has
+    the reference bytes, and a table whose rows come in another order
+    gives the same bytes."""
+    seen = Counter()
+    path = tmp_path / "out.txt"
+    for seed in range(400):
+        refs, texts, table, band = random_build_case(random.Random(seed))
+        seen["no instance"] += any(not sids for sids in table.forward.values())
+        seen["positions not by id"] += [r.sentence_id for r in refs] != [
+            r.sentence_id for r in sorted(refs, key=lambda r: (r.article_id, r.position_in_article))]
+        cxg = reference_cxg(table, band)
+        if not cxg:
+            seen["empty band"] += 1
+            with pytest.raises(EmptyBandError):
+                build_cxg_corpus(table, band)
+            with pytest.raises(EmptyBandError):
+                build_base_clone(refs, table, band, 1)
+            continue
+        total = sum(map(len, cxg))
+        kept = set().union(*cxg)
+        store = tmp_path / "store.sents"
+        store.write_text("".join(
+            "\t".join([*map(str, ref), *words, *["NOUN"] * len(words), *["-", "3"][:len(words)],
+                       *["0"] * (len(words) - 2)]) + "\n"
+            for ref in refs for words in [texts[ref.sentence_id].split()]), encoding="utf-8")
+        assert store_texts(store, kept) == (refs, {sid: texts[sid] for sid in sorted(kept)})
+        seen["exact multiple"] += total % len(kept) == 0
+        shuffled = list(table.forward.items())
+        random.Random(seed).shuffle(shuffled)
+        outputs = []
+        for tab in (table, OccurrenceTable(dict(shuffled))):
+            cxg_docs, manifest = build_cxg_corpus(tab, band)
+            base_docs, base_manifest = build_base_clone(refs, tab, band, total)
+            assert build_base_clone(refs, tab, band, total, kept=kept) == (base_docs, base_manifest)
+            rand_docs, _ = build_random(base_docs, seed, band)
+            assert cxg_docs == cxg and manifest.total_occurrences == total
+            assert base_docs == reference_base(refs, tab, band, total)
+            copies, prefix = divmod(total, len(kept))
+            assert (base_manifest.kept_sentences, base_manifest.copies,
+                    base_manifest.prefix_len) == (len(kept), copies, prefix)
+            assert occurrences(rand_docs) == occurrences(base_docs)
+            assert len(rand_docs) == len(base_docs) and all(rand_docs)
+            for docs in (cxg_docs, base_docs, rand_docs):
+                write_pretraining_file(docs, texts, path)
+                assert path.read_bytes() == reference_pretraining_bytes(docs, texts)
+                outputs.append(path.read_bytes())
+        assert outputs[:3] == outputs[3:]
+    assert min(seen.values()) >= 10, seen

@@ -298,6 +298,20 @@ class TestMatchCorpus:
         assert matched.isdisjoint(discarded)
         assert len(matched) + len(discarded) == len(desk.sentences)
 
+    def test_reverse_is_built_on_first_use(self, tmp_path, desk_table):
+        desk_table.write(tmp_path / "table.tsv", tmp_path / "discards.txt")
+        loaded = OccurrenceTable.read(tmp_path / "table.tsv")
+        assert loaded.sentence_ids == desk_table.sentence_ids == sorted(desk_table.reverse)
+        assert "reverse" not in vars(loaded)  # neither reading nor sentence_ids built it
+        assert is_transpose_consistent(loaded)
+        assert loaded.reverse == desk_table.reverse and loaded.reverse is loaded.reverse
+
+    def test_matched_reverse_equals_the_one_built_on_demand(self, desk_table):
+        assert "reverse" in vars(desk_table)  # match_corpus passed its own
+        rebuilt = OccurrenceTable(desk_table.forward)
+        assert is_transpose_consistent(rebuilt)
+        assert list(rebuilt.reverse.items()) == list(desk_table.reverse.items())
+
     def test_round_trip_serialization(self, tmp_path, desk_table):
         table_path = tmp_path / "table.tsv"
         discards_path = tmp_path / "discards.txt"
