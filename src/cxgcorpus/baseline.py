@@ -12,11 +12,13 @@ so a model's bytes do not depend on the CPU.
 One memo per run featurizes each distinct sentence side once into an
 `array('l')` of buckets and hashes each unigram and cross feature once;
 it keeps no bigram string, and training examples are packed arrays.
+Features are hashed with `_blake2`'s blake2b, which is the one
+`hashlib.blake2b` gives, without loading `hashlib` and its OpenSSL
+library.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import struct
@@ -25,6 +27,8 @@ from array import array
 from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
+
+from _blake2 import blake2b
 
 from .errors import InputError, ParseError
 from .workspace import render_bound
@@ -70,7 +74,7 @@ def check_hyperparams(hyper: Hyperparams, label=lambda name: f"Hyperparams.{name
 
 
 def hash_feature(feature: str, dim: int) -> int:
-    digest = hashlib.blake2b(feature.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(feature.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dim
 
 

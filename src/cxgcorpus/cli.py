@@ -23,7 +23,8 @@ sentences they will write (the band's, the sampled pairs'), then read
 the store once through `ingest.store_texts`, which checks every line
 as `scan_annotated` does but keeps the texts of only those sentences.
 Of the stages, only `pairs` under `disjoint` strictness builds the
-table's transpose, `OccurrenceTable.reverse`.
+table's transpose, `OccurrenceTable.reverse`; `match` counts the
+sentences it matched without it.
 
 `-v` makes `match` print two lines on stderr, the number of
 constructions loaded and the numbers of matched and discarded
@@ -190,14 +191,15 @@ def cmd_match(args, config: EffectiveConfig) -> int:
     with _outputs(args.out, config, "match") as stage:
         corpus = ingest.scan_annotated(store)
         table = matcher.match_corpus(index, corpus, config.max_gap)
+        matched = len(table.sentence_ids)
         if args.verbose:
-            print(f"matched corpus: {len(table.reverse)} sentences instantiate >=1 construction, "
+            print(f"matched corpus: {matched} sentences instantiate >=1 construction, "
                   f"{len(table.discarded)} discarded", file=sys.stderr)
         table.write(stage("table.tsv", TABLE_KEYS), stage("discards.txt", TABLE_KEYS))
         stats = matcher.occurrence_stats(table, config.band_edges)
         matcher.write_stats(stats, stage("stats.tsv", STATS_KEYS))
     print(
-        f"matched {len(table.reverse)} sentences against {index.size} constructions "
+        f"matched {matched} sentences against {index.size} constructions "
         f"({len(table.discarded)} discarded) -> {Path(args.out) / 'table.tsv'}"
     )
     return EXIT_OK

@@ -6,6 +6,13 @@ each requiring an exact surface form (LEX), a POS tag (POS), or a
 semantic cluster id (SEM). Inventories are normally loaded from a file;
 induction exists so the pipeline is usable end to end without one.
 
+An `Inventory` is held compiled, as the matcher uses it: one map per
+kind from a slot's value to its facet id, and each construction's tuple
+of facet ids. `load_inventory` fills the maps from the slot texts
+without building a SlotConstraint, and the matcher looks a token's form
+and tag up in the LEX and POS maps themselves, so no second table of
+facets is kept; the slots and constructions are rebuilt on request.
+
 The records here, like every record of the package, are typing
 NamedTuples, so a copy with one field changed is `x._replace(...)`.
 Nothing here logs: `match -v` reports the construction count itself, and
@@ -55,14 +62,20 @@ def render_name(construction: Construction) -> str:
     return " + ".join(s.render() for s in construction.slots)
 
 
+KINDS = ("LEX", "POS", "SEM")
+
+
 class Inventory:
-    """Constructions compiled for the matcher: `facets` holds each
-    distinct slot once, in order of first use, and `slot_ids` maps each
-    cxg_id to its slots' indices into `facets`, in slot order.
-    `constructions` (and iteration) builds the Construction values."""
+    """Constructions compiled for the matcher: `facet_maps` holds, per
+    kind, each value a slot of that kind tests, mapped to its facet id
+    (ids count across the kinds, in order of first use), and `slot_ids`
+    maps each cxg_id to its slots' facet ids, in slot order. `facets`
+    (the facet of each id) and `constructions` (and iteration) are built
+    on each read."""
 
     def __init__(self, constructions: Iterable[Construction] = ()):
-        self._facet_ids: dict[SlotConstraint, int] = {}  # in order of first use
+        self.facet_maps: dict[str, dict[str, int]] = {kind: {} for kind in KINDS}
+        self._n_facets = 0
         self.slot_ids: dict[int, tuple[int, ...]] = {}
         self._owners: dict[tuple[int, ...], int] = {}  # slot ids -> cxg_id
         for con in constructions:
@@ -70,10 +83,22 @@ class Inventory:
 
     @property
     def facets(self) -> list[SlotConstraint]:
-        return list(self._facet_ids)
+        return facets_of(self.facet_maps)
 
     def facet_id(self, slot: SlotConstraint) -> int:
-        return self._facet_ids.setdefault(slot, len(self._facet_ids))
+        return self._facet_id(*slot)
+
+    def _facet_id(self, kind: str, value: str) -> int:
+        """The id of the facet (kind, value), numbered next if new; a
+        kind other than LEX, POS or SEM raises ParseError."""
+        ids = self.facet_maps.get(kind)
+        if ids is None:
+            raise ParseError(f"slot kind {kind!r} is none of {', '.join(KINDS)}")
+        fid = ids.get(value)
+        if fid is None:
+            fid = ids[value] = self._n_facets
+            self._n_facets += 1
+        return fid
 
     def add(self, cxg_id: int, fids: tuple[int, ...]) -> None:
         """Add a construction, refusing a duplicate id or slot sequence."""
@@ -99,29 +124,39 @@ class Inventory:
         return isinstance(other, Inventory) and self.constructions == other.constructions
 
 
-def _parse_slot(piece: str, col: int) -> SlotConstraint:
+def facets_of(facet_maps: dict[str, dict[str, int]]) -> list[SlotConstraint]:
+    """The facet of each id of an inventory's `facet_maps`, in id order."""
+    facets = [None] * sum(map(len, facet_maps.values()))
+    for kind, ids in facet_maps.items():
+        for value, fid in ids.items():
+            facets[fid] = SlotConstraint(kind, value)
+    return facets
+
+
+def _parse_slot(piece: str, col: int) -> tuple[str, str]:
+    """The kind and value of a slot text."""
     kind, sep, value = piece.partition(":")
     if not sep or not value:
         raise ParseError(f"column {col}: slot {piece!r} is not kind:value")
     if kind == "lex":
         if "\t" in value:  # as in a file whose lines end with a bare '\r'
             raise ParseError(f"column {col}: lex form {value!r} holds a tab, which no token form can")
-        return SlotConstraint("LEX", value)
+        return "LEX", value
     if kind == "pos":
         if value not in UNIVERSAL_TAGS:
             raise ParseError(f"column {col}: unknown POS tag {value!r}")
-        return SlotConstraint("POS", value)
+        return "POS", value
     if kind == "sem":
         if not value.isdecimal():
             raise ParseError(f"column {col}: sem id {value!r} is not an integer")
-        return SlotConstraint("SEM", str(int(value)))
+        return "SEM", str(int(value))
     raise ParseError(f"column {col}: unknown slot prefix {kind!r}")
 
 
 def _parse_spec(line: str, known: dict, intern: Callable) -> tuple[int, tuple]:
     """The id and slots of a spec line: `known[piece]` for each slot
-    text, where a text not yet in `known` is parsed and `intern` of its
-    slot is added."""
+    text, where a text not yet in `known` is parsed and `intern(kind,
+    value)` of its slot is added."""
     head, sep, rest = line.rstrip("\n").partition("\t")
     if not sep:
         raise ParseError("construction spec needs <id><TAB><slots>")
@@ -135,7 +170,7 @@ def _parse_spec(line: str, known: dict, intern: Callable) -> tuple[int, tuple]:
     for piece in rest.split(" "):
         if piece:
             if piece not in known:
-                known[piece] = intern(_parse_slot(piece, col))
+                known[piece] = intern(*_parse_slot(piece, col))
             slots.append(known[piece])
         col += len(piece) + 1
     if len(slots) < 2:
@@ -150,21 +185,22 @@ def parse_construction_spec(line: str) -> Construction:
     `sem:<int>`; errors report the column (1-based character position)
     of the offending slot.
     """
-    return Construction(*_parse_spec(line, {}, lambda slot: slot))
+    return Construction(*_parse_spec(line, {}, SlotConstraint))
 
 
 def load_inventory(path: str | Path) -> Inventory:
     """Load an inventory file, refusing a malformed line or a duplicate
     at its line. Each distinct slot text is validated once, where it
-    first appears, and mapped to its facet id; a slot text seen before
-    costs one lookup."""
+    first appears, and its value entered in the facet map of its kind;
+    a slot text seen before costs one lookup. No SlotConstraint is
+    built."""
     inventory = Inventory()
     known: dict[str, int] = {}  # slot text -> facet id
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         try:
-            inventory.add(*_parse_spec(line, known, inventory.facet_id))
+            inventory.add(*_parse_spec(line, known, inventory._facet_id))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return inventory

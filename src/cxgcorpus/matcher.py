@@ -15,8 +15,9 @@ and match_corpus writes the occurrence table from it.
 Matching works on a sentence's three facet columns (forms, tags, sem
 ids), which every ingest.AnnotatedSentence carries, whether it was
 annotated, read from a TSV or read from the sentence store: each column
-is translated to facet ids through the map of its kind, and a slot
-tests one column at a position.
+is translated to facet ids through the inventory's map of its kind (for
+sem ids, an int-keyed copy of the SEM map), and a slot tests one column
+at a position.
 
 brute_force_match is the deliberately naive reference implementation
 used as the correctness oracle; it shares no matching code with the
@@ -43,30 +44,32 @@ if TYPE_CHECKING:
 class MatchIndex:
     """Immutable rarest-slot inverted index over an inventory.
 
-    It takes the inventory's compiled form as it is: `_facets`, every
-    facet (kind, value) any slot uses, indexed by its integer id, and
-    `_checks`, the inventory's own `slot_ids` (cxg_id -> its slots'
-    facet ids in slot order), so the inventory must not grow after.
+    It takes the inventory's compiled form as it is, so the inventory
+    must not grow after: its `facet_maps`, per kind the map from a value
+    to its facet id, of which `_lex` and `_pos` are the LEX and POS maps
+    themselves, and `_checks`, its `slot_ids` (cxg_id -> its slots'
+    facet ids in slot order). Only `_sem`, keyed by int, is derived.
     Each construction is filed under the id of its rarest facet (rarity
     measured by inventory-wide facet counts, ties broken by the leftmost
     slot), and matching works on ids only: a sentence is a candidate for
     verification only when its set of facet ids is a superset of the
-    construction's tuple. `entries` is a view derived from the index.
+    construction's tuple. `entries` and `_facets` are views derived
+    from the index.
     """
 
     def __init__(self, inventory: Inventory):
-        self._facets = inventory.facets
+        self._maps = inventory.facet_maps
         self._checks = inventory.slot_ids
         counts = Counter(chain.from_iterable(self._checks.values()))
 
         # Per kind, the map from a token's value to its facet id. A sem
         # id matches a SEM slot when its decimal form is the slot's
         # value, so a value that is no int's decimal form gets no key.
-        self._lex = {v: f for f, (kind, v) in enumerate(self._facets) if kind == "LEX"}
-        self._pos = {v: f for f, (kind, v) in enumerate(self._facets) if kind == "POS"}
+        self._lex = self._maps["LEX"]
+        self._pos = self._maps["POS"]
         self._sem = {
-            int(v): f for f, (kind, v) in enumerate(self._facets)
-            if kind == "SEM" and v.removeprefix("-").isdecimal() and str(int(v)) == v
+            int(v): f for v, f in self._maps["SEM"].items()
+            if v.removeprefix("-").isdecimal() and str(int(v)) == v
         }
 
         # anchor facet id -> the cxg_ids filed under it, in inventory order
@@ -74,17 +77,26 @@ class MatchIndex:
         for cid, fids in self._checks.items():
             self._anchor.setdefault(min(fids, key=counts.__getitem__), []).append(cid)
 
-        self.uses_sem = any(kind == "SEM" for kind, _ in self._facets)
+        self.uses_sem = bool(self._maps["SEM"])
         self.cxg_ids = sorted(self._checks)
         self.size = len(self.cxg_ids)
+
+    @property
+    def _facets(self) -> list[tuple[str, str]]:
+        """Every facet (kind, value) a slot uses, indexed by its id;
+        built on each read."""
+        from .inventory import facets_of
+
+        return facets_of(self._maps)
 
     @property
     def entries(self) -> dict[tuple[str, str], list[tuple[int, int]]]:
         """Anchor facet (kind, value) -> the (cxg_id, slot_offset) pairs
         filed under it, in inventory order; every construction appears
         exactly once. A view derived from the index, built on each read."""
+        facets = self._facets
         return {
-            self._facets[f]: [(cid, self._checks[cid].index(f)) for cid in cids]
+            facets[f]: [(cid, self._checks[cid].index(f)) for cid in cids]
             for f, cids in self._anchor.items()
         }
 
@@ -196,20 +208,13 @@ class OccurrenceTable:
 
     forward maps cxg_id to the sorted sentence ids instantiating it
     (zero-frequency inventory entries keep an empty list); reverse is
-    the exact transpose, built on first read unless given (match_corpus
-    gives its own; of the CLI's readers only `pairs` under `disjoint`
-    strictness reads it); discarded lists sentences matching nothing.
+    the exact transpose, built on first read (of the CLI's stages only
+    `pairs` under `disjoint` strictness reads it); discarded lists
+    sentences matching nothing.
     """
 
-    def __init__(
-        self,
-        forward: dict[int, list[int]],
-        reverse: dict[int, list[int]] | None = None,
-        discarded: list[int] | None = None,
-    ):
+    def __init__(self, forward: dict[int, list[int]], discarded: list[int] | None = None):
         self.forward = forward
-        if reverse is not None:
-            self.reverse = reverse
         self.discarded = list(discarded or [])
 
     @cached_property
@@ -290,7 +295,6 @@ def match_corpus(
     SEM slots, since every such construction would then be empty.
     """
     forward: dict[int, list[int]] = {cid: [] for cid in index.cxg_ids}
-    reverse: dict[int, list[int]] = {}
     discarded: list[int] = []
     sem_seen = not index.uses_sem  # counted per sentence only until one carries a sem id
     for sentence in corpus:
@@ -301,13 +305,12 @@ def match_corpus(
         if cids:
             for cid in cids:
                 forward[cid].append(sid)
-            reverse[sid] = cids
         else:
             discarded.append(sid)
     if not sem_seen:
         raise FacetMissingError(
             "the corpus carries no SEM annotations but the inventory uses SEM slots")
-    return OccurrenceTable(forward, reverse, discarded)
+    return OccurrenceTable(forward, discarded)
 
 
 class BandCount(NamedTuple):

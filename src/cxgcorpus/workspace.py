@@ -9,16 +9,30 @@ current one, so stale intermediate files are caught without relying on
 timestamps. A sidecar can also record the sha256 of the file its file
 was derived from (`source_sha256`), so that a consumer can refuse a
 derived file whose source has changed since.
+
+A config hash is the interpreter's built-in sha256 of a few lines, so
+that a stage which hashes no file never loads `hashlib`, whose OpenSSL
+library costs megabytes of memory and milliseconds of start-up; only
+`file_sha256` imports it, since OpenSSL's sha256 is several times faster
+on a large file.
 """
 
 from __future__ import annotations
 
-import hashlib
+import sys
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DecodeError, InputError, ParseError, StaleInputError
+
+try:  # the built-in module that holds it, as `random` finds its sha512
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256 as _config_sha256
+    else:
+        from _sha256 import sha256 as _config_sha256
+except ImportError:
+    from hashlib import sha256 as _config_sha256
 
 STRICTNESS = ("anchor", "disjoint")
 
@@ -208,7 +222,7 @@ class EffectiveConfig(NamedTuple):
         return "".join(f"{k} = {_SETTINGS[k].render(getattr(self, k))}\n" for k in sorted(keys))
 
     def subset_hash(self, keys: tuple[str, ...]) -> str:
-        return hashlib.sha256(self.canonical(keys).encode("utf-8")).hexdigest()[:16]
+        return _config_sha256(self.canonical(keys).encode("utf-8")).hexdigest()[:16]
 
 
 # The config keys each derived artifact actually depends on; a file's
@@ -233,6 +247,8 @@ STAGE_KEYS = {
 
 
 def file_sha256(path: str | Path) -> str:
+    import hashlib  # OpenSSL's sha256, loaded only by a stage that hashes a file
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):

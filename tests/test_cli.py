@@ -190,6 +190,7 @@ def test_raw_annotation_keeps_its_bytes(tmp_path):
 STAGE_MODULES = {
     "annotate": {"ingest"},
     "match": {"ingest", "inventory", "matcher"},
+    "stats": {"matcher"},
     "build": {"ingest", "matcher", "corpus_builder"},
     "pairs": {"ingest", "matcher", "pair_sampler"},
     "baseline": {"pair_sampler", "baseline"},
@@ -201,14 +202,18 @@ STAGE_MODULES = {
 # pull in inspect, ast, traceback and tokenize.
 UNNEEDED = ("numpy", "multiprocessing", "dataclasses", "logging", "inspect")
 
+# OpenSSL's hashlib backend, some megabytes of memory: only a stage that
+# hashes a file (for a sidecar's source_sha256) loads it.
+HASHING_STAGES = {"annotate", "match", "build", "pairs"}
+
 
 def _loaded_modules(code, argv=()):
-    """The `cxgcorpus` modules and the UNNEEDED packages a fresh
-    interpreter has loaded after running `code`."""
+    """The `cxgcorpus` modules, the UNNEEDED packages and `_hashlib` that
+    a fresh interpreter has loaded after running `code`."""
     src = str(Path(cxgcorpus.__file__).parents[1])
     code += (
         "; print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & "
-        f"{set(UNNEEDED)!r} | {{m.split('.')[1] for m in sys.modules "
+        f"{{*{UNNEEDED!r}, '_hashlib'}} | {{m.split('.')[1] for m in sys.modules "
         "if m.startswith('cxgcorpus.')})))"
     )
     result = subprocess.run(
@@ -220,19 +225,42 @@ def _loaded_modules(code, argv=()):
 
 def test_import_loads_neither_numpy_nor_multiprocessing(work, tmp_path):
     """Every stage pays for what `import cxgcorpus.cli` loads, which is no
-    stage module and none of UNNEEDED; each stage then loads only the
-    modules it runs, and none of UNNEEDED either."""
+    stage module, none of UNNEEDED and not `_hashlib`; each stage then
+    loads only the modules it runs, none of UNNEEDED either, and
+    `_hashlib` only if it hashes a file."""
     assert _loaded_modules("import sys, cxgcorpus.cli") == {"cli", "errors", "workspace"}
     code = "import sys; from cxgcorpus import cli; assert cli.main(sys.argv[1:]) == 0"
-    for step in work["steps"]:
+    stats = ["stats", str(work["out"] / "match" / "table.tsv"), tmp_path / "stats.tsv",
+             "--config", work["paths"]["config"]]
+    for step in [*work["steps"], stats]:
         stage = step[0]
         argv = list(step)
         if stage == "annotate":
             argv[2] = tmp_path / stage / "annotated.tsv"
-        else:
+        elif stage != "stats":
             argv[3] = tmp_path / stage
         loaded = _loaded_modules(code, argv)
-        assert loaded == {"cli", "errors", "workspace"} | STAGE_MODULES[stage], stage
+        expected = {"cli", "errors", "workspace"} | STAGE_MODULES[stage]
+        assert loaded == expected | ({"_hashlib"} if stage in HASHING_STAGES else set()), stage
+
+
+def test_config_hash_falls_back_to_hashlib():
+    """Without the interpreter's built-in sha256 module, a config hash is
+    hashlib's sha256, the digest it is everywhere."""
+    src = str(Path(cxgcorpus.__file__).parents[1])
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+        "import hashlib; from cxgcorpus import workspace as ws; "
+        "assert ws._config_sha256 is hashlib.sha256; config = ws.EffectiveConfig(seed=7); "
+        "assert all(config.subset_hash(k) == hashlib.sha256(config.canonical(k).encode())"
+        ".hexdigest()[:16] for k in ws.STAGE_KEYS.values()); print('ok')"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "ok\n"
+    config = EffectiveConfig(seed=7)
+    assert config.subset_hash(STAGE_KEYS["pairs"]) == hashlib.sha256(
+        config.canonical(STAGE_KEYS["pairs"]).encode()).hexdigest()[:16]
 
 
 # The names `cxgcorpus` exports, by the module each comes from.
@@ -1285,16 +1313,20 @@ def _count_reverse_builds(monkeypatch) -> list:
     return builds
 
 
-def test_build_and_anchor_pairs_never_build_the_transpose(work, tmp_path, monkeypatch):
+def test_build_and_anchor_pairs_never_build_the_transpose(work, tmp_path, monkeypatch, capsys):
     def refuse(table):
         raise AssertionError("the table's reverse was read")
     monkeypatch.setattr(matcher.OccurrenceTable, "reverse", property(refuse))
     table = str(work["out"] / "match" / "table.tsv")
     config = ["--config", work["paths"]["config"]]
+    assert cli.main(["-v", "match", work["annotated"], work["paths"]["inventory"],
+                     str(tmp_path / "match"), *config]) == 0
+    matched = len(read_table(table, work["out"] / "match" / "discards.txt").sentence_ids)
+    assert f"matched corpus: {matched} sentences instantiate" in capsys.readouterr().err
     assert cli.main(["build", work["annotated"], table, str(tmp_path / "build"), *config]) == 0
     assert cli.main(["pairs", work["annotated"], table, str(tmp_path / "pairs"), *config,
                      "--strictness", "anchor", "--inoculation-sizes", "8,16"]) == 0
-    for stage in ("build", "pairs"):
+    for stage in ("match", "build", "pairs"):
         written = sorted(p.name for p in (tmp_path / stage).iterdir())
         assert written == sorted(p.name for p in (work["out"] / stage).iterdir())
         for name in written:

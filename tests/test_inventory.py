@@ -201,19 +201,41 @@ class TestCompiledForm:
         assert Inventory(list(inv.constructions)) == inv
         from_file = build_index(inv)
         rebuilt = build_index(Inventory(list(inv.constructions)))
+        # the index matches on the inventory's own LEX and POS maps
+        maps = inv.facet_maps
+        assert from_file._lex is maps["LEX"] and from_file._pos is maps["POS"]
+        # every facet id sits in exactly one kind's map, and the ids
+        # number the facets in order of first use
+        ids = [fid for kind_map in maps.values() for fid in kind_map.values()]
+        assert sorted(ids) == list(range(len(inv.facets)))
+        specs = [parse_construction_spec(line)
+                 for line in p.read_text("utf-8").splitlines() if line]
+        assert inv.facets == list(dict.fromkeys(s for con in specs for s in con.slots))
         assert from_file._facets == rebuilt._facets
         assert list(from_file._checks.items()) == list(rebuilt._checks.items())
         assert from_file._anchor == rebuilt._anchor
         assert list(from_file.entries.items()) == list(rebuilt.entries.items())
+
+    def test_unknown_slot_kind_is_refused(self):
+        # its slot would match nothing, and write_inventory would write a
+        # line that load_inventory refuses
+        con = Construction(0, (S("LEX", "a"), S("TAG", "NOUN")))
+        with pytest.raises(ParseError, match="^slot kind 'TAG' is none of LEX, POS, SEM$"):
+            Inventory([con])
+        inv = Inventory()
+        with pytest.raises(ParseError, match="^slot kind 'lex' is none of LEX, POS, SEM$"):
+            inv.facet_id(S("lex", "a"))
+        assert inv.facets == [] and inv.facet_id(S("POS", "NOUN")) == 0
 
     def test_match_path_builds_no_construction(self, tmp_path, monkeypatch):
         p = tmp_path / "inv.tsv"
         _inventory_file(p, random.Random(16))
 
         def refuse(*args):
-            raise AssertionError("a Construction was built")
+            raise AssertionError("a Construction or a SlotConstraint was built")
 
         monkeypatch.setattr(inventory_module, "Construction", refuse)
+        monkeypatch.setattr(inventory_module, "SlotConstraint", refuse)
         index = build_index(load_inventory(p))
         assert index.size == 300
 

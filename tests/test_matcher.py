@@ -306,11 +306,15 @@ class TestMatchCorpus:
         assert is_transpose_consistent(loaded)
         assert loaded.reverse == desk_table.reverse and loaded.reverse is loaded.reverse
 
-    def test_matched_reverse_equals_the_one_built_on_demand(self, desk_table):
-        assert "reverse" in vars(desk_table)  # match_corpus passed its own
-        rebuilt = OccurrenceTable(desk_table.forward)
-        assert is_transpose_consistent(rebuilt)
-        assert list(rebuilt.reverse.items()) == list(desk_table.reverse.items())
+    def test_matched_reverse_equals_the_one_built_on_demand(self, desk):
+        index = build_index(desk.inventory)
+        table = match_corpus(index, desk.sentences, max_gap=1)
+        assert "reverse" not in vars(table)  # match_corpus builds no transpose
+        matched = {s.sentence_id: match_sentence(index, s, 1) for s in desk.sentences}
+        expected = {sid: cids for sid, cids in sorted(matched.items()) if cids}
+        assert table.sentence_ids == list(expected)
+        assert is_transpose_consistent(table)
+        assert list(table.reverse.items()) == list(expected.items())
 
     def test_round_trip_serialization(self, tmp_path, desk_table):
         table_path = tmp_path / "table.tsv"
