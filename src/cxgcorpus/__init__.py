@@ -34,12 +34,11 @@ _EXPORTS = {
         "verify_multiset", "write_pretraining_file",
     ),
     "pair_sampler": (
-        "PairExample", "PairText", "SamplerConfig", "audit_pairs",
-        "make_inoculation_subsets", "read_pairs", "sample_pairs", "write_pairs",
+        "PairExample", "PairText", "audit_pairs", "make_inoculation_subsets",
+        "read_pairs", "sample_pairs", "write_pairs",
     ),
     "baseline": (
-        "Hyperparams", "LinearModel", "evaluate", "featurize_pair",
-        "shuffle_control", "train",
+        "LinearModel", "evaluate", "featurize_pair", "shuffle_control", "train",
     ),
 }
 _SUBMODULES = (*_EXPORTS, "errors", "workspace")

@@ -4,10 +4,11 @@ This is the desk-scale control classifier: it proves the generated pair
 task is learnable, supports a label-shuffle sanity control, and reports
 accuracy per frequency band. Features are hashed unigrams/bigrams of
 each side (with A:/B: markers) plus cross-features over shared tokens,
-with the fixed block weights CROSS_WEIGHT and SIDE_WEIGHT, trained with
-seeded SGD on the logistic loss in plain Python: the weights are an
-`array('d')` and every dot product is an exactly rounded `math.fsum`,
-so a model's bytes do not depend on the CPU.
+with the fixed block weights CROSS_WEIGHT and SIDE_WEIGHT, hashed into
+DIM buckets and trained with seeded SGD on the logistic loss (fixed
+LEARNING_RATE and L2; EPOCHS is the stage's default) in plain Python:
+the weights are an `array('d')` and every dot product is an exactly
+rounded `math.fsum`, so a model's bytes do not depend on the CPU.
 
 One memo per run featurizes each distinct sentence side once into an
 `array('l')` of buckets and hashes each unigram and cross feature once;
@@ -46,31 +47,10 @@ _HEADER = struct.Struct("<4sIQddd")
 CROSS_WEIGHT = 2.0
 SIDE_WEIGHT = 0.5
 
-
-class Hyperparams(NamedTuple):
-    dim: int = 2 ** 20
-    learning_rate: float = 0.1
-    epochs: int = 8
-    l2: float = 1e-6
-    seed: int = 0
-
-
-# The range of each bounded hyperparameter: a test, and its wording.
-_RANGES = {
-    "dim": (lambda v: v >= 1, "at least 1"),
-    "epochs": (lambda v: v >= 1, "at least 1"),
-    "learning_rate": (lambda v: 0 < v < math.inf, "finite, > 0"),
-    "l2": (lambda v: 0 <= v < math.inf, "finite, >= 0"),
-}
-
-
-def check_hyperparams(hyper: Hyperparams, label=lambda name: f"Hyperparams.{name}") -> None:
-    """Raise InputError for the first hyperparameter out of its range,
-    naming it as `label(field name)`."""
-    for name, (ok, need) in _RANGES.items():
-        value = getattr(hyper, name)
-        if not ok(value):
-            raise InputError(f"{label(name)} must be {need}, got {value}")
+DIM = 2 ** 20  # hashed feature buckets
+LEARNING_RATE = 0.1
+L2 = 1e-6
+EPOCHS = 8  # the stage's default; `--epochs` sets it
 
 
 def hash_feature(feature: str, dim: int) -> int:
@@ -122,9 +102,8 @@ def _dot(w: array, keys, values) -> float:
 
 
 class LinearModel(NamedTuple):
-    weights: array  # array('d') of length hyper.dim
+    weights: array  # array('d'), one weight per hashed bucket
     bias: float
-    hyper: Hyperparams
     epoch_losses: tuple[float, ...] = ()
     train_accuracy: float = 0.0
 
@@ -132,7 +111,7 @@ class LinearModel(NamedTuple):
         return self.bias + _dot(self.weights, vec, vec.values())
 
     def predict(self, text_a: str, text_b: str, memo: dict | None = None) -> str:
-        z = self.decision(featurize_pair(text_a, text_b, self.hyper.dim, memo))
+        z = self.decision(featurize_pair(text_a, text_b, len(self.weights), memo))
         return "same" if z >= 0.0 else "different"
 
 
@@ -145,15 +124,17 @@ def _sigmoid(z: float) -> float:
 
 def train(
     pairs: list[PairText],
-    hyper: Hyperparams | None = None,
+    epochs: int,
+    seed: int,
     memo: dict | None = None,
 ) -> LinearModel:
-    """Seeded SGD on the logistic loss with per-epoch reshuffling. Each
-    step touches only the pair's own buckets, L2 included. `memo` is
+    """`epochs` of seeded SGD on the logistic loss with per-epoch
+    reshuffling, over DIM buckets at LEARNING_RATE and L2. Each step
+    touches only the pair's own buckets, L2 included. `memo` is
     featurize_pair's, which a later `evaluate` of the model may share;
     each example is kept as its packed bucket and value arrays."""
-    hyper = hyper or Hyperparams()
-    check_hyperparams(hyper)
+    if epochs < 1:
+        raise InputError(f"epochs must be at least 1, got {epochs}")
     if memo is None:
         memo = {}
     if len(pairs) < 2:
@@ -164,16 +145,16 @@ def train(
 
     examples = []
     for p in pairs:
-        vec = featurize_pair(p.text_a, p.text_b, hyper.dim, memo)
+        vec = featurize_pair(p.text_a, p.text_b, DIM, memo)
         examples.append((array("l", vec), array("d", vec.values()), float(p.label == "same")))
 
-    w = array("d", [0.0]) * hyper.dim
+    w = array("d", [0.0]) * DIM
     bias = 0.0
-    lr, l2 = hyper.learning_rate, hyper.l2
-    rng = random.Random(hyper.seed)
+    lr, l2 = LEARNING_RATE, L2
+    rng = random.Random(seed)
     order = list(range(len(examples)))
     losses = []
-    for _ in range(hyper.epochs):
+    for _ in range(epochs):
         rng.shuffle(order)
         total = 0.0
         for i in order:
@@ -192,7 +173,7 @@ def train(
     for keys, values, y in examples:
         z = bias + _dot(w, keys, values)
         correct += int((z >= 0.0) == (y == 1.0))
-    return LinearModel(w, bias, hyper, tuple(losses), correct / len(examples))
+    return LinearModel(w, bias, tuple(losses), correct / len(examples))
 
 
 class BandAccuracy(NamedTuple):
@@ -259,7 +240,7 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     """Flat binary: magic, version, dim, bias and the block weights in a
     fixed-size header, then the weight vector."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, model.hyper.dim, model.bias,
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, len(model.weights), model.bias,
                               CROSS_WEIGHT, SIDE_WEIGHT))
         _little_endian(model.weights).tofile(fh)
 
@@ -279,4 +260,4 @@ def load_model(path: str | Path) -> LinearModel:
                          f"found {len(data)}")
     weights = array("d")
     weights.frombytes(memoryview(data)[_HEADER.size:])
-    return LinearModel(_little_endian(weights), bias, Hyperparams(dim=dim))
+    return LinearModel(_little_endian(weights), bias)

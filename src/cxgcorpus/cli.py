@@ -292,7 +292,7 @@ def cmd_pairs(args, config: EffectiveConfig) -> int:
     from . import pair_sampler as ps
 
     sizes = ()
-    if (args.inoculation_sizes or "").strip():
+    if args.inoculation_sizes is not None:
         try:
             sizes = parse_int_list(args.inoculation_sizes)
         except ParseError as exc:
@@ -305,8 +305,7 @@ def cmd_pairs(args, config: EffectiveConfig) -> int:
 
     store, table = _checked_table(args, config)
     with _outputs(args.out, config, "pairs") as stage:
-        sampler_config = ps.SamplerConfig(seed=config.seed, strictness=config.strictness)
-        sampled = ps.sample_pairs(table, config.band, sampler_config)
+        sampled = ps.sample_pairs(table, config.band, config.seed, config.strictness)
         subsets = ps.make_inoculation_subsets(sampled.train, sizes, config.seed)
         report = ps.audit_pairs(
             {"train": sampled.train, "dev": sampled.dev, "test": sampled.test},
@@ -340,17 +339,23 @@ def cmd_baseline(args, config: EffectiveConfig) -> int:
     for name, path in (("train", args.train), ("test", args.test), ("--dev", args.dev)):
         if path == "":
             raise InputError(f"{name}: the path is empty")
-    epochs = {} if args.epochs is None else {"epochs": args.epochs}
-    hyper = bl.Hyperparams(seed=config.seed, **epochs)
-    bl.check_hyperparams(hyper, label=flag)
+    epochs = bl.EPOCHS if args.epochs is None else args.epochs
+    if epochs < 1:
+        raise InputError(f"--epochs must be at least 1, got {epochs}")
     scoring = ([("metrics_dev.tsv", args.dev)] if args.dev else []) + [("metrics.tsv", args.test)]
     for path in (args.train, *(path for _, path in scoring)):
         check_sidecar(path, config, PAIRS_KEYS)
     train_pairs = ps.read_pairs(args.train)
-    # all pair files are read first, so that a malformed one stops the stage before any write
+    # all pair files are read and checked first, so that a bad one stops the stage before any write
     scored = {name: ps.read_pairs(path) for name, path in scoring}
+    for name, path in scoring:
+        if not scored[name]:
+            raise InputError(f"{path}: cannot evaluate on an empty pair list")
     memo: dict = {}  # featurize_pair's side arrays and unigram/cross buckets, for the whole run
-    model = bl.train(train_pairs, hyper, memo)
+    try:
+        model = bl.train(train_pairs, epochs, config.seed, memo)
+    except InputError as exc:  # too few pairs, or one label only
+        raise InputError(f"{args.train}: {exc}") from None
     with _outputs(args.out, config, "baseline") as stage:
         for name, pairs in scored.items():
             result = bl.evaluate(model, pairs, memo)
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("out", help="output directory")
     p.add_argument("--dev")
-    p.add_argument("--epochs", type=int)  # the default is baseline.Hyperparams's
+    p.add_argument("--epochs", type=int)  # the default is baseline.EPOCHS, read when the stage runs
     p.set_defaults(func=cmd_baseline)
 
     for command, p in sub.choices.items():

@@ -319,7 +319,7 @@ def tag_pos(tokens: list[str], resources: AnnotationResources) -> list[str]:
 def annotate_corpus(
     stream: str | Iterable[str],
     resources: AnnotationResources | None,
-    mode: str = "raw",
+    mode: str,
     source: str | Path | None = None,
 ) -> Iterator[AnnotatedSentence]:
     """Annotate a corpus stream, yielding AnnotatedSentence in order.

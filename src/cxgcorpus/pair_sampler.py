@@ -44,28 +44,6 @@ class PairExample(NamedTuple):
     band_hi: int | None
 
 
-class _SamplerFields(NamedTuple):
-    seed: int = 0
-    strictness: str = "anchor"
-
-
-class SamplerConfig(_SamplerFields):
-    """The sampler's settings; an unknown strictness raises ParseError
-    when the record is constructed or copied with `_replace`."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.strictness not in STRICTNESS:
-            raise ParseError(f"unknown strictness {self.strictness!r}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks too
-        return cls(*iterable)
-
-
 class Shortfall(NamedTuple):
     cxg_id: int
     split: str
@@ -81,6 +59,11 @@ class SampledPairs(NamedTuple):
 
     def split(self, name: str) -> list[PairExample]:
         return getattr(self, name)
+
+
+def _check_strictness(strictness: str) -> None:
+    if strictness not in STRICTNESS:
+        raise ParseError(f"unknown strictness {strictness!r}")
 
 
 def _construction_rng(seed: int, cxg_id: int) -> random.Random:
@@ -153,14 +136,16 @@ def _draw_negative_keys(
 def sample_pairs(
     table: OccurrenceTable,
     band: tuple[int, int | None],
-    config: SamplerConfig,
+    seed: int,
+    strictness: str,
 ) -> SampledPairs:
     """Draw the per-construction pair quotas for every split.
 
     Deterministic: each construction uses its own RNG derived from
     (seed, cxg_id); constructions are processed in cxg_id order for the
-    global duplicate check.
+    global duplicate check. An unknown strictness raises ParseError.
     """
+    _check_strictness(strictness)
     selected = table.select_band(band)
     if not selected:
         raise EmptyBandError(f"band {band} selects no constructions")
@@ -171,14 +156,13 @@ def sample_pairs(
     seen: set[tuple[int, int]] = set()
 
     for cid in selected:
-        rng = _construction_rng(config.seed, cid)
+        rng = _construction_rng(seed, cid)
         instances = table.instances(cid)
         instance_set = set(instances)
 
         pos_keys = _draw_positive_keys(instances, _POS_NEED, rng, seen)
         neg_keys = _draw_negative_keys(
-            instances, instance_set, universe, table,
-            config.strictness, _NEG_NEED, rng, seen,
+            instances, instance_set, universe, table, strictness, _NEG_NEED, rng, seen,
         )
 
         delivered = dict.fromkeys(SPLITS, 0)
@@ -243,14 +227,14 @@ class AuditReport(NamedTuple):
 def audit_pairs(
     pairs_by_split: Mapping[str, list[PairExample]],
     table: OccurrenceTable,
-    strictness: str = "anchor",
+    strictness: str,
 ) -> AuditReport:
     """Re-derive every label from the occurrence table and flag
     violations, duplicate pairs, and cross-split leakage. Only
-    `disjoint` strictness reads the table's `reverse`.
+    `disjoint` strictness reads the table's `reverse`. An unknown
+    strictness raises ParseError.
     """
-    if strictness not in STRICTNESS:
-        raise ParseError(f"unknown strictness {strictness!r}")
+    _check_strictness(strictness)
     report = AuditReport([], [], [])
     anchors = {pair.anchor_cxg for pairs in pairs_by_split.values() for pair in pairs}
     members = {cid: set(table.forward.get(cid, ())) for cid in anchors}  # anchor -> its instances

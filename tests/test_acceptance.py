@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from cxgcorpus.baseline import Hyperparams, evaluate, shuffle_control, train
+from cxgcorpus.baseline import EPOCHS, evaluate, shuffle_control, train
 from cxgcorpus.corpus_builder import (
     build_base_clone,
     build_cxg_corpus,
@@ -31,7 +31,6 @@ from cxgcorpus.matcher import (
 )
 from cxgcorpus.pair_sampler import (
     QUOTAS,
-    SamplerConfig,
     audit_pairs,
     make_inoculation_subsets,
     sample_pairs,
@@ -182,13 +181,12 @@ def test_band_arithmetic(desk_table):
 
 
 def test_pair_audit(desk_table):
-    config = SamplerConfig(seed=31)
     band = (2, 10000)
-    sampled = sample_pairs(desk_table, band, config)
+    sampled = sample_pairs(desk_table, band, 31, "anchor")
     audit = audit_pairs(
         {"train": sampled.train, "dev": sampled.dev, "test": sampled.test},
         desk_table,
-        config.strictness,
+        "anchor",
     )
     ok_audit = audit.ok
 
@@ -235,17 +233,15 @@ def _pairs_to_text(pairs, texts):
 
 
 def test_baseline_learnability_control_and_band_ordering(desk, desk_table):
-    hyper = Hyperparams(seed=3)
-
     # (a) learnability: every construction of the synthetic corpus is
     # lexically anchored (two LEX slots); held-out accuracy must clear 0.90
     lex_sentences, lex_inventory = make_lexical_corpus()
     lex_table = match_corpus(build_index(lex_inventory), lex_sentences, max_gap=1)
     lex_texts = {s.sentence_id: s.text for s in lex_sentences}
-    lex = sample_pairs(lex_table, (2, 10000), SamplerConfig(seed=41))
+    lex = sample_pairs(lex_table, (2, 10000), 41, "anchor")
     train_lex = _pairs_to_text(lex.train, lex_texts)
     test_lex = _pairs_to_text(lex.test, lex_texts)
-    model_lex = train(train_lex, hyper)
+    model_lex = train(train_lex, EPOCHS, 3)
     acc_learn = evaluate(model_lex, test_lex).accuracy
     ok_learn = acc_learn >= 0.90
 
@@ -253,7 +249,7 @@ def test_baseline_learnability_control_and_band_ordering(desk, desk_table):
     control_accs = []
     for seed in range(5):
         shuffled = shuffle_control(train_lex, seed=seed)
-        control_model = train(shuffled, Hyperparams(seed=seed))
+        control_model = train(shuffled, EPOCHS, seed)
         control_accs.append(evaluate(control_model, test_lex).accuracy)
     control_mean = statistics.mean(control_accs)
     ok_control = 0.45 <= control_mean <= 0.55
@@ -262,12 +258,12 @@ def test_baseline_learnability_control_and_band_ordering(desk, desk_table):
     # (abstract POS patterns) is strictly harder than the 2-50 band
     # (lexical anchors)
     texts = desk.texts
-    lower = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=41))
-    model_lower = train(_pairs_to_text(lower.train, texts), hyper)
+    lower = sample_pairs(desk_table, (2, 50), 41, "anchor")
+    model_lower = train(_pairs_to_text(lower.train, texts), EPOCHS, 3)
     test_lower = _pairs_to_text(lower.test, texts)
     acc_lower = evaluate(model_lower, test_lower).accuracy
-    upper = sample_pairs(desk_table, (10001, None), SamplerConfig(seed=41))
-    model_upper = train(_pairs_to_text(upper.train, texts), hyper)
+    upper = sample_pairs(desk_table, (10001, None), 41, "anchor")
+    model_upper = train(_pairs_to_text(upper.train, texts), EPOCHS, 3)
     test_upper = _pairs_to_text(upper.test, texts)
     acc_upper = evaluate(model_upper, test_upper).accuracy
     ok_order = acc_lower > acc_upper

@@ -10,7 +10,6 @@ from cxgcorpus import baseline
 from cxgcorpus.baseline import (
     CROSS_WEIGHT,
     SIDE_WEIGHT,
-    Hyperparams,
     LinearModel,
     evaluate,
     featurize_pair,
@@ -39,8 +38,8 @@ SEPARABLE = [
 
 class TestFeaturize:
     def test_deterministic(self):
-        a = featurize_pair("the red dog", "a red cat", Hyperparams().dim)
-        b = featurize_pair("the red dog", "a red cat", Hyperparams().dim)
+        a = featurize_pair("the red dog", "a red cat", baseline.DIM)
+        b = featurize_pair("the red dog", "a red cat", baseline.DIM)
         assert a == b
 
     def test_disjoint_vocabulary_no_cross_features(self):
@@ -84,9 +83,9 @@ class TestFeaturize:
     def test_collision_rate_below_one_percent(self, desk, desk_table):
         # exact-mapping oracle: hash every distinct feature string from a
         # desk-scale pair sample and count bucket collisions
-        from cxgcorpus.pair_sampler import SamplerConfig, sample_pairs
+        from cxgcorpus.pair_sampler import sample_pairs
 
-        sampled = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=23))
+        sampled = sample_pairs(desk_table, (2, 50), 23, "anchor")
         texts = desk.texts
         feats = set()
         for pair in sampled.train[:150]:
@@ -102,47 +101,42 @@ class TestFeaturize:
 
 class TestTrain:
     def test_separable_reaches_full_training_accuracy(self):
-        model = train(SEPARABLE, Hyperparams(epochs=20, seed=1))
+        model = train(SEPARABLE, 20, 1)
         assert model.train_accuracy == 1.0
 
     def test_same_seed_identical_weights(self):
-        a = train(SEPARABLE, Hyperparams(epochs=3, seed=9))
-        b = train(SEPARABLE, Hyperparams(epochs=3, seed=9))
+        a = train(SEPARABLE, 3, 9)
+        b = train(SEPARABLE, 3, 9)
         assert a.bias == b.bias
         assert a.weights.typecode == b.weights.typecode == "d"
-        assert len(a.weights) == len(b.weights) == a.hyper.dim
+        assert len(a.weights) == len(b.weights) == baseline.DIM
         assert a.weights == b.weights  # every element equal
 
     def test_single_label_rejected(self):
         with pytest.raises(InputError, match="both labels"):
-            train([_pair("same", "a", "b"), _pair("same", "c", "d")])
+            train([_pair("same", "a", "b"), _pair("same", "c", "d")], 1, 0)
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(InputError):
-            train([_pair("same", "a", "b")])
+            train([_pair("same", "a", "b")], 1, 0)
 
-    @pytest.mark.parametrize("field, value", [
-        ("dim", 0), ("dim", -4), ("epochs", 0), ("learning_rate", float("nan")),
-        ("learning_rate", 0.0), ("learning_rate", math.inf), ("l2", -1.0), ("l2", math.inf),
-    ])
-    def test_out_of_range_hyperparams_rejected(self, field, value):
-        hyper = Hyperparams(seed=1)._replace(**{field: value})
-        with pytest.raises(InputError, match=rf"^Hyperparams\.{field} must be"):
-            train(SEPARABLE, hyper)
+    @pytest.mark.parametrize("epochs", [0, -2], ids=lambda epochs: f"epochs-{epochs}")
+    def test_out_of_range_hyperparams_rejected(self, epochs):
+        with pytest.raises(InputError, match=rf"^epochs must be at least 1, got {epochs}$"):
+            train(SEPARABLE, epochs, 1)
 
     def test_hash_memo_shared_with_evaluate(self, monkeypatch):
         # one memo for train and evaluate: the model and the scores are the
         # same as without it; each unigram and cross feature is hashed once
         # per run, each bigram once per distinct (side, text), and the memo
         # keeps the side arrays but no bigram string
-        hyper = Hyperparams(dim=2 ** 12, epochs=3, seed=2)
-        unshared = train(SEPARABLE, hyper)
+        unshared = train(SEPARABLE, 3, 2)
         expected = evaluate(unshared, SEPARABLE[:3])
         calls = []
         monkeypatch.setattr(baseline, "hash_feature",
                             lambda feature, dim: calls.append(feature) or hash_feature(feature, dim))
         memo = {}
-        model = train(SEPARABLE, hyper, memo)
+        model = train(SEPARABLE, 3, 2, memo)
         assert evaluate(model, SEPARABLE[:3], memo) == expected
         assert model.weights == unshared.weights and model.bias == unshared.bias
         sides = {("A", p.text_a) for p in SEPARABLE} | {("B", p.text_b) for p in SEPARABLE}
@@ -158,22 +152,21 @@ class TestTrain:
     def test_matches_a_plain_reference_trainer(self, desk, desk_table):
         # the same SGD over dense lists with left-to-right sums: equal up
         # to float64 rounding, set beforehand at 1e-9, and equal predictions
-        from cxgcorpus.pair_sampler import SamplerConfig, sample_pairs
+        from cxgcorpus.pair_sampler import sample_pairs
 
-        sampled = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=11))
+        sampled = sample_pairs(desk_table, (2, 50), 11, "anchor")
         texts = desk.texts
         pairs = [
             PairText(p.label, texts[p.sent_a], texts[p.sent_b], p.anchor_cxg, p.band_lo, p.band_hi)
             for p in sampled.train + sampled.test
         ]
-        hyper = Hyperparams(dim=2 ** 16, epochs=3, seed=4)
-        model = train(pairs[:len(sampled.train)], hyper)
+        model = train(pairs[:len(sampled.train)], 3, 4)
 
-        vecs = [featurize_pair(p.text_a, p.text_b, hyper.dim) for p in pairs]
-        w, bias = [0.0] * hyper.dim, 0.0
+        vecs = [featurize_pair(p.text_a, p.text_b, baseline.DIM) for p in pairs]
+        w, bias = [0.0] * baseline.DIM, 0.0
         order = list(range(len(sampled.train)))
-        rng = random.Random(hyper.seed)
-        for _ in range(hyper.epochs):
+        rng = random.Random(4)
+        for _ in range(3):
             rng.shuffle(order)
             for i in order:
                 z = bias
@@ -181,8 +174,8 @@ class TestTrain:
                     z += w[j] * v
                 g = 1.0 / (1.0 + math.exp(-z)) - (pairs[i].label == "same")
                 for j, v in vecs[i].items():
-                    w[j] -= hyper.learning_rate * (g * v + hyper.l2 * w[j])
-                bias -= hyper.learning_rate * g
+                    w[j] -= baseline.LEARNING_RATE * (g * v + baseline.L2 * w[j])
+                bias -= baseline.LEARNING_RATE * g
         assert abs(model.bias - bias) <= 1e-9
         assert max(abs(a - b) for a, b in zip(model.weights, w)) <= 1e-9
         for pair, vec in zip(pairs, vecs):
@@ -190,21 +183,21 @@ class TestTrain:
             assert model.predict(pair.text_a, pair.text_b) == ("same" if z >= 0.0 else "different")
 
     def test_loss_decreases_on_desk_data(self, desk, desk_table):
-        from cxgcorpus.pair_sampler import SamplerConfig, sample_pairs
+        from cxgcorpus.pair_sampler import sample_pairs
 
-        sampled = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=11))
+        sampled = sample_pairs(desk_table, (2, 50), 11, "anchor")
         texts = desk.texts
         pairs = [
             PairText(p.label, texts[p.sent_a], texts[p.sent_b], p.anchor_cxg, p.band_lo, p.band_hi)
             for p in sampled.train
         ]
-        model = train(pairs, Hyperparams(epochs=4, seed=0))
+        model = train(pairs, 4, 0)
         assert model.epoch_losses[0] > model.epoch_losses[1] > model.epoch_losses[2]
 
 
 class TestEvaluate:
     def test_constant_predictor_scores_half_on_balanced(self):
-        model = train(SEPARABLE, Hyperparams(epochs=1, seed=0))
+        model = train(SEPARABLE, 1, 0)
         model.weights[:] = array("d", [0.0]) * len(model.weights)
         assert not any(model.weights)
         model = model._replace(bias=5.0)  # always predicts "same"
@@ -220,15 +213,15 @@ class TestEvaluate:
             _pair("different", "LBLdiff aa", "LBLdiff gg"),
             _pair("different", "LBLdiff hh", "LBLdiff ii"),
         ]
-        hyper = Hyperparams(dim=2 ** 16)
-        w = array("d", [0.0]) * hyper.dim
-        w[hash_feature("X:LBLsame", hyper.dim)] = 10.0
-        w[hash_feature("X:LBLdiff", hyper.dim)] = -10.0
-        model = LinearModel(w, 0.0, hyper)
+        dim = 2 ** 16  # predict takes the dimension from the weights
+        w = array("d", [0.0]) * dim
+        w[hash_feature("X:LBLsame", dim)] = 10.0
+        w[hash_feature("X:LBLdiff", dim)] = -10.0
+        model = LinearModel(w, 0.0)
         assert evaluate(model, pairs).accuracy == 1.0
 
     def test_per_band_table(self):
-        model = train(SEPARABLE, Hyperparams(epochs=20, seed=1))
+        model = train(SEPARABLE, 20, 1)
         pairs = [
             _pair("same", "zork a", "zork b", 2, 50),
             _pair("different", "milu a", "kanto b", 10001, None),
@@ -238,7 +231,7 @@ class TestEvaluate:
         assert result.n_pairs == 2
 
     def test_empty_input_rejected(self):
-        model = train(SEPARABLE, Hyperparams(epochs=1, seed=0))
+        model = train(SEPARABLE, 1, 0)
         with pytest.raises(InputError):
             evaluate(model, [])
 
@@ -257,24 +250,28 @@ class TestShuffleControl:
         assert a == b
 
 
+def _small_model() -> LinearModel:
+    """A model of 2**12 weights: its file records that dimension."""
+    return LinearModel(array("d", [0.25]) * 2 ** 12, 0.5)
+
+
 class TestModelFile:
     def test_save_load_round_trip(self, tmp_path):
-        model = train(SEPARABLE, Hyperparams(dim=2 ** 12, epochs=5, seed=2))
+        model = train(SEPARABLE, 5, 2)
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.bias == model.bias
         assert loaded.weights == model.weights  # every element equal
-        assert loaded.hyper.dim == 2 ** 12
+        assert len(loaded.weights) == baseline.DIM
         for pair in SEPARABLE:
             assert loaded.predict(pair.text_a, pair.text_b) == model.predict(
                 pair.text_a, pair.text_b
             )
 
     def test_other_block_weights_rejected(self, tmp_path):
-        model = train(SEPARABLE, Hyperparams(dim=2 ** 12, epochs=1, seed=2))
         path = tmp_path / "model.bin"
-        save_model(model, path)
+        save_model(_small_model(), path)
         data = bytearray(path.read_bytes())
         weights = struct.calcsize("<4sIQd")  # magic, version, dim, bias
         data[weights:weights + 8] = struct.pack("<d", 3.0)  # the cross weight
@@ -286,9 +283,8 @@ class TestModelFile:
     def test_weight_count_not_matching_dim_rejected(self, tmp_path, delta):
         # delta a multiple of 8: one weight too few or too many;
         # otherwise a partial weight
-        model = train(SEPARABLE, Hyperparams(dim=2 ** 12, epochs=1, seed=2))
         path = tmp_path / "model.bin"
-        save_model(model, path)
+        save_model(_small_model(), path)
         data = path.read_bytes()
         path.write_bytes(data[:delta] if delta < 0 else data + bytes(delta))
         assert len(data) == 40 + 8 * 2 ** 12
@@ -307,7 +303,7 @@ class TestExactSums:
         # terms whose left-to-right float sum depends on their order
         vec = {0: 1.0, 1: 1.0, 2: 1.0}
         weights = array("d", [1e16, 1.0, -1e16])
-        model = LinearModel(weights, 0.0, Hyperparams(dim=3))
+        model = LinearModel(weights, 0.0)
         reordered = {2: 1.0, 1: 1.0, 0: 1.0}
         assert (1e16 + 1.0) - 1e16 != 1.0  # the naive sum loses the 1.0
         assert model.decision(vec) == model.decision(reordered) == 1.0

@@ -274,10 +274,9 @@ PACKAGE_EXPORTS = {
                 "build_index", "match_corpus", "match_sentence", "occurrence_stats"),
     "corpus_builder": ("BuildManifest", "build_base_clone", "build_cxg_corpus",
                        "build_random", "verify_multiset", "write_pretraining_file"),
-    "pair_sampler": ("PairExample", "PairText", "SamplerConfig", "audit_pairs",
-                     "make_inoculation_subsets", "read_pairs", "sample_pairs", "write_pairs"),
-    "baseline": ("Hyperparams", "LinearModel", "evaluate", "featurize_pair",
-                 "shuffle_control", "train"),
+    "pair_sampler": ("PairExample", "PairText", "audit_pairs", "make_inoculation_subsets",
+                     "read_pairs", "sample_pairs", "write_pairs"),
+    "baseline": ("LinearModel", "evaluate", "featurize_pair", "shuffle_control", "train"),
 }
 
 
@@ -771,7 +770,7 @@ class TestConfig:
                 "--config", work["paths"]["config"]]
         assert cli.main(argv[:3] + [str(tmp_path / "default")] + argv[3:]) == 0
         assert cli.main(argv[:3] + [str(tmp_path / "eight"), "--epochs", "8"] + argv[3:]) == 0
-        assert bl.Hyperparams().epochs == 8
+        assert bl.EPOCHS == 8
         assert (tmp_path / "default" / "model.bin").read_bytes() == (
             tmp_path / "eight" / "model.bin").read_bytes()
 
@@ -898,15 +897,33 @@ def _bad_pair_label(work, tmp):
     return argv, f"{test}:3"
 
 
-def _empty_path(argument):
+def _baseline_case(argument, replace):
+    """baseline with train, test and --dev, the pair file of `argument`
+    replaced by `replace(its path, tmp)`; the error must name what
+    `replace` returns second."""
     def case(work, tmp):
         pairs = work["out"] / "pairs"
         paths = {"train": pairs / "train.tsv", "test": pairs / "test.tsv", "--dev": pairs / "dev.tsv"}
-        paths[argument] = ""
+        paths[argument], source = replace(paths[argument], tmp)
         argv = ["baseline", paths["train"], paths["test"], tmp / "b", "--dev", paths["--dev"],
                 "--config", work["paths"]["config"]]
-        return argv, f"error: {argument}: the path is empty"
+        return argv, source
     return case
+
+
+def _empty_path(argument):
+    return _baseline_case(argument, lambda path, tmp: ("", f"error: {argument}: the path is empty"))
+
+
+def _pair_lines(argument, keep):
+    """The pair file of `argument` replaced by a copy that holds only the
+    lines `keep` returns; the error must name the copy."""
+    def replace(path, tmp):
+        copy = tmp / path.name
+        copy.write_text("".join(keep(path.read_text("utf-8").splitlines(keepends=True))),
+                        encoding="utf-8")
+        return copy, f"error: {copy}: "
+    return _baseline_case(argument, replace)
 
 
 def _empty_resource(flag):
@@ -1042,6 +1059,8 @@ MALFORMED = {
     "flag-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "8,x"),
     "flag-negative-inoculation-size": _flag_case("pairs", "--inoculation-sizes", "-5,8"),
     "flag-descending-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", "16,8"),
+    "flag-empty-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", ""),
+    "flag-blank-inoculation-sizes": _flag_case("pairs", "--inoculation-sizes", " "),
     "flag-negative-max-gap": _flag_case("match", "--max-gap", "-1"),
     "flag-empty-max-gap": _flag_case("match", "--max-gap", ""),
     "flag-empty-band": _flag_case("pairs", "--band", ""),
@@ -1055,6 +1074,11 @@ MALFORMED = {
     "pair-label-not-same-or-different": _bad_pair_label,
     "empty-test-path": _empty_path("test"),
     "empty-dev-path": _empty_path("--dev"),
+    "empty-test-pairs": _pair_lines("test", lambda lines: []),
+    "empty-dev-pairs": _pair_lines("--dev", lambda lines: []),
+    "single-label-train": _pair_lines(
+        "train", lambda lines: [line for line in lines if line.startswith("same\t")]),
+    "one-pair-train": _pair_lines("train", lambda lines: lines[:1]),
     "missing-store": _missing_store,
     "annotated-edited-after-annotate": _edited_annotated,
     "store-non-integer-id": _bad_store_id,
@@ -1099,6 +1123,14 @@ def test_malformed_input_exits_2_naming_its_source(case, work, tmp_path, capsys)
     code, err = run_cli(argv, capsys)
     assert code == cli.EXIT_INPUT, err
     assert source in err
+
+
+@pytest.mark.parametrize("case", ["empty-test-pairs", "empty-dev-pairs",
+                                  "single-label-train", "one-pair-train"])
+def test_baseline_refuses_a_pair_file_before_any_write(case, work, tmp_path, capsys):
+    argv, _ = MALFORMED[case](work, tmp_path)
+    assert run_cli(argv, capsys)[0] == cli.EXIT_INPUT
+    assert not (tmp_path / "b").exists()
 
 
 EXTERNAL_TSV = (

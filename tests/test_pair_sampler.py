@@ -6,7 +6,6 @@ from cxgcorpus.errors import EmptyBandError, InputError, ParseError
 from cxgcorpus.matcher import OccurrenceTable
 from cxgcorpus.pair_sampler import (
     PairExample,
-    SamplerConfig,
     audit_pairs,
     make_inoculation_subsets,
     read_pairs,
@@ -23,8 +22,7 @@ def _splits(sampled):
 
 @pytest.fixture(scope="module")
 def desk_pairs(desk_table):
-    config = SamplerConfig(seed=17)
-    return sample_pairs(desk_table, (2, 10000), config), config
+    return sample_pairs(desk_table, (2, 10000), 17, "anchor")
 
 
 class TestQuotas:
@@ -33,13 +31,13 @@ class TestQuotas:
         forward = {0: [1, 2]}
         forward.update({i: list(range(10, 20)) for i in range(1, 4)})
         table = OccurrenceTable(forward)
-        sampled = sample_pairs(table, (2, 2), SamplerConfig(seed=0))
+        sampled = sample_pairs(table, (2, 2), 0, "anchor")
         positives = [p for p in all_pairs(sampled) if p.label == "same"]
         assert len(positives) == 1  # C(2,2) = 1
         assert any(s.cxg_id == 0 for s in sampled.shortfalls)
 
     def test_full_quotas_for_five_instances(self, desk_table):
-        sampled = sample_pairs(desk_table, (2, 10000), SamplerConfig(seed=3))
+        sampled = sample_pairs(desk_table, (2, 10000), 3, "anchor")
         shortfall_ids = {s.cxg_id for s in sampled.shortfalls}
         for cid in desk_table.forward:
             if not (2 <= freq(desk_table, cid) <= 10000):
@@ -56,10 +54,10 @@ class TestQuotas:
 
     def test_empty_band_is_error(self, desk_table):
         with pytest.raises(EmptyBandError):
-            sample_pairs(desk_table, (99990, 99999), SamplerConfig())
+            sample_pairs(desk_table, (99990, 99999), 0, "anchor")
 
     def test_canonical_ordering_and_labels(self, desk_pairs, desk_table):
-        sampled, _ = desk_pairs
+        sampled = desk_pairs
         for pair in all_pairs(sampled):
             assert pair.sent_a < pair.sent_b
             members = [
@@ -72,23 +70,21 @@ class TestQuotas:
                 assert sum(members) == 1
 
     def test_deterministic(self, desk_table):
-        a = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=5))
-        b = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=5))
+        a = sample_pairs(desk_table, (2, 50), 5, "anchor")
+        b = sample_pairs(desk_table, (2, 50), 5, "anchor")
         assert all_pairs(a) == all_pairs(b)
-        c = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=6))
+        c = sample_pairs(desk_table, (2, 50), 6, "anchor")
         assert all_pairs(a) != all_pairs(c)
 
-    def test_replace_checks_strictness_like_the_constructor(self):
+    def test_unknown_strictness_refused(self, desk_table):
         with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
-            SamplerConfig(seed=1)._replace(strictness="disjont")
-        config = SamplerConfig(seed=1)._replace(strictness="disjoint")
-        assert type(config) is SamplerConfig and config == (1, "disjoint")
+            sample_pairs(desk_table, (2, 50), 1, "disjont")
 
     def test_disjoint_strictness_sound_or_shortfall(self, desk_table):
         # on the desk corpus generic patterns cover nearly every
         # sentence, so disjoint negatives are mostly infeasible: that
         # must surface as shortfall entries, never as an error
-        sampled = sample_pairs(desk_table, (2, 50), SamplerConfig(seed=1, strictness="disjoint"))
+        sampled = sample_pairs(desk_table, (2, 50), 1, "disjoint")
         for pair in all_pairs(sampled):
             if pair.label == "different":
                 shared = set(desk_table.constructions_of(pair.sent_a)) & set(
@@ -100,37 +96,37 @@ class TestQuotas:
 
 class TestAudit:
     def test_fresh_sample_passes(self, desk_pairs, desk_table):
-        sampled, config = desk_pairs
-        report = audit_pairs(_splits(sampled), desk_table, config.strictness)
+        sampled = desk_pairs
+        report = audit_pairs(_splits(sampled), desk_table, "anchor")
         assert report.ok, report.summary()
 
     def test_unknown_strictness_refused(self, desk_pairs, desk_table):
         # a misspelt "disjoint" would audit anchor-style pairs as sound
-        sampled, _ = desk_pairs
+        sampled = desk_pairs
         with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
             audit_pairs(_splits(sampled), desk_table, "disjont")
 
     def test_flipped_label_reported(self, desk_pairs, desk_table):
-        sampled, config = desk_pairs
+        sampled = desk_pairs
         splits = _splits(sampled)
         bad = splits["train"][0]._replace(
             label="different" if splits["train"][0].label == "same" else "same",
         )
         tampered = dict(splits)
         tampered["train"] = [bad] + splits["train"][1:]
-        report = audit_pairs(tampered, desk_table, config.strictness)
+        report = audit_pairs(tampered, desk_table, "anchor")
         assert len(report.violations) == 1
 
     def test_cross_split_leak_reported(self, desk_pairs, desk_table):
-        sampled, config = desk_pairs
+        sampled = desk_pairs
         splits = _splits(sampled)
         tampered = dict(splits)
         tampered["test"] = splits["test"] + [splits["train"][0]]
-        report = audit_pairs(tampered, desk_table, config.strictness)
+        report = audit_pairs(tampered, desk_table, "anchor")
         assert report.leaks and report.duplicates
 
     def test_no_duplicates_across_splits(self, desk_pairs):
-        sampled, _ = desk_pairs
+        sampled = desk_pairs
         keys = [pair_key(p) for p in all_pairs(sampled)]
         assert len(keys) == len(set(keys))
 
@@ -174,7 +170,7 @@ class TestInoculation:
 
 class TestPairFiles:
     def test_write_read_round_trip(self, desk_pairs, desk, tmp_path):
-        sampled, _ = desk_pairs
+        sampled = desk_pairs
         texts = desk.texts
         path = tmp_path / "train.tsv"
         write_pairs(sampled.train, texts, path)
