@@ -7,12 +7,14 @@ each side (with A:/B: markers) plus cross-features over shared tokens,
 with the fixed block weights CROSS_WEIGHT and SIDE_WEIGHT, hashed into
 DIM buckets and trained with seeded SGD on the logistic loss (fixed
 LEARNING_RATE and L2; EPOCHS is the stage's default) in plain Python:
-the weights are an `array('d')` and every dot product is an exactly
-rounded `math.fsum`, so a model's bytes do not depend on the CPU.
+the model's weights are an `array('d')` and every dot product is an
+exactly rounded `math.fsum`, so a model's bytes do not depend on the CPU.
 
 One memo per run featurizes each distinct sentence side once into an
-`array('l')` of buckets and hashes each unigram and cross feature once;
-it keeps no bigram string, and training examples are packed arrays.
+`array('l')` of its unigram and bigram buckets and hashes each cross
+feature once; it keeps no side feature string. Training numbers the
+buckets its pairs use and runs SGD on a list of just those weights,
+which it then places in the model's `array('d')` of DIM.
 Features are hashed with `_blake2`'s blake2b, which is the one
 `hashlib.blake2b` gives, without loading `hashlib` and its OpenSSL
 library.
@@ -58,13 +60,6 @@ def hash_feature(feature: str, dim: int) -> int:
     return int.from_bytes(digest, "big") % dim
 
 
-def _bucket(feature: str, dim: int, memo: dict) -> int:
-    idx = memo.get(feature)
-    if idx is None:
-        idx = memo[feature] = hash_feature(feature, dim)
-    return idx
-
-
 def featurize_pair(
     text_a: str, text_b: str, dim: int, memo: dict | None = None
 ) -> dict[int, float]:
@@ -74,9 +69,9 @@ def featurize_pair(
     B:...), each weighted SIDE_WEIGHT; the cross block gives X:tok for
     every token the sides share, weighted CROSS_WEIGHT, so it is
     symmetric under swapping the sentences. Colliding buckets add up.
-    `memo` (same `dim`) holds each side's bucket array by (side, text)
-    and each unigram and cross feature's bucket by its string, so a
-    bigram is hashed once per distinct side and never kept as a string.
+    `memo` (same `dim`) holds each side's bucket array by (side, text),
+    hashed when that side is first seen, and each cross feature's bucket
+    by its string; it keeps no side feature string.
     """
     if memo is None:
         memo = {}
@@ -85,18 +80,21 @@ def featurize_pair(
         buckets = memo.get((side, text))
         if buckets is None:
             toks = text.split()
-            buckets = array("l", [_bucket(f"{side}:{t}", dim, memo) for t in toks])
+            buckets = array("l", [hash_feature(f"{side}:{t}", dim) for t in toks])
             buckets.extend(hash_feature(f"{side}:{a}_{b}", dim) for a, b in zip(toks, toks[1:]))
             memo[side, text] = buckets
         for idx in buckets:
             vec[idx] = vec.get(idx, 0.0) + SIDE_WEIGHT
     for tok in set(text_a.split()).intersection(text_b.split()):
-        idx = _bucket(f"X:{tok}", dim, memo)
+        feature = f"X:{tok}"
+        idx = memo.get(feature)
+        if idx is None:
+            idx = memo[feature] = hash_feature(feature, dim)
         vec[idx] = vec.get(idx, 0.0) + CROSS_WEIGHT
     return vec
 
 
-def _dot(w: array, keys, values) -> float:
+def _dot(w, keys, values) -> float:
     """Exactly rounded sum of w[j] * v, so independent of summation order."""
     return math.fsum(map(mul, map(w.__getitem__, keys), values))
 
@@ -130,9 +128,12 @@ def train(
 ) -> LinearModel:
     """`epochs` of seeded SGD on the logistic loss with per-epoch
     reshuffling, over DIM buckets at LEARNING_RATE and L2. Each step
-    touches only the pair's own buckets, L2 included. `memo` is
-    featurize_pair's, which a later `evaluate` of the model may share;
-    each example is kept as its packed bucket and value arrays."""
+    touches only the pair's own buckets, L2 included, so SGD runs on a
+    list holding one weight per bucket the pairs use, numbered in order
+    of first use, and the trained weights are then placed in the dense
+    `array('d')` of DIM: an untouched weight stays 0.0, so every weight
+    is the one SGD over all DIM buckets gives. `memo` is featurize_pair's,
+    which a later `evaluate` of the model may share."""
     if epochs < 1:
         raise InputError(f"epochs must be at least 1, got {epochs}")
     if memo is None:
@@ -143,12 +144,18 @@ def train(
     if labels != {"same", "different"}:
         raise InputError(f"training set must contain both labels, got {sorted(labels)}")
 
+    numbers: dict[int, int] = {}  # bucket -> its number, in order of first use
+    floats: dict[float, float] = {}  # one float object per distinct feature value
     examples = []
     for p in pairs:
         vec = featurize_pair(p.text_a, p.text_b, DIM, memo)
-        examples.append((array("l", vec), array("d", vec.values()), float(p.label == "same")))
+        keys = [numbers.setdefault(j, len(numbers)) for j in vec]
+        values = [floats.setdefault(v, v) for v in vec.values()]
+        examples.append((keys, values, float(p.label == "same")))
+    used = array("l", numbers)  # number -> bucket
+    del numbers, floats
 
-    w = array("d", [0.0]) * DIM
+    w = [0.0] * len(used)
     bias = 0.0
     lr, l2 = LEARNING_RATE, L2
     rng = random.Random(seed)
@@ -173,7 +180,12 @@ def train(
     for keys, values, y in examples:
         z = bias + _dot(w, keys, values)
         correct += int((z >= 0.0) == (y == 1.0))
-    return LinearModel(w, bias, tuple(losses), correct / len(examples))
+    accuracy = correct / len(examples)
+    del examples, order  # freed before the DIM weights are allocated
+    weights = array("d", [0.0]) * DIM
+    for bucket, weight in zip(used, w):
+        weights[bucket] = weight
+    return LinearModel(weights, bias, tuple(losses), accuracy)
 
 
 class BandAccuracy(NamedTuple):

@@ -15,7 +15,8 @@ Each command imports the modules it runs when it starts, so that a
 stage loads only its own code, and writes every output file through
 `_outputs`, which stages the files and their sidecars in a hidden
 directory and moves them into place only when the command has not
-raised: a failed run leaves its output directory as it was.
+raised: a failed run leaves its output directory as it was, and removes
+the directories it created for it.
 
 `match` streams the sentence store through `ingest.scan_annotated`.
 `build` and `pairs` first read the occurrence table and decide which
@@ -134,11 +135,18 @@ def _outputs(directory, config, command):
     output it was derived from) and returns the staged path to write it
     at. When the block ends without an exception, also on a verdict
     exit, each staged file gets its sidecar and both are moved into
-    `directory`. On an exception nothing is moved, and the staging
-    directory is removed in either case. The staging directories that
-    runs of `command` killed by a signal left behind are removed first.
+    `directory`. On an exception nothing is moved, and `directory` and
+    the parents this call created are removed, deepest first, while
+    they are empty. The staging directory is removed in either case.
+    The staging directories that runs of `command` killed by a signal
+    left behind are removed first.
     """
     directory = Path(directory)
+    created = []  # deepest first
+    for missing in (directory, *directory.parents):
+        if missing.exists():
+            break
+        created.append(missing)
     directory.mkdir(parents=True, exist_ok=True)
     _remove_stale_stages(directory, command)
     stage = Path(tempfile.mkdtemp(prefix=f".{command}.{os.getpid()}.", dir=directory))
@@ -156,8 +164,15 @@ def _outputs(directory, config, command):
         for name in staged:
             os.replace(stage / name, directory / name)
             os.replace(stage / f"{name}.meta", directory / f"{name}.meta")
-    finally:
+    except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        for made in created:
+            try:
+                made.rmdir()
+            except OSError:  # not empty: a file was moved in, or another process wrote one
+                break
+        raise
+    shutil.rmtree(stage, ignore_errors=True)
 
 
 def _remove_stale_stages(directory: Path, command: str) -> None:

@@ -21,18 +21,22 @@ to match against.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from cxgcorpus.baseline import DIM, L2, LEARNING_RATE, LinearModel, _dot, _sigmoid, featurize_pair
+from cxgcorpus.errors import InputError
 from cxgcorpus.ingest import (
     ABBREVIATIONS, AnnotatedSentence, AnnotationResources, SentenceRef, Token, read_annotated,
 )
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
 from cxgcorpus.matcher import OccurrenceTable
-from cxgcorpus.pair_sampler import PairExample, SampledPairs
+from cxgcorpus.pair_sampler import PairExample, PairText, SampledPairs
 
 
 def S(kind: str, value) -> SlotConstraint:
@@ -206,6 +210,58 @@ def pair_features(text_a: str, text_b: str) -> list[str]:
     for tok in sorted(set(toks_a) & set(toks_b)):
         feats.append(f"X:{tok}")
     return feats
+
+
+def dense_train(
+    pairs: list[PairText],
+    epochs: int,
+    seed: int,
+    memo: dict | None = None,
+) -> LinearModel:
+    """The trainer `baseline.train` must equal bit for bit: the same SGD
+    over a dense `array('d')` of all DIM buckets, each example kept as
+    its packed bucket and value arrays."""
+    if epochs < 1:
+        raise InputError(f"epochs must be at least 1, got {epochs}")
+    if memo is None:
+        memo = {}
+    if len(pairs) < 2:
+        raise InputError("need at least 2 training pairs")
+    labels = {p.label for p in pairs}
+    if labels != {"same", "different"}:
+        raise InputError(f"training set must contain both labels, got {sorted(labels)}")
+
+    examples = []
+    for p in pairs:
+        vec = featurize_pair(p.text_a, p.text_b, DIM, memo)
+        examples.append((array("l", vec), array("d", vec.values()), float(p.label == "same")))
+
+    w = array("d", [0.0]) * DIM
+    bias = 0.0
+    lr, l2 = LEARNING_RATE, L2
+    rng = random.Random(seed)
+    order = list(range(len(examples)))
+    losses = []
+    for _ in range(epochs):
+        rng.shuffle(order)
+        total = 0.0
+        for i in order:
+            keys, values, y = examples[i]
+            z = bias + _dot(w, keys, values)
+            p = _sigmoid(z)
+            p_clip = min(max(p, 1e-12), 1.0 - 1e-12)
+            total += -(y * math.log(p_clip) + (1.0 - y) * math.log(1.0 - p_clip))
+            g = p - y
+            for j, v in zip(keys, values):
+                w[j] -= lr * (g * v + l2 * w[j])
+            bias -= lr * g
+        losses.append(total / len(examples))
+
+    correct = 0
+    for keys, values, y in examples:
+        z = bias + _dot(w, keys, values)
+        correct += int((z >= 0.0) == (y == 1.0))
+    return LinearModel(w, bias, tuple(losses), correct / len(examples))
 
 
 def split_line_reference(text: str) -> list[str]:

@@ -21,7 +21,7 @@ from cxgcorpus.baseline import (
 )
 from cxgcorpus.errors import InputError, ParseError
 from cxgcorpus.pair_sampler import PairText
-from helpers import pair_features
+from helpers import dense_train, pair_features
 
 
 def _pair(label, a, b, lo=2, hi=50):
@@ -127,9 +127,10 @@ class TestTrain:
 
     def test_hash_memo_shared_with_evaluate(self, monkeypatch):
         # one memo for train and evaluate: the model and the scores are the
-        # same as without it; each unigram and cross feature is hashed once
-        # per run, each bigram once per distinct (side, text), and the memo
-        # keeps the side arrays but no bigram string
+        # same as without it; each side unigram and bigram is hashed once
+        # per occurrence in each distinct (side, text), each cross feature
+        # once per run, and the memo keeps the side arrays and the cross
+        # features but no side feature string
         unshared = train(SEPARABLE, 3, 2)
         expected = evaluate(unshared, SEPARABLE[:3])
         calls = []
@@ -140,14 +141,48 @@ class TestTrain:
         assert evaluate(model, SEPARABLE[:3], memo) == expected
         assert model.weights == unshared.weights and model.bias == unshared.bias
         sides = {("A", p.text_a) for p in SEPARABLE} | {("B", p.text_b) for p in SEPARABLE}
-        bigrams = [f"{side}:{t1}_{t2}" for side, text in sides
-                   for t1, t2 in zip(text.split(), text.split()[1:])]
-        features = {f for p in SEPARABLE for f in pair_features(p.text_a, p.text_b)}
-        once = features - set(bigrams)
-        assert bigrams and once
-        assert sorted(calls) == sorted([*once, *bigrams])
-        assert sorted(k for k in memo if isinstance(k, str)) == sorted(once)
+        side_features = []
+        for side, text in sides:
+            toks = text.split()
+            side_features += [f"{side}:{t}" for t in toks]
+            side_features += [f"{side}:{t1}_{t2}" for t1, t2 in zip(toks, toks[1:])]
+        cross = {f for p in SEPARABLE for f in pair_features(p.text_a, p.text_b)
+                 if f.startswith("X:")}
+        assert side_features and cross
+        assert sorted(calls) == sorted([*side_features, *cross])
+        assert sorted(k for k in memo if isinstance(k, str)) == sorted(cross)
         assert {k for k in memo if not isinstance(k, str)} == sides
+
+    def test_equals_the_dense_trainer(self, monkeypatch):
+        # seeded pair sets over a six-token vocabulary, so that the pairs
+        # share buckets and cross features; every second set hashes into
+        # 61 buckets, so that features also collide within a bucket
+        rng = random.Random(26)
+        vocab = ["aa", "bb", "cc", "dd", "ee", "f"]
+        collided = False
+        for case in range(300):
+            texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 5)))
+                     for _ in range(rng.randint(2, 8))]
+            pairs = [_pair(rng.choice(("same", "different")), rng.choice(texts), rng.choice(texts))
+                     for _ in range(rng.randint(0, 10))]
+            # identical sides, repeated and one-token sides, both labels
+            pairs += [_pair("same", texts[0], texts[0]), _pair("different", "f f f", "f")]
+            pairs += rng.choices(pairs, k=2)  # duplicated pairs
+            rng.shuffle(pairs)
+            epochs, seed = case % 4 + 1, rng.randrange(1000)
+            with monkeypatch.context() as patch:
+                if case % 2:
+                    patch.setattr(baseline, "hash_feature",
+                                  lambda feature, dim: hash_feature(feature, 61))
+                    collided = collided or any(
+                        len(featurize_pair(p.text_a, p.text_b, baseline.DIM))
+                        < len(set(pair_features(p.text_a, p.text_b))) for p in pairs)
+                got = train(pairs, epochs, seed)
+                want = dense_train(pairs, epochs, seed)
+            assert got.weights.typecode == "d" and len(got.weights) == baseline.DIM
+            assert (got.weights.tobytes(), got.bias, got.epoch_losses, got.train_accuracy) == (
+                want.weights.tobytes(), want.bias, want.epoch_losses, want.train_accuracy), case
+        assert collided
 
     def test_matches_a_plain_reference_trainer(self, desk, desk_table):
         # the same SGD over dense lists with left-to-right sums: equal up

@@ -413,7 +413,7 @@ class TestSemCheck:
                                 "--suffixes", bundled / "suffix_rules.tsv")
         assert code == cli.EXIT_INPUT
         assert "error: the corpus carries no SEM annotations but the inventory uses SEM slots" in err
-        assert not any((tmp_path / "m").iterdir())
+        assert not (tmp_path / "m").exists()  # the stage removes the directory it created
 
 
 class TestExitCodes:
@@ -458,7 +458,7 @@ class TestExitCodes:
                 "--inoculation-sizes", "100000"]
         assert cli.main(argv) == cli.EXIT_INPUT
         assert "100000" in capsys.readouterr().err
-        assert list((tmp_path / "p3").iterdir()) == []
+        assert not (tmp_path / "p3").exists()  # the stage removes the directory it created
 
     @pytest.mark.parametrize("stage", ["build", "pairs"])
     def test_table_from_another_corpus_refused_before_any_write(
@@ -481,6 +481,40 @@ class TestExitCodes:
         assert str(table) in err and str(annotated) in err and "sentence id" in err
         assert {p.name: p.read_text("utf-8") for p in out.iterdir()} == {
             "kept.txt": "earlier output\n"}
+
+    @pytest.mark.parametrize("stage", ["pairs", "match", "annotate"])
+    def test_failed_stage_removes_the_directories_it_created(
+        self, stage, work, tmp_path, capsys
+    ):
+        """A stage that fails after creating its output directory exits 2
+        and removes that directory and the parents it created, deepest
+        first, but no directory that was there before."""
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        external = tmp_path / "external.tsv"
+        if stage == "annotate":  # a sentence id that is not an integer
+            external.write_text("x\t0\t0\tit\tPRON\t-\n", encoding="utf-8")
+            argv = ["annotate", external, kept / "badout" / "sub" / "annotated.tsv",
+                    "--mode", "pre-annotated"]
+            error = f"{external}:1: "
+        else:
+            external.write_text("0\t0\t0\tit\tPRON\t-\n0\t0\t0\tis\tAUX\t-\n"
+                                if stage == "match" else EXTERNAL_TSV, encoding="utf-8")
+            annotated = tmp_path / "corpus" / "annotated.tsv"
+            assert cli.main(["annotate", str(external), str(annotated),
+                             "--mode", "pre-annotated"]) == 0
+            if stage == "match":  # no sentence carries a sem id
+                inventory = tmp_path / "inventory.tsv"
+                inventory.write_text("0\tsem:7 pos:AUX\n", encoding="utf-8")
+                argv = ["match", annotated, inventory, kept / "new" / "match"]
+                error = "the corpus carries no SEM annotations"
+            else:  # the table names sentence ids the store lacks
+                argv = ["pairs", annotated, work["out"] / "match" / "table.tsv",
+                        kept / "fresh" / "pairs", "--config", work["paths"]["config"]]
+                error = "sentence id"
+        code, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_INPUT and error in err, err
+        assert kept.is_dir() and not any(kept.iterdir())
 
     def test_annotate_creates_the_output_directory(self, work, tmp_path):
         paths = work["paths"]
@@ -1199,7 +1233,7 @@ class TestSentenceStore:
         assert cli.main(["annotate", str(external), str(no_sem), "--mode", "pre-annotated"]) == 0
         code, err = run_cli(["match", no_sem, inventory, tmp_path / "m2"], capsys)
         assert code == cli.EXIT_INPUT and "the corpus carries no SEM annotations" in err
-        assert not any((tmp_path / "m2").iterdir())
+        assert not (tmp_path / "m2").exists()  # the stage removes the directory it created
 
     def test_crlf_tsv_annotates_like_lf(self, annotated, tmp_path):
         crlf = tmp_path / "crlf.tsv"
