@@ -20,9 +20,10 @@ the directories it created for it.
 
 `match` streams the sentence store through `ingest.scan_annotated`.
 `build` and `pairs` first read the occurrence table and decide which
-sentences they will write (the band's, the sampled pairs'), then read
-the store once through `ingest.store_texts`, which checks every line
-as `scan_annotated` does but keeps the texts of only those sentences.
+sentences they will write (the band's, the sampled pairs'), where
+`OccurrenceTable.select_band` refuses a band that selects nothing, then
+read the store once through `ingest.store_texts`, which checks every
+line as `scan_annotated` does but keeps the texts of only those sentences.
 Of the stages, only `pairs` under `disjoint` strictness builds the
 table's transpose, `OccurrenceTable.reverse`; `match` counts the
 sentences it matched without it.
@@ -246,9 +247,10 @@ def _checked_table(args, config: EffectiveConfig):
 
 
 def _store_texts(args, store: Path, table, wanted):
-    """One checked pass over the store: its `SentenceRef`s in store
-    order and the texts of the sentences in `wanted` by id. A table
-    naming a sentence the store lacks is refused."""
+    """One checked pass over the store: each line's (sentence_id,
+    article_id, position_in_article) in store order and the texts of the
+    sentences in `wanted` by id. A table naming a sentence the store
+    lacks is refused."""
     from . import ingest
 
     refs, texts = ingest.store_texts(store, wanted)
@@ -274,7 +276,7 @@ def cmd_build(args, config: EffectiveConfig) -> int:
     want = ("cxg", "base", "random") if args.variant == "all" else (args.variant,)
     with _outputs(args.out, config, "build") as stage:
         if "base" in want or "random" in want:
-            built["base"] = cb.build_base_clone(corpus, table, band, target, kept=wanted)
+            built["base"] = cb.build_base_clone(corpus, wanted, band, target)
             if "random" in want:
                 built["random"] = cb.build_random(built["base"][0], config.seed, band)
         for name in want:
@@ -288,9 +290,9 @@ def cmd_build(args, config: EffectiveConfig) -> int:
             )
         if args.variant != "all":
             return EXIT_OK
-        base = cb.occurrences(built["base"][0])  # counted once for both comparisons
-        report_cxg = cb.verify_multiset(built["cxg"][0], base)
-        report_rand = cb.verify_multiset(base, built["random"][0])
+        cxg, base, rand = (cb.occurrences(built[name][0]) for name in ("cxg", "base", "random"))
+        report_cxg = cb.verify_multiset(cxg, base)
+        report_rand = cb.verify_multiset(base, rand)
         stage("verify.txt", BUILD_KEYS).write_text(
             f"cxg vs base: {report_cxg.summary()}\n"
             f"base vs random: {report_rand.summary()}\n",

@@ -14,7 +14,9 @@ for a given frequency band:
   random  -- the base variant with all sentence occurrences globally
              shuffled and document breaks re-drawn (same document count).
 
-A document is the tuple of its sentence ids, in order.
+A document is the tuple of its sentence ids, in order. The base variant
+takes the cxg variant's sentence ids, and verify_multiset compares two
+variants' `occurrences` counts.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import EmptyBandError, InputError
+from .errors import InputError
 from .workspace import render_bound
 
 if TYPE_CHECKING:
-    from .ingest import AnnotatedSentence, SentenceRef
     from .matcher import OccurrenceTable
 
 
@@ -59,36 +60,26 @@ def build_cxg_corpus(
     table: OccurrenceTable, band: tuple[int, int | None]
 ) -> tuple[list[tuple[int, ...]], BuildManifest]:
     """One document per selected construction, sentences in id order."""
-    selected = table.select_band(band)
-    if not selected:
-        raise EmptyBandError(f"band {band} selects no constructions")
-    docs = [tuple(table.forward[cid]) for cid in selected]
+    docs = [tuple(table.forward[cid]) for cid in table.select_band(band)]
     manifest = BuildManifest("cxg", band[0], band[1], sum(map(len, docs)), len(docs))
     return docs, manifest
 
 
 def build_base_clone(
-    corpus: Iterable[AnnotatedSentence | SentenceRef],
-    table: OccurrenceTable,
+    corpus: Iterable[Sequence[int]],
+    kept: AbstractSet[int],
     band: tuple[int, int | None],
     target_total: int,
-    *,
-    kept: AbstractSet[int] | None = None,
 ) -> tuple[list[tuple[int, ...]], BuildManifest]:
     """Article-structured control corpus replicated to target_total.
 
-    Sentences instantiating no selected construction are dropped, and
+    Sentences (sentence_id, article_id, position_in_article, ...) not in
+    `kept`, the selected constructions' sentence ids, are dropped, and
     every drop starts a new document so that adjacent sentences in any
     document were adjacent in the source article. Whole copies of the
     resulting document list are emitted, then a prefix (splitting at
     most one document) to land exactly on target_total occurrences.
-    `kept`, the selected constructions' sentence ids, saves selecting.
     """
-    if kept is None:
-        kept = set().union(*map(table.forward.__getitem__, table.select_band(band)))
-    if not kept:
-        raise EmptyBandError(f"band {band} selects no constructions")
-
     base_docs: list[tuple[int, ...]] = []
     run: list[int] = []
     article = None
@@ -195,14 +186,9 @@ def occurrences(documents: list[tuple[int, ...]]) -> Counter[int]:
     return Counter(chain.from_iterable(documents))
 
 
-def verify_multiset(
-    documents_a: list[tuple[int, ...]] | Counter[int],
-    documents_b: list[tuple[int, ...]] | Counter[int],
-) -> MultisetReport:
-    """Compare the sentence-occurrence multisets of two variants; a side
-    given as its `occurrences` is not counted again."""
-    count_a, count_b = (docs if isinstance(docs, Counter) else occurrences(docs)
-                        for docs in (documents_a, documents_b))
+def verify_multiset(count_a: Counter[int], count_b: Counter[int]) -> MultisetReport:
+    """Compare the sentence-occurrence multisets of two variants, given
+    as their `occurrences`."""
     # dict's own == runs in C (Counter's loops in Python); counts hold no zeros
     mismatched = [] if dict.__eq__(count_a, count_b) else [
         (sid, count_a[sid], count_b[sid])

@@ -19,8 +19,8 @@ changed since; external TSVs get their store by going through
 The store has two readers that hold each line to one contract, with the
 same `file:line` messages (see scan_annotated): scan_annotated streams
 whole sentences, for `match`, and store_texts makes one light pass that
-returns every line's ids and the texts of only the sentences a caller
-wants, for `build` and `pairs`.
+returns every line's three ids, as a plain tuple, and the texts of only
+the sentences a caller wants, for `build` and `pairs`.
 
 A sentence is one AnnotatedSentence from annotation to matching: its
 ids and its three facet columns (forms, tags, sem ids). The annotator,
@@ -493,14 +493,6 @@ def read_annotated(
         yield AnnotatedSentence(*cur_key, forms, tag_col, sems)
 
 
-class SentenceRef(NamedTuple):
-    """Position metadata of one sentence, without its tokens."""
-
-    sentence_id: int
-    article_id: int
-    position_in_article: int
-
-
 def _field_count_error(path, lineno: int, fields: int) -> ParseError:
     return ParseError(
         f"{path}:{lineno}: expected 3 id fields and 3 fields per token, got {fields} fields"
@@ -549,17 +541,18 @@ def scan_annotated(path: str | Path) -> Iterator[AnnotatedSentence]:
 
 def store_texts(
     path: str | Path, wanted: Container[int]
-) -> tuple[list[SentenceRef], dict[int, str]]:
+) -> tuple[list[tuple[int, int, int]], dict[int, str]]:
     """Check every line of a sentence store as scan_annotated does, with
-    the same messages, and return each line's SentenceRef in store order
-    and the text of each sentence whose id is in `wanted`.
+    the same messages, and return each line's (sentence_id, article_id,
+    position_in_article) in store order and the text of each sentence
+    whose id is in `wanted`.
 
     A line's fields are counted by its tabs, and only its ids and its
     sem fields are split off; its forms are split only when its sentence
     is wanted, and its tags never. A sem field is checked the first
     time its text is seen."""
     accepted = {"-"}  # the sem field texts already checked
-    refs: list[SentenceRef] = []
+    refs: list[tuple[int, int, int]] = []
     texts: dict[int, str] = {}
     last = None
     for lineno, line in read_lines(path):
@@ -571,7 +564,7 @@ def store_texts(
         sems = line.rsplit("\t", n)
         sems[0] = "-"  # the rest of the line, before the sem fields
         try:
-            ref = SentenceRef(int(head[0]), int(head[1]), int(head[2]))
+            ref = (int(head[0]), int(head[1]), int(head[2]))
             if not accepted.issuperset(sems):
                 for field in sems:
                     if field not in accepted:
@@ -579,7 +572,7 @@ def store_texts(
                         accepted.add(field)
         except ValueError:
             raise _bad_field_error(path, lineno) from None
-        sid = ref.sentence_id
+        sid = ref[0]
         if last is not None and sid <= last:
             raise _order_error(path, lineno, sid, last)
         last = sid

@@ -33,7 +33,7 @@ from operator import lt
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import FacetMissingError, ParseError
+from .errors import EmptyBandError, FacetMissingError, ParseError
 from .workspace import bands_from_edges, read_lines, render_bound
 
 if TYPE_CHECKING:
@@ -53,8 +53,7 @@ class MatchIndex:
     measured by inventory-wide facet counts, ties broken by the leftmost
     slot), and matching works on ids only: a sentence is a candidate for
     verification only when its set of facet ids is a superset of the
-    construction's tuple. `entries` and `_facets` are views derived
-    from the index.
+    construction's tuple. `entries` is a view derived from the index.
     """
 
     def __init__(self, inventory: Inventory):
@@ -82,19 +81,13 @@ class MatchIndex:
         self.size = len(self.cxg_ids)
 
     @property
-    def _facets(self) -> list[tuple[str, str]]:
-        """Every facet (kind, value) a slot uses, indexed by its id;
-        built on each read."""
-        from .inventory import facets_of
-
-        return facets_of(self._maps)
-
-    @property
     def entries(self) -> dict[tuple[str, str], list[tuple[int, int]]]:
         """Anchor facet (kind, value) -> the (cxg_id, slot_offset) pairs
         filed under it, in inventory order; every construction appears
         exactly once. A view derived from the index, built on each read."""
-        facets = self._facets
+        from .inventory import facets_of
+
+        facets = facets_of(self._maps)
         return {
             facets[f]: [(cid, self._checks[cid].index(f)) for cid in cids]
             for f, cids in self._anchor.items()
@@ -233,14 +226,12 @@ class OccurrenceTable:
     def frequencies(self) -> dict[int, int]:
         return {cid: len(sids) for cid, sids in self.forward.items()}
 
-    def instances(self, cxg_id: int) -> list[int]:
-        return self.forward[cxg_id]
-
     def constructions_of(self, sentence_id: int) -> list[int]:
         return self.reverse.get(sentence_id, [])
 
     def select_band(self, band: tuple[int, int | None]) -> list[int]:
-        """cxg_ids with lo <= freq <= hi; frequency below 2 never qualifies."""
+        """cxg_ids with lo <= freq <= hi, ascending; frequency below 2 never
+        qualifies, and a band that selects none raises EmptyBandError."""
         lo, hi = band
         lo = max(lo, 2)
         out = []
@@ -248,6 +239,8 @@ class OccurrenceTable:
             f = len(self.forward[cid])
             if f >= lo and (hi is None or f <= hi):
                 out.append(cid)
+        if not out:
+            raise EmptyBandError(f"band {band} selects no constructions")
         return out
 
     def write(self, table_path: str | Path, discards_path: str | Path) -> None:

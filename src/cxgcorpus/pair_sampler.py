@@ -19,7 +19,7 @@ import random
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .errors import EmptyBandError, InputError, ParseError
+from .errors import InputError, ParseError
 from .workspace import STRICTNESS, parse_bound, read_lines, render_bound
 
 if TYPE_CHECKING:
@@ -143,12 +143,11 @@ def sample_pairs(
 
     Deterministic: each construction uses its own RNG derived from
     (seed, cxg_id); constructions are processed in cxg_id order for the
-    global duplicate check. An unknown strictness raises ParseError.
+    global duplicate check. An unknown strictness raises ParseError, and
+    a band that selects no construction `select_band`'s EmptyBandError.
     """
     _check_strictness(strictness)
     selected = table.select_band(band)
-    if not selected:
-        raise EmptyBandError(f"band {band} selects no constructions")
     universe = table.sentence_ids
     band_lo, band_hi = band
 
@@ -157,7 +156,7 @@ def sample_pairs(
 
     for cid in selected:
         rng = _construction_rng(seed, cid)
-        instances = table.instances(cid)
+        instances = table.forward[cid]
         instance_set = set(instances)
 
         pos_keys = _draw_positive_keys(instances, _POS_NEED, rng, seen)
@@ -230,22 +229,21 @@ def audit_pairs(
     strictness: str,
 ) -> AuditReport:
     """Re-derive every label from the occurrence table and flag
-    violations, duplicate pairs, and cross-split leakage. Only
-    `disjoint` strictness reads the table's `reverse`. An unknown
-    strictness raises ParseError.
+    violations, duplicate pairs, and cross-split leakage: a pair key with
+    two or more copies is a duplicate, and one in two or more splits is
+    also a leak, both listed in key order. Only `disjoint` strictness
+    reads the table's `reverse`. An unknown strictness raises ParseError.
     """
     _check_strictness(strictness)
     report = AuditReport([], [], [])
     anchors = {pair.anchor_cxg for pairs in pairs_by_split.values() for pair in pairs}
     members = {cid: set(table.forward.get(cid, ())) for cid in anchors}  # anchor -> its instances
-    seen_in: dict[tuple[int, int], set[str]] = {}
-    counts: dict[tuple[int, int], int] = {}
+    copies: dict[tuple[int, int], list[str]] = {}  # pair key -> the split of each of its copies
 
     for split_name, pairs in pairs_by_split.items():
         for pair in pairs:
             key = (pair.sent_a, pair.sent_b) if pair.sent_a < pair.sent_b else (pair.sent_b, pair.sent_a)
-            counts[key] = counts.get(key, 0) + 1
-            seen_in.setdefault(key, set()).add(split_name)
+            copies.setdefault(key, []).append(split_name)
 
             if pair.sent_a == pair.sent_b:
                 report.violations.append((split_name, pair, "sentence paired with itself"))
@@ -271,12 +269,11 @@ def audit_pairs(
             else:
                 report.violations.append((split_name, pair, f"unknown label {pair.label!r}"))
 
-    for key, n in sorted(counts.items()):
-        if n > 1:
-            report.duplicates.append(key)
-    for key, splits in sorted(seen_in.items()):
+    for key, splits in sorted(copies.items()):
         if len(splits) > 1:
-            report.leaks.append(key)
+            report.duplicates.append(key)
+            if len(set(splits)) > 1:
+                report.leaks.append(key)
     return report
 
 

@@ -20,6 +20,7 @@ to match against.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -30,13 +31,14 @@ from pathlib import Path
 from typing import Iterable
 
 from cxgcorpus.baseline import DIM, L2, LEARNING_RATE, LinearModel, _dot, _sigmoid, featurize_pair
-from cxgcorpus.errors import InputError
+from cxgcorpus.errors import EmptyBandError, InputError
 from cxgcorpus.ingest import (
-    ABBREVIATIONS, AnnotatedSentence, AnnotationResources, SentenceRef, Token, read_annotated,
+    ABBREVIATIONS, AnnotatedSentence, AnnotationResources, Token, read_annotated,
 )
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
 from cxgcorpus.matcher import OccurrenceTable
-from cxgcorpus.pair_sampler import PairExample, PairText, SampledPairs
+from cxgcorpus.pair_sampler import PairExample, PairText, SampledPairs, sample_pairs
+from cxgcorpus.workspace import STRICTNESS
 
 
 def S(kind: str, value) -> SlotConstraint:
@@ -127,20 +129,21 @@ def reference_cxg(table: OccurrenceTable, band) -> list[tuple[int, ...]]:
 
 
 def reference_base(corpus, table: OccurrenceTable, band, target_total: int) -> list[tuple]:
-    """The base variant: the sentences in (article, position) order, a
-    sentence kept when any of its constructions is selected, a document
-    broken at every drop and every article change; then the documents
-    repeated in a cycle, the last one cut, until target_total sentences."""
+    """The base variant: the sentences, each (sentence_id, article_id,
+    position_in_article, ...), in (article, position) order, a sentence
+    kept when any of its constructions is selected, a document broken at
+    every drop and every article change; then the documents repeated in
+    a cycle, the last one cut, until target_total sentences."""
     selected = reference_band(table, band)
     runs: list[list[int]] = [[]]
     article = None
-    for s in sorted(corpus, key=lambda s: (s.article_id, s.position_in_article)):
-        keep = any(s.sentence_id in table.forward[cid] for cid in selected)
-        if not keep or s.article_id != article:
+    for s in sorted(corpus, key=lambda s: (s[1], s[2])):
+        keep = any(s[0] in table.forward[cid] for cid in selected)
+        if not keep or s[1] != article:
             runs.append([])
         if keep:
-            runs[-1].append(s.sentence_id)
-        article = s.article_id
+            runs[-1].append(s[0])
+        article = s[1]
     documents = [tuple(run) for run in runs if run]
     out: list[tuple[int, ...]] = []
     total = 0
@@ -157,13 +160,19 @@ def reference_pretraining_bytes(documents, texts: dict[int, str]) -> bytes:
     return "\n".join("".join(f"{texts[sid]}\n" for sid in doc) for doc in documents).encode()
 
 
+def band_ids(table: OccurrenceTable, band) -> set[int]:
+    """The sentence ids of the constructions `band` selects, which
+    `build_base_clone` keeps."""
+    return set().union(*map(table.forward.__getitem__, table.select_band(band)))
+
+
 def random_build_case(rng: random.Random):
-    """A small random table and the SentenceRefs and texts of its store:
-    sentence ids with gaps, articles whose positions do not follow the
-    ids, constructions that may have no instance, and one row repeated
-    under several ids in about a fifth of the cases, so that the cxg
-    total is an exact multiple of the kept sentences. Returns (refs,
-    texts, table, band)."""
+    """A small random table and the (sentence_id, article_id,
+    position_in_article) refs and texts of its store: sentence ids with
+    gaps, articles whose positions do not follow the ids, constructions
+    that may have no instance, and one row repeated under several ids in
+    about a fifth of the cases, so that the cxg total is an exact
+    multiple of the kept sentences. Returns (refs, texts, table, band)."""
     sids = sorted(rng.sample(range(60), rng.randrange(1, 25)))
     n_articles = rng.randrange(1, 5)
     article_of = {sid: rng.randrange(n_articles) for sid in sids}
@@ -172,7 +181,7 @@ def random_build_case(rng: random.Random):
         members = [sid for sid in sids if article_of[sid] == aid]
         positions = sorted(rng.sample(range(3 * len(members) + 1), len(members)))
         rng.shuffle(positions)
-        refs.extend(SentenceRef(sid, aid, pos) for sid, pos in zip(members, positions))
+        refs.extend((sid, aid, pos) for sid, pos in zip(members, positions))
     refs.sort()
     texts = {sid: f"s{sid} " + " ".join(rng.choices("abc", k=rng.randrange(1, 4))) for sid in sids}
     cids = rng.sample(range(100), rng.randrange(1, 8))
@@ -184,6 +193,34 @@ def random_build_case(rng: random.Random):
     lo = rng.randrange(0, 8)
     band = (lo, None if rng.random() < 0.4 else lo + rng.randrange(0, 10))
     return refs, texts, OccurrenceTable(forward), band
+
+
+def sampled_pair_cases(seeds: Iterable[int], shuffle: int | None = None):
+    """For each seed's random_build_case table and each strictness, the
+    tuple (table, band, seed, strictness, sampled): `sample_pairs` of the
+    table and band under that seed and strictness, or None when it
+    raised EmptyBandError. With `shuffle`, each table's rows come in an
+    order drawn from it and the seed."""
+    for seed in seeds:
+        _, _, table, band = random_build_case(random.Random(seed))
+        if shuffle is not None:
+            rows = list(table.forward.items())
+            random.Random(f"{shuffle}:{seed}").shuffle(rows)
+            table = OccurrenceTable(dict(rows))
+        for strictness in STRICTNESS:
+            try:
+                sampled = sample_pairs(table, band, seed, strictness)
+            except EmptyBandError:
+                sampled = None
+            yield table, band, seed, strictness, sampled
+
+
+def pairs_digest(cases) -> str:
+    """sha256 over the band, seed, strictness and result of each case."""
+    digest = hashlib.sha256()
+    for _, *case in cases:
+        digest.update(repr(case).encode())
+    return digest.hexdigest()
 
 
 def all_pairs(sampled: SampledPairs) -> list[PairExample]:

@@ -37,6 +37,7 @@ from cxgcorpus.pair_sampler import (
 )
 
 from helpers import (
+    band_ids,
     freq,
     from_tokens,
     make_desk,
@@ -120,7 +121,7 @@ def test_corpus_build_invariants(desk):
     recount = sum(freq(table, c) for c in table.select_band(band))
     ok_a = cxg_manifest.total_occurrences == recount == sum(map(len, cxg_docs))
 
-    base_docs, base_manifest = build_base_clone(corpus, table, band, recount)
+    base_docs, base_manifest = build_base_clone(corpus, band_ids(table, band), band, recount)
     ok_b = sum(map(len, base_docs)) == recount
 
     random_docs, _ = build_random(base_docs, seed=99, band=band)

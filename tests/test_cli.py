@@ -361,7 +361,11 @@ def _perfbench(script, *args):
 def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     """perfbench/trace.py wraps named functions and methods of the
     program; one that is renamed or gone stops the traced stage, and
-    `match` calls the traced `match_sentence` once per sentence."""
+    `match` calls the traced `match_sentence` once per sentence. Its
+    hooks take the arguments and results of the builders and the
+    sampler, so `build` and `pairs` run traced too, write the bytes of
+    the untraced run, and count what their manifests and pair files
+    show."""
     out = work["out"]
     config = work["paths"]["config"]
     result = _perfbench("trace.py", tmp_path / "stats.json", "stats", out / "match" / "table.tsv",
@@ -374,6 +378,31 @@ def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     assert (tmp_path / "m" / "table.tsv").read_bytes() == (out / "match" / "table.tsv").read_bytes()
     counts = json.loads((tmp_path / "match.json").read_text("utf-8"))["counts"]
     assert counts["matcher.match_sentence_calls"] == len(work["desk"].sentences) == 900
+    for step in work["steps"][2:4]:
+        stage = step[0]
+        result = _perfbench("trace.py", tmp_path / f"{stage}.json", *step[:3],
+                            tmp_path / stage, *step[4:])
+        assert result.returncode == 0, result.stderr
+        written = sorted(p.name for p in (tmp_path / stage).iterdir())
+        assert written == sorted(p.name for p in (out / stage).iterdir())
+        for name in written:
+            assert filecmp.cmp(tmp_path / stage / name, out / stage / name, shallow=False)
+    counts = json.loads((tmp_path / "build.json").read_text("utf-8"))["counts"]
+    manifests = {name: dict(line.split(" = ") for line in
+                            (out / "build" / f"{name}.manifest").read_text("utf-8").splitlines())
+                 for name in ("cxg", "base")}
+    assert counts["corpus_builder.occurrences"] == int(manifests["cxg"]["total_occurrences"])
+    assert counts["corpus_builder.base_documents"] == int(manifests["base"]["n_documents"])
+    assert counts["corpus_builder.copies"] == int(manifests["base"]["copies"])
+    counts = json.loads((tmp_path / "pairs.json").read_text("utf-8"))["counts"]
+    lines = {name: (out / "pairs" / f"{name}.tsv").read_text("utf-8").splitlines()
+             for name in (*ps.SPLITS, "shortfall")}
+    delivered = sum(len(lines[name]) for name in ps.SPLITS)
+    missing = sum(int(requested) - int(got) for requested, got in
+                  (line.split("\t")[2:] for line in lines["shortfall"]))
+    assert counts["pair_sampler.pairs_delivered"] == delivered
+    assert counts["pair_sampler.pairs_requested"] == delivered + missing
+    assert counts["pair_sampler.shortfalls"] == len(lines["shortfall"])
 
 
 def test_benchmark_oracle_agrees_with_the_table(work):
@@ -1280,7 +1309,7 @@ def _read_both(store: Path, wanted):
     the texts of `wanted`, or the message of the error they raise."""
     try:
         rows = list(scan_annotated(store))
-        scanned = ([ingest.SentenceRef(*row[:3]) for row in rows],
+        scanned = ([tuple(row[:3]) for row in rows],
                    {row.sentence_id: row.text for row in rows if row.sentence_id in wanted})
     except InputError as exc:
         scanned = str(exc)
@@ -1354,7 +1383,7 @@ def test_pairs_keeps_only_the_texts_of_sampled_sentences(work, tmp_path, monkeyp
 def test_build_keeps_only_the_texts_of_the_band(work, tmp_path, monkeypatch):
     table = read_table(work["out"] / "match" / "table.tsv", work["out"] / "match" / "discards.txt")
     lowest = min(f for f in table.frequencies().values() if f >= 2)
-    in_band = {sid for cid in table.select_band((lowest, lowest)) for sid in table.instances(cid)}
+    in_band = {sid for cid in table.select_band((lowest, lowest)) for sid in table.forward[cid]}
     calls = _texts_spy(monkeypatch, cb, "write_pretraining_file",
                        lambda docs: set().union(*docs))
     argv = ["build", work["annotated"], str(work["out"] / "match" / "table.tsv"),
@@ -1405,7 +1434,7 @@ def test_disjoint_pairs_build_the_transpose_once_and_flag_a_shared_construction(
     table = read_table(work["out"] / "match" / "table.tsv", work["out"] / "match" / "discards.txt")
     # a 'different' pair one-sided on its anchor whose sentences share another construction
     anchor = work["desk"].anchor_cxg_ids[0]
-    a = table.instances(anchor)[0]
+    a = table.forward[anchor][0]
     b = next(sid for sid in table.sentence_ids if anchor not in table.constructions_of(sid)
              and set(table.constructions_of(sid)) & set(table.constructions_of(a)))
     bad = PairExample(a, b, "different", anchor, 2, 10000)

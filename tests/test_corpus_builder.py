@@ -17,7 +17,7 @@ from cxgcorpus.ingest import store_texts
 from cxgcorpus.matcher import OccurrenceTable
 
 from helpers import (
-    freq, random_build_case, read_pretraining_file, reference_base, reference_cxg,
+    band_ids, freq, random_build_case, read_pretraining_file, reference_base, reference_cxg,
     reference_pretraining_bytes, sent, sentence_text_map,
 )
 
@@ -35,6 +35,11 @@ def _toy_corpus_and_table():
         {0: [0, 1, 3], 1: [1, 3, 4], 2: [0, 1]}, discarded=[2]
     )
     return corpus, table
+
+
+def _base(corpus, table, target_total):
+    """The base variant over every construction of frequency 2 or more."""
+    return build_base_clone(corpus, band_ids(table, (2, None)), (2, None), target_total)
 
 
 class TestCxgBuild:
@@ -68,19 +73,19 @@ class TestCxgBuild:
 class TestBaseClone:
     def test_drop_breaks_article(self):
         corpus, table = _toy_corpus_and_table()
-        docs, manifest = build_base_clone(corpus, table, (2, None), target_total=4)
+        docs, manifest = _base(corpus, table, target_total=4)
         assert docs == [(0, 1), (3, 4)]
         assert manifest.copies == 1 and manifest.prefix_len == 0
 
     def test_exact_double_copies(self):
         corpus, table = _toy_corpus_and_table()
-        docs, manifest = build_base_clone(corpus, table, (2, None), target_total=8)
+        docs, manifest = _base(corpus, table, target_total=8)
         assert manifest.copies == 2 and manifest.prefix_len == 0
         assert docs == [(0, 1), (3, 4)] * 2
 
     def test_prefix_splits_final_document(self):
         corpus, table = _toy_corpus_and_table()
-        docs, manifest = build_base_clone(corpus, table, (2, None), target_total=7)
+        docs, manifest = _base(corpus, table, target_total=7)
         assert manifest.copies == 1 and manifest.prefix_len == 3
         assert sum(map(len, docs)) == 7
         assert docs[-1] == (3,)  # second document split after one sentence
@@ -88,7 +93,8 @@ class TestBaseClone:
     def test_adjacency_invariant(self, desk, desk_table):
         band = (2, 10000)
         _, cxg_manifest = build_cxg_corpus(desk_table, band)
-        docs, _ = build_base_clone(desk.sentences, desk_table, band, cxg_manifest.total_occurrences)
+        docs, _ = build_base_clone(desk.sentences, band_ids(desk_table, band), band,
+                                   cxg_manifest.total_occurrences)
         meta = {s.sentence_id: (s.article_id, s.position_in_article) for s in desk.sentences}
         for doc in docs:
             for a, b in zip(doc, doc[1:]):
@@ -100,14 +106,14 @@ class TestBaseClone:
         band = (2, 10000)
         _, cxg_manifest = build_cxg_corpus(desk_table, band)
         target = cxg_manifest.total_occurrences
-        docs, manifest = build_base_clone(desk.sentences, desk_table, band, target)
+        docs, manifest = build_base_clone(desk.sentences, band_ids(desk_table, band), band, target)
         assert sum(map(len, docs)) == target == manifest.total_occurrences
 
 
 class TestRandomVariant:
     def test_permutation_of_occurrences(self):
         corpus, table = _toy_corpus_and_table()
-        base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=8)
+        base_docs, _ = _base(corpus, table, target_total=8)
         rand_docs, _ = build_random(base_docs, seed=5, band=(2, None))
         base_occ = sorted(s for d in base_docs for s in d)
         rand_occ = sorted(s for d in rand_docs for s in d)
@@ -117,7 +123,7 @@ class TestRandomVariant:
 
     def test_same_seed_same_output(self):
         corpus, table = _toy_corpus_and_table()
-        base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=8)
+        base_docs, _ = _base(corpus, table, target_total=8)
         a, _ = build_random(base_docs, seed=11, band=(2, None))
         b, _ = build_random(base_docs, seed=11, band=(2, None))
         assert a == b
@@ -171,7 +177,7 @@ class TestPretrainingFile:
     def test_round_trip_structure(self, tmp_path):
         corpus, table = _toy_corpus_and_table()
         texts = sentence_text_map(corpus)
-        docs, _ = build_base_clone(corpus, table, (2, None), target_total=8)
+        docs, _ = _base(corpus, table, target_total=8)
         path = tmp_path / "out.txt"
         write_pretraining_file(docs, texts, path)
         reread = read_pretraining_file(path)
@@ -182,35 +188,33 @@ class TestVerifyMultiset:
     def test_cxg_vs_base_totals_equal_multiplicities_differ(self):
         corpus, table = _toy_corpus_and_table()
         cxg_docs, manifest = build_cxg_corpus(table, (2, None))
-        base_docs, _ = build_base_clone(corpus, table, (2, None), manifest.total_occurrences)
-        report = verify_multiset(cxg_docs, base_docs)
+        base_docs, _ = _base(corpus, table, manifest.total_occurrences)
+        report = verify_multiset(occurrences(cxg_docs), occurrences(base_docs))
         assert report.equal_totals
         assert not report.equal_multisets
         assert report.mismatched  # the report names the differing ids
 
     def test_base_vs_random_exact_equality(self):
         corpus, table = _toy_corpus_and_table()
-        base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=9)
+        base_docs, _ = _base(corpus, table, target_total=9)
         rand_docs, _ = build_random(base_docs, seed=3, band=(2, None))
-        report = verify_multiset(base_docs, rand_docs)
+        report = verify_multiset(occurrences(base_docs), occurrences(rand_docs))
         assert report.equal_multisets
 
     def test_counted_side_reports_alike(self):
         corpus, table = _toy_corpus_and_table()
-        cxg_docs, manifest = build_cxg_corpus(table, (2, None))
-        base_docs, _ = build_base_clone(corpus, table, (2, None), manifest.total_occurrences)
+        _, manifest = build_cxg_corpus(table, (2, None))
+        base_docs, _ = _base(corpus, table, manifest.total_occurrences)
         rand_docs, _ = build_random(base_docs, seed=3, band=(2, None))
         base = occurrences(base_docs)
         assert base == Counter(sid for doc in base_docs for sid in doc)
-        assert verify_multiset(cxg_docs, base) == verify_multiset(cxg_docs, base_docs)
-        assert verify_multiset(base, rand_docs) == verify_multiset(base_docs, rand_docs)
-        assert verify_multiset(base, rand_docs).equal_multisets
+        assert verify_multiset(base, occurrences(rand_docs)).equal_multisets
 
     def test_deleted_sentence_named(self):
         corpus, table = _toy_corpus_and_table()
-        base_docs, _ = build_base_clone(corpus, table, (2, None), target_total=4)
+        base_docs, _ = _base(corpus, table, target_total=4)
         truncated = [*base_docs[:-1], base_docs[-1][:-1]]
-        report = verify_multiset(base_docs, truncated)
+        report = verify_multiset(occurrences(base_docs), occurrences(truncated))
         assert not report.equal_multisets
         assert report.mismatched[0][0] == 4  # sentence id 4 went missing
 
@@ -226,15 +230,13 @@ def test_variants_agree_with_the_naive_references(tmp_path):
     for seed in range(400):
         refs, texts, table, band = random_build_case(random.Random(seed))
         seen["no instance"] += any(not sids for sids in table.forward.values())
-        seen["positions not by id"] += [r.sentence_id for r in refs] != [
-            r.sentence_id for r in sorted(refs, key=lambda r: (r.article_id, r.position_in_article))]
+        seen["positions not by id"] += [r[0] for r in refs] != [
+            r[0] for r in sorted(refs, key=lambda r: (r[1], r[2]))]
         cxg = reference_cxg(table, band)
         if not cxg:
             seen["empty band"] += 1
             with pytest.raises(EmptyBandError):
                 build_cxg_corpus(table, band)
-            with pytest.raises(EmptyBandError):
-                build_base_clone(refs, table, band, 1)
             continue
         total = sum(map(len, cxg))
         kept = set().union(*cxg)
@@ -242,7 +244,7 @@ def test_variants_agree_with_the_naive_references(tmp_path):
         store.write_text("".join(
             "\t".join([*map(str, ref), *words, *["NOUN"] * len(words), *["-", "3"][:len(words)],
                        *["0"] * (len(words) - 2)]) + "\n"
-            for ref in refs for words in [texts[ref.sentence_id].split()]), encoding="utf-8")
+            for ref in refs for words in [texts[ref[0]].split()]), encoding="utf-8")
         assert store_texts(store, kept) == (refs, {sid: texts[sid] for sid in sorted(kept)})
         seen["exact multiple"] += total % len(kept) == 0
         shuffled = list(table.forward.items())
@@ -250,8 +252,7 @@ def test_variants_agree_with_the_naive_references(tmp_path):
         outputs = []
         for tab in (table, OccurrenceTable(dict(shuffled))):
             cxg_docs, manifest = build_cxg_corpus(tab, band)
-            base_docs, base_manifest = build_base_clone(refs, tab, band, total)
-            assert build_base_clone(refs, tab, band, total, kept=kept) == (base_docs, base_manifest)
+            base_docs, base_manifest = build_base_clone(refs, band_ids(tab, band), band, total)
             rand_docs, _ = build_random(base_docs, seed, band)
             assert cxg_docs == cxg and manifest.total_occurrences == total
             assert base_docs == reference_base(refs, tab, band, total)

@@ -1,10 +1,18 @@
+import os
 import re
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cxgcorpus
 from cxgcorpus.errors import EmptyBandError, InputError, ParseError
 from cxgcorpus.matcher import OccurrenceTable
 from cxgcorpus.pair_sampler import (
+    QUOTAS,
+    SPLITS,
     PairExample,
     audit_pairs,
     make_inoculation_subsets,
@@ -13,7 +21,9 @@ from cxgcorpus.pair_sampler import (
     write_pairs,
 )
 
-from helpers import all_pairs, freq, pair_key
+from helpers import (
+    all_pairs, freq, pair_key, pairs_digest, reference_band, sampled_pair_cases,
+)
 
 
 def _splits(sampled):
@@ -129,6 +139,116 @@ class TestAudit:
         sampled = desk_pairs
         keys = [pair_key(p) for p in all_pairs(sampled)]
         assert len(keys) == len(set(keys))
+
+    # rows 0 and 1 are disjoint, so every pair below is labelled soundly
+    _TABLE = OccurrenceTable({0: [1, 2, 3], 1: [4, 5, 6]})
+
+    def _audit(self, **splits):
+        report = audit_pairs({name: splits.get(name, []) for name in SPLITS},
+                             self._TABLE, "disjoint")
+        assert report.violations == []
+        return report.duplicates, report.leaks
+
+    def test_pair_twice_in_one_split_is_a_duplicate_and_no_leak(self):
+        same = PairExample(1, 2, "same", 0, 2, None)
+        assert self._audit(train=[same, same._replace(sent_a=2, sent_b=1)]) == ([(1, 2)], [])
+
+    def test_pair_in_two_splits_is_a_duplicate_and_a_leak(self):
+        different = PairExample(3, 4, "different", 0, 2, None)
+        assert self._audit(train=[different], test=[different]) == ([(3, 4)], [(3, 4)])
+
+    def test_three_copies_over_two_splits_are_listed_once(self):
+        same = PairExample(5, 6, "same", 1, 2, None)
+        assert self._audit(train=[same, same], dev=[same]) == ([(5, 6)], [(5, 6)])
+
+    def test_duplicates_and_leaks_in_key_order(self):
+        a, b, c = (PairExample(5, 6, "same", 1, 2, None), PairExample(1, 3, "same", 0, 2, None),
+                   PairExample(2, 4, "different", 1, 2, None))
+        duplicates, leaks = self._audit(train=[a, b, c, a], dev=[c], test=[b, c])
+        assert duplicates == [(1, 3), (2, 4), (5, 6)] and leaks == [(1, 3), (2, 4)]
+
+
+def test_sampled_pairs_agree_with_the_table_rows():
+    """300 seeded small tables (helpers.random_build_case) under both
+    strictness values, checked against the table's forward rows alone:
+    every label holds on its anchor's row (and `disjoint` pairs share no
+    row), no pair key repeats across the splits, each construction's
+    delivered pairs and shortfall make up each split's quota, the audit
+    passes, and an empty band raises EmptyBandError. The sampled pairs
+    do not depend on the order of the table's rows or on the hash seed:
+    two subprocesses, under other hash seeds and with the rows of every
+    table shuffled, give the digest of the cases sampled here."""
+    seeds = range(300)
+    code = ("import sys, helpers; print(helpers.pairs_digest(helpers.sampled_pair_cases("
+            "range(int(sys.argv[1])), shuffle=int(sys.argv[2]))))")
+    path = os.pathsep.join([str(Path(cxgcorpus.__file__).parents[1]), str(Path(__file__).parent)])
+    digests = [subprocess.Popen(
+        [sys.executable, "-c", code, str(len(seeds)), hash_seed],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+    ) for hash_seed in ("1", "2")]
+    try:
+        cases = list(sampled_pair_cases(seeds))
+    finally:
+        runs = []
+        for proc in digests:
+            try:
+                out, err = proc.communicate(timeout=120)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                out, err = proc.communicate()
+            runs.append((out, err, proc.returncode))
+    seen = Counter(dict.fromkeys(
+        ("empty band", "disjoint different", "shortfall", "full quotas"), 0))
+    for table, band, seed, strictness, sampled in cases:
+        selected = reference_band(table, band)
+        if not selected:
+            assert sampled is None  # sample_pairs raised EmptyBandError
+            seen["empty band"] += 1
+            continue
+        rows = {cid: set(sids) for cid, sids in table.forward.items()}
+        keys = set()
+        delivered = Counter()
+        for name in SPLITS:
+            for pair in sampled.split(name):
+                a, b, row = pair.sent_a, pair.sent_b, rows[pair.anchor_cxg]
+                assert pair.anchor_cxg in selected and (pair.band_lo, pair.band_hi) == band
+                if pair.label == "same":
+                    assert a in row and b in row
+                else:
+                    assert pair.label == "different" and (a in row) != (b in row)
+                    if strictness == "disjoint":
+                        assert not any(a in other and b in other for other in rows.values())
+                        seen["disjoint different"] += 1
+                assert a < b and (a, b) not in keys
+                keys.add((a, b))
+                delivered[pair.anchor_cxg, name] += 1
+                delivered[pair.anchor_cxg, name, pair.label] += 1
+        short = {}
+        for s in sampled.shortfalls:
+            assert s.requested == sum(QUOTAS[s.split]) and s.delivered < s.requested
+            short[s.cxg_id, s.split] = s.requested - s.delivered
+        assert len(short) == len(sampled.shortfalls)
+        assert {key[:2] for key in delivered} | set(short) <= {
+            (cid, name) for cid in selected for name in SPLITS}
+        for cid in selected:
+            for name in SPLITS:
+                assert delivered[cid, name] + short.get((cid, name), 0) == sum(QUOTAS[name])
+                assert delivered[cid, name, "same"] <= QUOTAS[name][0]
+                assert delivered[cid, name, "different"] <= QUOTAS[name][1]
+        seen["shortfall" if short else "full quotas"] += 1
+        report = audit_pairs({name: sampled.split(name) for name in SPLITS}, table, strictness)
+        assert report.ok, report.summary()
+        if seed % 10 == 0:
+            reordered = OccurrenceTable(dict(reversed(table.forward.items())))
+            assert sample_pairs(reordered, band, seed, strictness) == sampled
+    with pytest.raises(EmptyBandError, match=r"^band \(3, 2\) selects no constructions$"):
+        sample_pairs(OccurrenceTable({0: [1, 2, 3]}), (3, 2), 0, "anchor")
+    assert min(seen.values()) >= 10, seen
+    digest = pairs_digest(cases)
+    for out, err, returncode in runs:
+        assert returncode == 0, err
+        assert out == f"{digest}\n"
 
 
 class TestInoculation:
