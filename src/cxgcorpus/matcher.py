@@ -3,14 +3,16 @@
 The engine is an inverted index keyed by each construction's globally
 rarest slot facet: a sentence only pays for the constructions whose
 rarest facet it actually contains, so lookup cost for absent facets is
-independent of inventory size. Candidates are verified on per-facet
+independent of inventory size. Each candidate is verified on per-facet
 position bitmasks (bit i set when token i carries the facet), with the
 shift-and test of Baeza-Yates & Gonnet (CACM 1992): one backward pass
-over the slots, shifting across up to max_gap skipped tokens between
-consecutive slots (never before the first or after the last), gives
-every start of an alignment, and a construction is instantiated when
-that set is not empty. match_sentence returns the cxg_ids that pass,
-and match_corpus writes the occurrence table from it.
+from the last slot, shifting across up to max_gap skipped tokens
+between consecutive slots (never before the first or after the last),
+gives every start of an alignment, and a construction is instantiated
+when that set is not empty. The pass stops at the first slot facet the
+sentence lacks or once no position is left; match_sentence sorts the
+cxg_ids that pass once, and match_corpus writes the occurrence table
+from them.
 
 Matching works on a sentence's three facet columns (forms, tags, sem
 ids), which every ingest.AnnotatedSentence carries, whether it was
@@ -27,7 +29,7 @@ indexed path.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, islice, repeat
 from operator import lt
 from pathlib import Path
@@ -51,9 +53,9 @@ class MatchIndex:
     facet ids in slot order). Only `_sem`, keyed by int, is derived.
     Each construction is filed under the id of its rarest facet (rarity
     measured by inventory-wide facet counts, ties broken by the leftmost
-    slot), and matching works on ids only: a sentence is a candidate for
-    verification only when its set of facet ids is a superset of the
-    construction's tuple. `entries` is a view derived from the index.
+    slot), and matching works on ids only: a construction is verified
+    against a sentence only when the sentence carries its anchor facet.
+    `entries` is a view derived from the index.
     """
 
     def __init__(self, inventory: Inventory):
@@ -76,6 +78,8 @@ class MatchIndex:
         for cid, fids in self._checks.items():
             self._anchor.setdefault(min(fids, key=counts.__getitem__), []).append(cid)
 
+        # a token's value -> its facet id, or None where no slot tests it
+        self._lex_id, self._pos_id, self._sem_id = self._lex.get, self._pos.get, self._sem.get
         self.uses_sem = bool(self._maps["SEM"])
         self.cxg_ids = sorted(self._checks)
         self.size = len(self.cxg_ids)
@@ -93,28 +97,19 @@ class MatchIndex:
             for f, cids in self._anchor.items()
         }
 
-    def _facet_columns(
-        self, forms: list[str], tags: list[str], sems: list[int | None]
-    ) -> tuple[list, list, list]:
-        """The three columns as facet ids (None where no slot of the
-        inventory tests the value)."""
-        return (
-            list(map(self._lex.get, forms)),
-            list(map(self._pos.get, tags)),
-            list(map(self._sem.get, sems)),
-        )
-
     def token_facet_ids(self, sentence: AnnotatedSentence) -> list[frozenset[int]]:
         """Per-token sets of inventory-relevant facet ids."""
-        columns = self._facet_columns(sentence.forms, sentence.tags, sentence.sems)
-        return [frozenset(f for f in fids if f is not None) for fids in zip(*columns)]
+        columns = zip(map(self._lex_id, sentence.forms), map(self._pos_id, sentence.tags),
+                      map(self._sem_id, sentence.sems))
+        return [frozenset(f for f in fids if f is not None) for fids in columns]
 
 
+@lru_cache(maxsize=256)
 def _smear_steps(max_gap: int, n: int) -> tuple[int, ...]:
     """Shifts that spread a position bitmask over a gap of up to max_gap
     tokens: after a shift by 1, OR-ing in the mask shifted by each step
     covers shifts 1 .. max_gap + 1. The steps double and stop at n, the
-    sentence length, so there are at most log2(n) + 1 of them."""
+    sentence length, so there are at most log2(n) + 1 of them. Memoised."""
     if max_gap < 0:
         raise ValueError(f"max_gap must be >= 0, got {max_gap}")
     width = min(max_gap + 1, n)
@@ -134,12 +129,15 @@ def build_index(inventory: Inventory) -> MatchIndex:
 def match_sentence(index: MatchIndex, sentence: AnnotatedSentence, max_gap: int) -> list[int]:
     """The cxg_ids of every construction the sentence instantiates, in
     id order. Bit i of a facet's mask is set when token i carries the
-    facet; bit i of `reach`, when slots[j:] align from position i."""
-    sems = sentence.sems
+    facet; bit i of `reach`, when slots[j:] align from position i. A
+    candidate's pass stops at a slot facet the sentence lacks or once
+    `reach` is 0; no candidate repeats, since each has one anchor."""
+    steps = _smear_steps(max_gap, len(sentence.forms))
     masks: dict[int, int] = {}
     get = masks.get
     bit = 1
-    for lex, pos, sem in zip(*index._facet_columns(sentence.forms, sentence.tags, sems)):
+    for lex, pos, sem in zip(map(index._lex_id, sentence.forms), map(index._pos_id, sentence.tags),
+                             map(index._sem_id, sentence.sems)):
         if lex is not None:
             masks[lex] = get(lex, 0) | bit
         if pos is not None:
@@ -147,22 +145,23 @@ def match_sentence(index: MatchIndex, sentence: AnnotatedSentence, max_gap: int)
         if sem is not None:
             masks[sem] = get(sem, 0) | bit
         bit <<= 1
-    steps = _smear_steps(max_gap, len(sems))
-    present = set(masks)
-    candidates = set(chain.from_iterable(map(index._anchor.get, present, repeat(()))))
     found = []
     checks = index._checks
-    for cid in sorted(candidates):
+    for cid in chain.from_iterable(map(index._anchor.get, masks, repeat(()))):
         slots = checks[cid]
-        if present.issuperset(slots):
-            reach = masks[slots[-1]]
-            for fid in slots[-2::-1]:
-                reach >>= 1
-                for step in steps:
-                    reach |= reach >> step
-                reach &= masks[fid]
+        reach = get(slots[-1], 0)
+        for fid in slots[-2::-1]:
+            mask = get(fid)
+            if mask is None or not reach:
+                break
+            reach >>= 1
+            for step in steps:
+                reach |= reach >> step
+            reach &= mask
+        else:
             if reach:
                 found.append(cid)
+    found.sort()
     return found
 
 
@@ -232,13 +231,9 @@ class OccurrenceTable:
     def select_band(self, band: tuple[int, int | None]) -> list[int]:
         """cxg_ids with lo <= freq <= hi, ascending; frequency below 2 never
         qualifies, and a band that selects none raises EmptyBandError."""
-        lo, hi = band
-        lo = max(lo, 2)
-        out = []
-        for cid in sorted(self.forward):
-            f = len(self.forward[cid])
-            if f >= lo and (hi is None or f <= hi):
-                out.append(cid)
+        lo, hi = max(band[0], 2), band[1]
+        out = [cid for cid, sids in sorted(self.forward.items())
+               if lo <= len(sids) and (hi is None or len(sids) <= hi)]
         if not out:
             raise EmptyBandError(f"band {band} selects no constructions")
         return out
@@ -319,14 +314,10 @@ class OccurrenceStats(NamedTuple):
 
 def occurrence_stats(table: OccurrenceTable, band_edges: Sequence[int]) -> OccurrenceStats:
     """Per-band construction counts, plus the count below the first band."""
-    bands = bands_from_edges(band_edges)
     freqs = list(table.frequencies().values())
-    counts = []
-    for lo, hi in bands:
-        c = sum(1 for f in freqs if f >= lo and (hi is None or f <= hi))
-        counts.append(BandCount(lo, hi, c))
-    below = sum(1 for f in freqs if f < band_edges[0])
-    return OccurrenceStats(counts, below)
+    counts = [BandCount(lo, hi, sum(lo <= f and (hi is None or f <= hi) for f in freqs))
+              for lo, hi in bands_from_edges(band_edges)]
+    return OccurrenceStats(counts, sum(f < band_edges[0] for f in freqs))
 
 
 def write_stats(stats: OccurrenceStats, path: str | Path) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
@@ -115,6 +116,8 @@ def _draw_negative_keys(
     out: list[tuple[int, int]] = []
     n_inst = len(instances)
     n_univ = len(universe)
+    if len(instance_set) == n_univ:
+        return out  # the instances cover the universe: no partner exists
     attempts = 0
     budget = _MAX_DRAWS * need
     while len(out) < need and attempts < budget:
@@ -206,6 +209,12 @@ def make_inoculation_subsets(
     return {size: order[:size] for size in sizes}
 
 
+def _in_row(row: list[int], sid: int) -> bool:
+    """Whether the strictly increasing row lists sid."""
+    i = bisect_left(row, sid)
+    return i < len(row) and row[i] == sid
+
+
 class AuditReport(NamedTuple):
     violations: list[tuple[str, PairExample, str]]
     duplicates: list[tuple[int, int]]
@@ -231,13 +240,13 @@ def audit_pairs(
     """Re-derive every label from the occurrence table and flag
     violations, duplicate pairs, and cross-split leakage: a pair key with
     two or more copies is a duplicate, and one in two or more splits is
-    also a leak, both listed in key order. Only `disjoint` strictness
-    reads the table's `reverse`. An unknown strictness raises ParseError.
+    also a leak, both listed in key order. Membership is a binary search
+    of the anchor's row, sorted as OccurrenceTable keeps it. Only
+    `disjoint` strictness reads the table's `reverse`. An unknown
+    strictness raises ParseError.
     """
     _check_strictness(strictness)
     report = AuditReport([], [], [])
-    anchors = {pair.anchor_cxg for pairs in pairs_by_split.values() for pair in pairs}
-    members = {cid: set(table.forward.get(cid, ())) for cid in anchors}  # anchor -> its instances
     copies: dict[tuple[int, int], list[str]] = {}  # pair key -> the split of each of its copies
 
     for split_name, pairs in pairs_by_split.items():
@@ -248,8 +257,8 @@ def audit_pairs(
             if pair.sent_a == pair.sent_b:
                 report.violations.append((split_name, pair, "sentence paired with itself"))
                 continue
-            in_a = pair.sent_a in members[pair.anchor_cxg]
-            in_b = pair.sent_b in members[pair.anchor_cxg]
+            row = table.forward.get(pair.anchor_cxg, [])  # the anchor's instances
+            in_a, in_b = _in_row(row, pair.sent_a), _in_row(row, pair.sent_b)
             if pair.label == "same":
                 if not (in_a and in_b):
                     report.violations.append(

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cxgcorpus.errors import FacetMissingError
+from cxgcorpus.ingest import Token
 from cxgcorpus.inventory import Construction, Inventory, parse_construction_spec
 from cxgcorpus.matcher import (
     OccurrenceTable,
@@ -273,9 +274,47 @@ class TestTableOracle:
         assert match_corpus(index, [s], 39).reverse == table.reverse
 
     def test_negative_max_gap_is_refused(self):
+        # twice: the shift steps are memoised, and a refusal must not be cached
         inv = Inventory([Construction(0, (S("LEX", "a"), S("LEX", "b")))])
-        with pytest.raises(ValueError, match="max_gap"):
-            match_sentence(build_index(inv), sent(0, [("a", "X"), ("b", "X")]), -1)
+        index = build_index(inv)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="max_gap"):
+                match_sentence(index, sent(0, [("a", "X"), ("b", "X")]), -1)
+
+    @pytest.mark.parametrize("max_gap", [0, 1, 2, 3])
+    def test_long_sentences_agree_with_brute_force(self, max_gap):
+        # Sentences of 65-200 tokens, so masks run past bits 64 and 128:
+        # construction 10_000 is planted at position 64 or later, 10_001
+        # at 128 or later, with gaps up to one token wider than max_gap.
+        rng = random.Random(f"long-{max_gap}")
+        inv, short = random_corpus(rng, max_gap, cases=12)
+        far = [Construction(10_000, (S("LEX", "far64"), S("POS", "NOUN"), S("LEX", "end64"))),
+               Construction(10_001, (S("LEX", "far128"), S("LEX", "end128")))]
+        inv = Inventory(list(inv.constructions) + far)
+        pool = [t for s in short for t in s.tokens]
+        corpus = []
+        for sid in range(12):
+            tokens = [rng.choice(pool) for _ in range(rng.randrange(65, 201))]
+            for con, lo in zip(far, (64, 128)):
+                planted = []
+                for i, slot in enumerate(con.slots):
+                    if i:
+                        planted += [rng.choice(pool) for _ in range(rng.randrange(max_gap + 2))]
+                    form = slot.value if slot.kind == "LEX" else "w0"
+                    planted.append(Token(form, "NOUN", None))
+                if len(tokens) - len(planted) >= lo:
+                    at = rng.randrange(lo, len(tokens) - len(planted) + 1)
+                    tokens[at:at + len(planted)] = planted
+            corpus.append(from_tokens(sid, 0, sid, tokens))
+        expected = {s.sentence_id: cxg_ids(brute_force_match(inv, s, max_gap)) for s in corpus}
+        for cid in (10_000, 10_001):
+            assert any(cid in ids for ids in expected.values())
+            assert not all(cid in ids for ids in expected.values())
+        index = build_index(inv)
+        assert {s.sentence_id: match_sentence(index, s, max_gap) for s in corpus} == expected
+        table = match_corpus(index, corpus, max_gap)
+        assert {sid: table.constructions_of(sid) for sid in expected} == expected
+        assert table.discarded == [sid for sid, cids in expected.items() if not cids]
 
 
 class TestMatchCorpus:

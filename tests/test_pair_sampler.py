@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,9 @@ from cxgcorpus.pair_sampler import (
     QUOTAS,
     SPLITS,
     PairExample,
+    Shortfall,
+    _draw_negative_keys,
+    _in_row,
     audit_pairs,
     make_inoculation_subsets,
     read_pairs,
@@ -90,6 +94,30 @@ class TestQuotas:
         with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
             sample_pairs(desk_table, (2, 50), 1, "disjont")
 
+    def test_no_negative_draw_when_the_instances_cover_the_universe(self):
+        # row 0 lists every sentence of the table, so no sentence can be
+        # its partner: no draw is made, and the sampled pairs are the ones
+        # drawn when the whole draw budget was spent first
+        table = OccurrenceTable({0: list(range(10)), 1: list(range(5))})
+        rng = random.Random(0)
+        state = rng.getstate()
+        instances = table.forward[0]
+        assert _draw_negative_keys(
+            instances, set(instances), table.sentence_ids, table, "anchor", 4, rng, set()) == []
+        assert rng.getstate() == state
+        sampled = sample_pairs(table, (2, None), 0, "anchor")
+        rows = {name: [(p.sent_a, p.sent_b, p.label[0], p.anchor_cxg) for p in sampled.split(name)]
+                for name in SPLITS}
+        assert rows == {
+            "train": [(1, 2, "s", 0), (5, 9, "s", 0), (1, 4, "s", 1), (1, 3, "s", 1),
+                      (3, 6, "d", 1), (2, 9, "d", 1)],
+            "dev": [(6, 8, "s", 0), (0, 3, "s", 1), (1, 9, "d", 1)],
+            "test": [(2, 4, "s", 0), (0, 1, "s", 1), (2, 8, "d", 1)],
+        }
+        assert {(p.band_lo, p.band_hi) for p in all_pairs(sampled)} == {(2, None)}
+        assert sampled.shortfalls == [
+            Shortfall(0, "train", 4, 2), Shortfall(0, "dev", 2, 1), Shortfall(0, "test", 2, 1)]
+
     def test_disjoint_strictness_sound_or_shortfall(self, desk_table):
         # on the desk corpus generic patterns cover nearly every
         # sentence, so disjoint negatives are mostly infeasible: that
@@ -139,6 +167,17 @@ class TestAudit:
         sampled = desk_pairs
         keys = [pair_key(p) for p in all_pairs(sampled)]
         assert len(keys) == len(set(keys))
+
+    def test_row_membership_equals_set_membership(self):
+        # the audit finds a sentence in its anchor's row by binary search:
+        # ids below the first, above the last, at both ends of a row and
+        # inside its gaps are found exactly when the row's set holds them
+        rng = random.Random(21)
+        for _ in range(200):
+            row = sorted(rng.sample(range(1, 60), rng.randrange(13)))
+            members = set(row)
+            assert [sid for sid in range(-1, 62) if _in_row(row, sid)] == [
+                sid for sid in range(-1, 62) if sid in members]
 
     # rows 0 and 1 are disjoint, so every pair below is labelled soundly
     _TABLE = OccurrenceTable({0: [1, 2, 3], 1: [4, 5, 6]})
