@@ -21,7 +21,7 @@ _EXPORTS = {
         "parse_wikitext", "split_sentences", "tag_pos", "tokenize",
     ),
     "inventory": (
-        "Construction", "InductionParams", "Inventory", "SlotConstraint",
+        "Construction", "Inventory", "SlotConstraint",
         "induce_inventory", "load_inventory", "parse_construction_spec",
         "render_name", "write_inventory",
     ),

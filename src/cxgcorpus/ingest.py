@@ -7,6 +7,9 @@ better annotator can bypass it entirely through the pre-annotated TSV
 ingestion path (`mode="pre-annotated"`), which reads an external TSV in
 the format write_annotated writes.
 
+A raw corpus file is read with `iter_raw_lines`, workspace's one reader
+of UTF-8 lines, which this module imports by name for library callers.
+
 An annotated corpus is written twice in one pass: the token-per-row TSV
 (`annotated.tsv`, the exchange format) and the sentence store
 (`annotated.tsv.sents`), one tab-separated line per sentence that the
@@ -46,7 +49,7 @@ from pathlib import Path
 from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError
-from .workspace import decode_error, read_lines
+from .workspace import iter_raw_lines, read_lines
 
 # The one tag set: of the lexicon, the suffix rules, the pre-annotated
 # TSV and an inventory's `pos:` slots.
@@ -202,27 +205,13 @@ def _read_tsv_pairs(
         yield parts[0], field
 
 
-def iter_raw_lines(path: str | Path) -> Iterator[str]:
-    """Yield decoded lines from a raw UTF-8 corpus file, split on '\\n'
-    only (a '\\r' stays in its line).
-
-    Invalid UTF-8 raises workspace.decode_error(path), which names
-    `path:line` and the byte offset of the first bad byte.
-    """
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        try:
-            yield from fh
-        except UnicodeDecodeError as exc:
-            raise decode_error(path) from exc
-
-
 def parse_wikitext(stream: str | Iterable[str]) -> Iterator[tuple[int, str]]:
     """Split a WikiText-style stream into (article_id, article_text) pairs.
 
     Articles are the maximal runs of lines between top-level heading
     lines; headings themselves are dropped, as are articles with no
     non-whitespace content. A str is split into lines at '\n' only, as
-    iter_raw_lines splits a file.
+    workspace's iter_raw_lines splits a file.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline="\n")
@@ -428,8 +417,8 @@ def read_annotated(
     implies corpus-wide uniqueness of (article_id, position) without
     holding every pair in memory).
     Rows belong to one sentence while their ids, read as integers, stay
-    the same. A str is split into lines at '\n' only, as iter_raw_lines
-    splits a file. An error names the line `source:N:` (`line N:` without one).
+    the same. A str is split into lines at '\n' only, as workspace's
+    iter_raw_lines splits a file. An error names the line `source:N:` (`line N:` without one).
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream, newline="\n")

@@ -79,16 +79,13 @@ class Inventory:
         self.slot_ids: dict[int, tuple[int, ...]] = {}
         self._owners: dict[tuple[int, ...], int] = {}  # slot ids -> cxg_id
         for con in constructions:
-            self.add(con.cxg_id, tuple(map(self.facet_id, con.slots)))
+            self.add(con.cxg_id, tuple(itertools.starmap(self.facet_id, con.slots)))
 
     @property
     def facets(self) -> list[SlotConstraint]:
         return facets_of(self.facet_maps)
 
-    def facet_id(self, slot: SlotConstraint) -> int:
-        return self._facet_id(*slot)
-
-    def _facet_id(self, kind: str, value: str) -> int:
+    def facet_id(self, kind: str, value: str) -> int:
         """The id of the facet (kind, value), numbered next if new; a
         kind other than LEX, POS or SEM raises ParseError."""
         ids = self.facet_maps.get(kind)
@@ -200,7 +197,7 @@ def load_inventory(path: str | Path) -> Inventory:
         if not line.strip():
             continue
         try:
-            inventory.add(*_parse_spec(line, known, inventory._facet_id))
+            inventory.add(*_parse_spec(line, known, inventory.facet_id))
         except ParseError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return inventory
@@ -213,34 +210,6 @@ def write_inventory(inventory: Inventory, path: str | Path) -> None:
             fh.write(con.spec_line() + "\n")
 
 
-class _InductionFields(NamedTuple):
-    max_len: int = 4
-    min_support: int = 5
-    min_assoc: float = 0.1
-    max_inventory: int = 10000
-
-
-class InductionParams(_InductionFields):
-    """The thresholds of induce_inventory; an out-of-range one raises
-    ParseError when the record is constructed or copied with `_replace`."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.max_len < 2:
-            raise ParseError("max_len must be >= 2")
-        if self.min_support < 2:
-            raise ParseError("min_support must be >= 2")
-        if self.max_inventory <= 0:
-            raise ParseError("max_inventory must be positive")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks too
-        return cls(*iterable)
-
-
 def _token_facets(form: str, pos: str, sem: int | None) -> list[tuple[str, str]]:
     facets = [("LEX", form), ("POS", pos)]
     if sem is not None:
@@ -249,9 +218,14 @@ def _token_facets(form: str, pos: str, sem: int | None) -> list[tuple[str, str]]
 
 
 def induce_inventory(
-    corpus: Iterable[AnnotatedSentence], params: InductionParams
+    corpus: Iterable[AnnotatedSentence],
+    max_len: int = 4,
+    min_support: int = 5,
+    min_assoc: float = 0.1,
+    max_inventory: int = 10000,
 ) -> Inventory:
-    """Minimal association-based induction.
+    """Minimal association-based induction; the keyword defaults are the
+    one home of its thresholds, and one out of range raises ParseError.
 
     Candidates are every choice of one facet per token over contiguous
     windows of length 2..max_len. Support is counted per sentence (a
@@ -268,6 +242,12 @@ def induce_inventory(
 
     Deterministic: no randomness anywhere.
     """
+    if max_len < 2:
+        raise ParseError("max_len must be >= 2")
+    if min_support < 2:
+        raise ParseError("min_support must be >= 2")
+    if max_inventory <= 0:
+        raise ParseError("max_inventory must be positive")
     sentences = list(corpus)
 
     support: Counter = Counter()          # candidate -> sentence count
@@ -290,7 +270,7 @@ def induce_inventory(
                 for fb in facets[i + 1]:
                     pair[(fa, fb)] += 1
         seen_here = set()
-        for length in range(2, params.max_len + 1):
+        for length in range(2, max_len + 1):
             for start in range(n - length + 1):
                 for combo in itertools.product(*facets[start : start + length]):
                     seen_here.add(combo)
@@ -298,7 +278,7 @@ def induce_inventory(
             support[combo] += 1
             match_sets.setdefault(combo, set()).add(sent.sentence_id)
 
-    candidates = [c for c, s in support.items() if s >= params.min_support]
+    candidates = [c for c, s in support.items() if s >= min_support]
 
     def delta_p(fa: tuple[str, str], fb: tuple[str, str]) -> float:
         a = left[fa]
@@ -315,7 +295,7 @@ def induce_inventory(
     for combo in candidates:
         assoc = [delta_p(combo[i], combo[i + 1]) for i in range(len(combo) - 1)]
         score = sum(assoc) / len(assoc)
-        if score >= params.min_assoc:
+        if score >= min_assoc:
             scored.append((score, combo))
 
     def name_of(combo) -> str:
@@ -341,12 +321,12 @@ def induce_inventory(
 
     # Truncation order: score, then longer sequence, then name.
     kept.sort(key=lambda kc: (-kc[0], -len(kc[1]), name_of(kc[1])))
-    kept = kept[: params.max_inventory]
+    kept = kept[:max_inventory]
     constructions = [
         Construction(i, tuple(SlotConstraint(k, v) for k, v in combo))
         for i, (_, combo, _) in enumerate(kept)
     ]
     if not constructions:
         warnings.warn(f"induction produced an empty inventory ({len(sentences)} sentences, "
-                      f"min_support={params.min_support})", stacklevel=2)
+                      f"min_support={min_support})", stacklevel=2)
     return Inventory(constructions)

@@ -35,7 +35,7 @@ from operator import lt
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .errors import EmptyBandError, FacetMissingError, ParseError
+from .errors import EmptyBandError, FacetMissingError, InputError, ParseError
 from .workspace import bands_from_edges, read_lines, render_bound
 
 if TYPE_CHECKING:
@@ -277,18 +277,24 @@ def match_corpus(
 ) -> OccurrenceTable:
     """Match a whole corpus, producing the occurrence table.
 
-    One loop over the sentences, in corpus order, in this process. A
-    sentence without sem ids matches no SEM slot; only a corpus in which
-    no sentence carries one is refused, and only when the inventory has
-    SEM slots, since every such construction would then be empty.
+    One loop over the sentences, in corpus order, in this process; an id
+    not above the one before it raises InputError, as no table row could
+    list it. A sentence without sem ids matches no SEM slot; only a
+    corpus in which no sentence carries one is refused, and only when
+    the inventory has SEM slots, since every such construction would
+    then be empty.
     """
     forward: dict[int, list[int]] = {cid: [] for cid in index.cxg_ids}
     discarded: list[int] = []
     sem_seen = not index.uses_sem  # counted per sentence only until one carries a sem id
+    last = float("-inf")
     for sentence in corpus:
         if not sem_seen:
             sem_seen = sentence.sems.count(None) != len(sentence.sems)
         sid = sentence.sentence_id
+        if sid <= last:
+            raise InputError(f"sentence ids must be strictly increasing; saw {sid} after {last}")
+        last = sid
         cids = match_sentence(index, sentence, max_gap)
         if cids:
             for cid in cids:

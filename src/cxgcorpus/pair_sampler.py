@@ -2,9 +2,11 @@
 
 Every construction in the chosen frequency band contributes the fixed
 per-split quotas of QUOTAS: 2 positive + 2 negative training pairs and
-1 + 1 for dev and test. Pairs are unordered and globally deduplicated,
-so no pair can leak across splits. Constructions too small to fill
-their quotas contribute what they can and land in the shortfall report.
+1 + 1 for dev and test, drawn with its own seeded RNG. A generator per
+label yields candidate pairs, and `_take` keeps the first whose key is
+new, so pairs are unordered and globally deduplicated and none leaks
+across splits. Constructions too small to fill their quotas contribute
+what they can and land in the shortfall report.
 
 Negative strictness:
   anchor   -- the partner sentence is merely not an instance of the
@@ -18,10 +20,10 @@ import itertools
 import random
 from bisect import bisect_left
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InputError, ParseError
-from .workspace import STRICTNESS, parse_bound, read_lines, render_bound
+from .workspace import parse_bound, parse_strictness, read_lines, render_bound
 
 if TYPE_CHECKING:
     from .matcher import OccurrenceTable
@@ -62,66 +64,50 @@ class SampledPairs(NamedTuple):
         return getattr(self, name)
 
 
-def _check_strictness(strictness: str) -> None:
-    if strictness not in STRICTNESS:
-        raise ParseError(f"unknown strictness {strictness!r}")
-
-
 def _construction_rng(seed: int, cxg_id: int) -> random.Random:
     # String seeding is hash-stable across processes, unlike tuples.
     return random.Random(f"{seed}:{cxg_id}")
 
 
-def _draw_positive_keys(
-    instances: list[int], need: int, rng: random.Random, seen: set[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    n = len(instances)
+def _take(pairs: Iterator[tuple[int, int]], need: int, seen: set) -> list[tuple[int, int]]:
+    """The keys (lower id first) of the first `need` pairs not yet in
+    `seen`, each added to it; no pair is drawn after the need-th key."""
     out: list[tuple[int, int]] = []
-    if n <= 64:
-        pool = list(itertools.combinations(instances, 2))
-        rng.shuffle(pool)
-        for a, b in pool:
-            key = (a, b) if a < b else (b, a)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-                if len(out) == need:
-                    break
-        return out
-    attempts = 0
-    while len(out) < need and attempts < _MAX_DRAWS:
-        attempts += 1
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        a, b = instances[i], instances[j]
+    for a, b in pairs:
         key = (a, b) if a < b else (b, a)
         if key not in seen:
             seen.add(key)
             out.append(key)
+            if len(out) == need:
+                break
     return out
 
 
-def _draw_negative_keys(
-    instances: list[int],
-    instance_set: set[int],
-    universe: list[int],
-    table: OccurrenceTable,
-    strictness: str,
-    need: int,
-    rng: random.Random,
-    seen: set[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
+def _positive_candidates(instances: list[int], rng: random.Random) -> Iterator[tuple[int, int]]:
+    n = len(instances)
+    if n <= 64:
+        pool = list(itertools.combinations(instances, 2))
+        rng.shuffle(pool)
+        yield from pool
+        return
+    for _ in range(_MAX_DRAWS):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        yield instances[i], instances[j]
+
+
+def _negative_candidates(
+    instances: list[int], universe: list[int], table: OccurrenceTable, strictness: str,
+    need: int, rng: random.Random,
+) -> Iterator[tuple[int, int]]:
+    instance_set = set(instances)
     n_inst = len(instances)
     n_univ = len(universe)
     if len(instance_set) == n_univ:
-        return out  # the instances cover the universe: no partner exists
-    attempts = 0
-    budget = _MAX_DRAWS * need
-    while len(out) < need and attempts < budget:
-        attempts += 1
+        return  # the instances cover the universe: no partner exists
+    for _ in range(_MAX_DRAWS * need):
         a = instances[rng.randrange(n_inst)]
         b = universe[rng.randrange(n_univ)]
         if b == a or b in instance_set:
@@ -129,11 +115,7 @@ def _draw_negative_keys(
         if strictness == "disjoint":
             if not set(table.constructions_of(a)).isdisjoint(table.constructions_of(b)):
                 continue
-        key = (a, b) if a < b else (b, a)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+        yield a, b
 
 
 def sample_pairs(
@@ -149,7 +131,7 @@ def sample_pairs(
     global duplicate check. An unknown strictness raises ParseError, and
     a band that selects no construction `select_band`'s EmptyBandError.
     """
-    _check_strictness(strictness)
+    parse_strictness(strictness)
     selected = table.select_band(band)
     universe = table.sentence_ids
     band_lo, band_hi = band
@@ -160,11 +142,10 @@ def sample_pairs(
     for cid in selected:
         rng = _construction_rng(seed, cid)
         instances = table.forward[cid]
-        instance_set = set(instances)
-
-        pos_keys = _draw_positive_keys(instances, _POS_NEED, rng, seen)
-        neg_keys = _draw_negative_keys(
-            instances, instance_set, universe, table, strictness, _NEG_NEED, rng, seen,
+        pos_keys = _take(_positive_candidates(instances, rng), _POS_NEED, seen)
+        neg_keys = _take(
+            _negative_candidates(instances, universe, table, strictness, _NEG_NEED, rng),
+            _NEG_NEED, seen,
         )
 
         delivered = dict.fromkeys(SPLITS, 0)
@@ -245,7 +226,7 @@ def audit_pairs(
     `disjoint` strictness reads the table's `reverse`. An unknown
     strictness raises ParseError.
     """
-    _check_strictness(strictness)
+    parse_strictness(strictness)
     report = AuditReport([], [], [])
     copies: dict[tuple[int, int], list[str]] = {}  # pair key -> the split of each of its copies
 

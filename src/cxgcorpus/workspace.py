@@ -1,6 +1,7 @@
 """Workspace configuration: `key = value` config files, the effective
 settings a run uses, the text form of each setting, the settings each
-stage takes as flags, and sidecars for staleness detection.
+stage takes as flags, and sidecars for staleness detection; and
+iter_raw_lines, the one reader of the package's UTF-8 text files.
 
 Every derived file gets a `<name>.meta` sidecar recording the hash of
 the effective configuration that produced it. Commands that consume a
@@ -37,16 +38,22 @@ except ImportError:
 STRICTNESS = ("anchor", "disjoint")
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each line of a UTF-8 text file, split on
-    '\\n' only and without the '\\r' and '\\n' that end it, so that a
-    '\\r' inside a line stays. Invalid UTF-8 raises DecodeError naming
-    `path:line` and the byte offset of the first bad byte."""
+def iter_raw_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 text file, split on '\\n' only, so that a
+    '\\r' inside a line stays, and each with the '\\n' that ends it.
+    Invalid UTF-8 raises DecodeError naming `path:line` and the byte
+    offset of the first bad byte. The file opens at the first line."""
     with open(path, encoding="utf-8", newline="\n") as fh:
         try:
-            yield from enumerate(map(str.rstrip, fh, repeat("\r\n")), 1)
+            yield from fh
         except UnicodeDecodeError as exc:
             raise decode_error(path) from exc
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line iter_raw_lines gives, without
+    the '\\r' and '\\n' that end it."""
+    return enumerate(map(str.rstrip, iter_raw_lines(path), repeat("\r\n")), 1)
 
 
 def decode_error(path: str | Path) -> DecodeError:
@@ -135,7 +142,7 @@ def _band_edges(text: str) -> tuple[int, ...]:
     return edges
 
 
-def _strictness(text: str) -> str:
+def parse_strictness(text: str) -> str:
     if text not in STRICTNESS:
         raise ParseError(f"strictness must be one of {', '.join(STRICTNESS)}, got {text!r}")
     return text
@@ -161,7 +168,7 @@ _SETTINGS = {
     "band": Setting(parse_band, lambda band: f"{band[0]}:{render_bound(band[1])}",
                     "LO:HI frequency band of the constructions used; HI may be inf"),
     "max_gap": Setting(_max_gap, str, "tokens a construction may skip between two slots"),
-    "strictness": Setting(_strictness, str,
+    "strictness": Setting(parse_strictness, str,
                           f"what a different pair avoids: {' or '.join(STRICTNESS)}"),
     "band_edges": Setting(_band_edges, lambda edges: ",".join(map(str, edges)),
                           "comma list of the edges of the reported frequency bands"),

@@ -37,7 +37,7 @@ from cxgcorpus.ingest import (
 )
 from cxgcorpus.inventory import Construction, Inventory, SlotConstraint
 from cxgcorpus.matcher import OccurrenceTable
-from cxgcorpus.pair_sampler import PairExample, PairText, SampledPairs, sample_pairs
+from cxgcorpus.pair_sampler import _MAX_DRAWS, PairExample, PairText, SampledPairs, sample_pairs
 from cxgcorpus.workspace import STRICTNESS
 
 
@@ -213,6 +213,112 @@ def sampled_pair_cases(seeds: Iterable[int], shuffle: int | None = None):
             except EmptyBandError:
                 sampled = None
             yield table, band, seed, strictness, sampled
+
+
+# The sampler's two draw loops as they were before `_take` and the
+# candidate generators replaced them, kept verbatim as the reference
+# that the generators must reproduce key for key and draw for draw.
+def _draw_positive_keys(
+    instances: list[int], need: int, rng: random.Random, seen: set[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    n = len(instances)
+    out: list[tuple[int, int]] = []
+    if n <= 64:
+        pool = list(itertools.combinations(instances, 2))
+        rng.shuffle(pool)
+        for a, b in pool:
+            key = (a, b) if a < b else (b, a)
+            if key not in seen:
+                seen.add(key)
+                out.append(key)
+                if len(out) == need:
+                    break
+        return out
+    attempts = 0
+    while len(out) < need and attempts < _MAX_DRAWS:
+        attempts += 1
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        a, b = instances[i], instances[j]
+        key = (a, b) if a < b else (b, a)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
+def _draw_negative_keys(
+    instances: list[int],
+    instance_set: set[int],
+    universe: list[int],
+    table: OccurrenceTable,
+    strictness: str,
+    need: int,
+    rng: random.Random,
+    seen: set[tuple[int, int]],
+) -> list[tuple[int, int]]:
+    out: list[tuple[int, int]] = []
+    n_inst = len(instances)
+    n_univ = len(universe)
+    if len(instance_set) == n_univ:
+        return out  # the instances cover the universe: no partner exists
+    attempts = 0
+    budget = _MAX_DRAWS * need
+    while len(out) < need and attempts < budget:
+        attempts += 1
+        a = instances[rng.randrange(n_inst)]
+        b = universe[rng.randrange(n_univ)]
+        if b == a or b in instance_set:
+            continue
+        if strictness == "disjoint":
+            if not set(table.constructions_of(a)).isdisjoint(table.constructions_of(b)):
+                continue
+        key = (a, b) if a < b else (b, a)
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out
+
+
+def reference_draws(instances, table, strictness, needs, rng, seen):
+    """The positive and the negative keys the reference loops draw for
+    one construction, in the order sample_pairs draws them."""
+    pos_need, neg_need = needs
+    return (
+        _draw_positive_keys(instances, pos_need, rng, seen),
+        _draw_negative_keys(instances, set(instances), table.sentence_ids, table,
+                            strictness, neg_need, rng, seen),
+    )
+
+
+def draw_case(seed: int):
+    """One seeded case for the draw loops: (table, anchor row, strictness,
+    (positive need, negative need), seen). Odd seeds give rows of 2-64
+    instances, even seeds rows of 65-300; every fifth row covers the
+    table's sentences; some tables hold a row over every sentence, so a
+    disjoint draw spends its whole budget; some needs exceed what the
+    row's pairs or the draw budget can give; and `seen` already holds
+    some of the row's pairs."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 64) if seed % 2 else rng.randint(65, 300)
+    extra = 0 if seed % 5 == 0 else rng.randint(1, 150)
+    sids = sorted(rng.sample(range(3 * (n + extra)), n + extra))
+    row = sorted(rng.sample(sids, n))
+    forward = {0: row}
+    for cid in range(1, rng.randint(1, 6)):
+        forward[cid] = sorted(rng.sample(sids, rng.randint(2, len(sids))))
+    if rng.random() < 0.3:
+        forward[len(forward)] = list(sids)
+    strictness = STRICTNESS[seed // 2 % 2]
+    pool = n * (n - 1) // 2
+    pos_need = rng.choice([1, 2, 4, pool + 1 if n <= 64 else _MAX_DRAWS + 1])
+    neg_need = rng.choice([1, 2, 4, 8])
+    seen = set(itertools.islice(itertools.combinations(row, 2), 0, None, rng.randint(1, 9)))
+    if rng.random() < 0.5:
+        seen = set(rng.sample(sorted(seen), len(seen) // 2))
+    return OccurrenceTable(forward), row, strictness, (pos_need, neg_need), seen
 
 
 def pairs_digest(cases) -> str:

@@ -267,7 +267,7 @@ def test_config_hash_falls_back_to_hashlib():
 PACKAGE_EXPORTS = {
     "ingest": ("AnnotatedSentence", "AnnotationResources", "Token", "annotate_corpus",
                "parse_wikitext", "split_sentences", "tag_pos", "tokenize"),
-    "inventory": ("Construction", "InductionParams", "Inventory", "SlotConstraint",
+    "inventory": ("Construction", "Inventory", "SlotConstraint",
                   "induce_inventory", "load_inventory", "parse_construction_spec",
                   "render_name", "write_inventory"),
     "matcher": ("MatchIndex", "OccurrenceTable", "brute_force_match",
@@ -365,9 +365,23 @@ def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     hooks take the arguments and results of the builders and the
     sampler, so `build` and `pairs` run traced too, write the bytes of
     the untraced run, and count what their manifests and pair files
-    show."""
+    show. `annotate` and `baseline` run traced as well: their hooks read
+    each annotated sentence's tokens and the trained pairs and the test
+    accuracy, which must agree with the store, train.tsv and metrics.tsv."""
     out = work["out"]
     config = work["paths"]["config"]
+    step = work["steps"][0]
+    result = _perfbench("trace.py", tmp_path / "annotate.json", *step[:2],
+                        tmp_path / "annotate" / "annotated.tsv", *step[3:])
+    assert result.returncode == 0, result.stderr
+    written = sorted(p.name for p in (tmp_path / "annotate").iterdir())
+    assert written == sorted(p.name for p in out.glob("annotated.tsv*"))
+    for name in written:
+        assert filecmp.cmp(tmp_path / "annotate" / name, out / name, shallow=False)
+    counts = json.loads((tmp_path / "annotate.json").read_text("utf-8"))["counts"]
+    store = (out / "annotated.tsv.sents").read_text("utf-8").splitlines()
+    assert counts["ingest.sentences"] == len(store) == 900
+    assert counts["ingest.tokens"] == sum((line.count("\t") - 2) // 3 for line in store)
     result = _perfbench("trace.py", tmp_path / "stats.json", "stats", out / "match" / "table.tsv",
                         tmp_path / "stats.tsv", "--config", config)
     assert result.returncode == 0, result.stderr
@@ -378,7 +392,7 @@ def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     assert (tmp_path / "m" / "table.tsv").read_bytes() == (out / "match" / "table.tsv").read_bytes()
     counts = json.loads((tmp_path / "match.json").read_text("utf-8"))["counts"]
     assert counts["matcher.match_sentence_calls"] == len(work["desk"].sentences) == 900
-    for step in work["steps"][2:4]:
+    for step in work["steps"][2:]:
         stage = step[0]
         result = _perfbench("trace.py", tmp_path / f"{stage}.json", *step[:3],
                             tmp_path / stage, *step[4:])
@@ -403,6 +417,11 @@ def test_stage_runs_under_the_benchmark_tracer(work, tmp_path):
     assert counts["pair_sampler.pairs_delivered"] == delivered
     assert counts["pair_sampler.pairs_requested"] == delivered + missing
     assert counts["pair_sampler.shortfalls"] == len(lines["shortfall"])
+    counts = json.loads((tmp_path / "baseline.json").read_text("utf-8"))["counts"]
+    assert counts["baseline.train_pairs"] == len(lines["train"])
+    metrics = (out / "baseline" / "metrics.tsv").read_text("utf-8").splitlines()
+    assert metrics[-1].split("\t")[:2] == ["ALL", "ALL"]
+    assert f"{counts['baseline.test_accuracy']:.6f}" == metrics[-1].split("\t")[3]
 
 
 def test_benchmark_oracle_agrees_with_the_table(work):

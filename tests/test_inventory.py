@@ -6,7 +6,6 @@ from cxgcorpus import inventory as inventory_module
 from cxgcorpus.errors import ParseError
 from cxgcorpus.inventory import (
     Construction,
-    InductionParams,
     Inventory,
     SlotConstraint,
     facets_of,
@@ -225,8 +224,8 @@ class TestCompiledForm:
             Inventory([con])
         inv = Inventory()
         with pytest.raises(ParseError, match="^slot kind 'lex' is none of LEX, POS, SEM$"):
-            inv.facet_id(S("lex", "a"))
-        assert inv.facets == [] and inv.facet_id(S("POS", "NOUN")) == 0
+            inv.facet_id("lex", "a")
+        assert inv.facets == [] and inv.facet_id("POS", "NOUN") == 0
 
     def test_match_path_builds_no_construction(self, tmp_path, monkeypatch):
         p = tmp_path / "inv.tsv"
@@ -251,23 +250,20 @@ def _corpus_of_repeats(n, forms_tags):
 class TestInduction:
     def test_repeated_sentence_yields_lexical_candidate(self):
         corpus = _corpus_of_repeats(10, [("big", "ADJ"), ("red", "ADJ"), ("dog", "NOUN")])
-        params = InductionParams(max_len=3, min_support=5, min_assoc=0.0, max_inventory=100)
-        inv = induce_inventory(corpus, params)
+        inv = induce_inventory(corpus, max_len=3, min_support=5, min_assoc=0.0, max_inventory=100)
         slotseqs = {c.slots for c in inv}
         assert (S("LEX", "big"), S("LEX", "red"), S("LEX", "dog")) in slotseqs
 
     def test_unseen_adjacency_absent(self):
         corpus = _corpus_of_repeats(10, [("a", "DET"), ("b", "NOUN")])
-        params = InductionParams(max_len=2, min_support=2, min_assoc=-1.0, max_inventory=100)
-        inv = induce_inventory(corpus, params)
+        inv = induce_inventory(corpus, max_len=2, min_support=2, min_assoc=-1.0, max_inventory=100)
         # "b" never precedes "a"
         assert (S("LEX", "b"), S("LEX", "a")) not in {c.slots for c in inv}
 
     def test_small_corpus_gives_empty_inventory(self):
         corpus = _corpus_of_repeats(2, [("a", "DET"), ("b", "NOUN")])
-        params = InductionParams(max_len=2, min_support=5, min_assoc=0.0)
         with pytest.warns(UserWarning, match=r"empty inventory \(2 sentences, min_support=5\)"):
-            inv = induce_inventory(corpus, params)
+            inv = induce_inventory(corpus, max_len=2, min_support=5, min_assoc=0.0)
         assert len(inv) == 0
 
     def test_deterministic(self):
@@ -277,9 +273,9 @@ class TestInduction:
         for sid in range(120):
             toks = [rng.choice(words) for _ in range(8)]
             corpus.append(sent(sid, toks, aid=0, pos=sid))
-        params = InductionParams(max_len=3, min_support=3, min_assoc=0.05, max_inventory=40)
-        a = induce_inventory(corpus, params)
-        b = induce_inventory(corpus, params)
+        params = dict(max_len=3, min_support=3, min_assoc=0.05, max_inventory=40)
+        a = induce_inventory(corpus, **params)
+        b = induce_inventory(corpus, **params)
         assert [c.slots for c in a] == [c.slots for c in b]
 
     @staticmethod
@@ -317,19 +313,17 @@ class TestInduction:
 
     def test_planted_templates_recovered_in_top20(self):
         corpus, expected = self._planted_corpus()
-        params = InductionParams(max_len=3, min_support=40, min_assoc=0.3, max_inventory=50)
-        inv = induce_inventory(corpus, params)
+        inv = induce_inventory(corpus, max_len=3, min_support=40, min_assoc=0.3, max_inventory=50)
         top20 = {c.slots for c in inv.constructions[:20]}
         assert expected <= top20
 
     def test_min_support_met_when_rematched(self):
         corpus, _ = self._planted_corpus()
-        params = InductionParams(max_len=3, min_support=40, min_assoc=0.3, max_inventory=50)
-        inv = induce_inventory(corpus, params)
+        inv = induce_inventory(corpus, max_len=3, min_support=40, min_assoc=0.3, max_inventory=50)
         assert len(inv) > 0
         table = match_corpus(build_index(inv), corpus, max_gap=0)
         for con in inv:
-            assert freq(table, con.cxg_id) >= params.min_support
+            assert freq(table, con.cxg_id) >= 40
 
 
 class TestInventoryInvariants:
@@ -341,17 +335,9 @@ class TestInventoryInvariants:
             ])
 
     def test_params_validation(self):
-        with pytest.raises(ParseError):
-            InductionParams(max_len=1)
-        with pytest.raises(ParseError):
-            InductionParams(min_support=1)
-        with pytest.raises(ParseError):
-            InductionParams(max_inventory=0)
-
-    def test_replace_checks_params_like_the_constructor(self):
-        with pytest.raises(ParseError, match="must be >= 2"):
-            InductionParams()._replace(min_support=1, max_len=1)
+        with pytest.raises(ParseError, match="^max_len must be >= 2$"):
+            induce_inventory([], max_len=1)
+        with pytest.raises(ParseError, match="^min_support must be >= 2$"):
+            induce_inventory([], min_support=1)
         with pytest.raises(ParseError, match="^max_inventory must be positive$"):
-            InductionParams()._replace(max_inventory=0)
-        params = InductionParams()._replace(min_support=2)
-        assert type(params) is InductionParams and params.min_support == 2
+            induce_inventory([], max_inventory=0)

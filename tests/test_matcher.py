@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cxgcorpus.errors import FacetMissingError
+from cxgcorpus.errors import FacetMissingError, InputError
 from cxgcorpus.ingest import Token
 from cxgcorpus.inventory import Construction, Inventory, parse_construction_spec
 from cxgcorpus.matcher import (
@@ -329,6 +329,18 @@ class TestMatchCorpus:
         ]
         table = match_corpus(build_index(inv), corpus, 0)
         assert all(len(v) == 1 for v in table.reverse.values())
+
+    @pytest.mark.parametrize("sids, message", [
+        ((5, 3, 9, 1), "saw 3 after 5"),
+        ((0, 2, 2, 4), "saw 2 after 2"),
+    ])
+    def test_sentence_ids_that_do_not_increase_are_refused(self, sids, message):
+        # a row listed out of order would be refused by OccurrenceTable.read
+        # and misjudged by audit_pairs, which bisects the rows
+        inv = Inventory([Construction(0, (S("LEX", "aa"), S("LEX", "bb")))])
+        corpus = [sent(sid, [("aa", "X"), ("bb", "X")], pos=i) for i, sid in enumerate(sids)]
+        with pytest.raises(InputError, match=f"^sentence ids must be strictly increasing; {message}$"):
+            match_corpus(build_index(inv), corpus, 0)
 
     def test_transpose_and_discards(self, desk, desk_table):
         assert is_transpose_consistent(desk_table)

@@ -16,8 +16,10 @@ from cxgcorpus.pair_sampler import (
     SPLITS,
     PairExample,
     Shortfall,
-    _draw_negative_keys,
     _in_row,
+    _negative_candidates,
+    _positive_candidates,
+    _take,
     audit_pairs,
     make_inoculation_subsets,
     read_pairs,
@@ -26,8 +28,12 @@ from cxgcorpus.pair_sampler import (
 )
 
 from helpers import (
-    all_pairs, freq, pair_key, pairs_digest, reference_band, sampled_pair_cases,
+    all_pairs, draw_case, freq, pair_key, pairs_digest, reference_band, reference_draws,
+    sampled_pair_cases,
 )
+
+
+BAD_STRICTNESS = "^strictness must be one of anchor, disjoint, got 'disjont'$"
 
 
 def _splits(sampled):
@@ -91,7 +97,7 @@ class TestQuotas:
         assert all_pairs(a) != all_pairs(c)
 
     def test_unknown_strictness_refused(self, desk_table):
-        with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
+        with pytest.raises(ParseError, match=BAD_STRICTNESS):
             sample_pairs(desk_table, (2, 50), 1, "disjont")
 
     def test_no_negative_draw_when_the_instances_cover_the_universe(self):
@@ -102,8 +108,8 @@ class TestQuotas:
         rng = random.Random(0)
         state = rng.getstate()
         instances = table.forward[0]
-        assert _draw_negative_keys(
-            instances, set(instances), table.sentence_ids, table, "anchor", 4, rng, set()) == []
+        assert list(_negative_candidates(
+            instances, table.sentence_ids, table, "anchor", 4, rng)) == []
         assert rng.getstate() == state
         sampled = sample_pairs(table, (2, None), 0, "anchor")
         rows = {name: [(p.sent_a, p.sent_b, p.label[0], p.anchor_cxg) for p in sampled.split(name)]
@@ -117,6 +123,31 @@ class TestQuotas:
         assert {(p.band_lo, p.band_hi) for p in all_pairs(sampled)} == {(2, None)}
         assert sampled.shortfalls == [
             Shortfall(0, "train", 4, 2), Shortfall(0, "dev", 2, 1), Shortfall(0, "test", 2, 1)]
+
+    def test_draws_match_the_reference_loops(self):
+        # each case's positive then negative draws, as sample_pairs makes
+        # them: the same keys, the same `seen` and the same RNG state as
+        # the loops the generators replaced
+        kinds = Counter()
+        for seed in range(300):
+            table, row, strictness, needs, seen = draw_case(seed)
+            ref_seen, ref_rng, rng = set(seen), random.Random(seed), random.Random(seed)
+            expected = reference_draws(row, table, strictness, needs, ref_rng, ref_seen)
+            got = (
+                _take(_positive_candidates(row, rng), needs[0], seen),
+                _take(_negative_candidates(row, table.sentence_ids, table, strictness,
+                                           needs[1], rng), needs[1], seen),
+            )
+            assert got == expected, seed
+            assert seen == ref_seen and rng.getstate() == ref_rng.getstate(), seed
+            kinds.update({
+                "short" if len(row) <= 64 else "long": 1,
+                strictness: 1,
+                "covering": len(row) == len(table.sentence_ids),
+                "positive shortfall": len(got[0]) < needs[0],
+                "negative shortfall": len(got[1]) < needs[1],
+            })
+        assert min(kinds.values()) >= 20, kinds
 
     def test_disjoint_strictness_sound_or_shortfall(self, desk_table):
         # on the desk corpus generic patterns cover nearly every
@@ -141,7 +172,7 @@ class TestAudit:
     def test_unknown_strictness_refused(self, desk_pairs, desk_table):
         # a misspelt "disjoint" would audit anchor-style pairs as sound
         sampled = desk_pairs
-        with pytest.raises(ParseError, match="^unknown strictness 'disjont'$"):
+        with pytest.raises(ParseError, match=BAD_STRICTNESS):
             audit_pairs(_splits(sampled), desk_table, "disjont")
 
     def test_flipped_label_reported(self, desk_pairs, desk_table):
